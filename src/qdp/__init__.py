@@ -6,9 +6,8 @@ trips; semiclassical limits and dual Lie bialgebras; seeded Hopf
 pairings with an orthogonality-based membership oracle.
 """
 
-from .series import HSeries, div_h, exp as series_exp, valuation
-from .freealg import (Element, Monomial, TensorElement, combine,
-                      h_valuation, i_degree, tensor_h_valuation)
+from .series import HSeries, div_h, exp as series_exp
+from .freealg import Element, Monomial, TensorElement
 from .hopf import (POLY, SERIES, Presentation, antipode, check_diamond,
                    check_hopf_axioms, coproduct, counit, delta_E, delta_n,
                    big_delta_E, element_exp, iterated_coproduct, multiply,
@@ -19,7 +18,7 @@ from .drinfeld import (GaugeMap, MembershipCertificate, PRIME_THEN_VEE,
                        vee_presentation)
 from .classical import (ClassicalElement, LieBialgebra, dual_lie_bialgebra,
                         extract_lie_bialgebra, extract_poisson_structure,
-                        filtration_degree, lie_bialgebra_equal, specialise,
+                        lie_bialgebra_equal, specialise,
                         validate_lie_bialgebra)
 from .pairing import (PairingSeed, orthogonal_membership, pair,
                       pairing_axioms_check)

@@ -44,6 +44,7 @@ class ClassicalElement:
 
     @property
     def filtration_degree(self):
+        """Max total degree of the support; 0 for scalars, -inf for 0."""
         if not self.terms:
             return -math.inf
         return max(m.degree for m in self.terms)
@@ -63,11 +64,6 @@ def specialise(a: Element, P: Presentation) -> ClassicalElement:
             "cannot specialise an element with negative h-valuation")
     return ClassicalElement(a.pres,
                             {m: c.coeff_at(0) for m, c in a.terms.items()})
-
-
-def filtration_degree(a: ClassicalElement):
-    """Max total degree of the support; 0 for scalars, -inf for 0."""
-    return a.filtration_degree
 
 
 def _zero_cube(n: int):
@@ -293,18 +289,10 @@ def extract_poisson_structure(P: Presentation) -> LieBialgebra:
             raise NotCommutativeModH(
                 f"generators {P.generators[i]},{P.generators[j]} do not "
                 "commute mod h")
-    n = P.ngens
-    p = _commutator_h1_table(P)
-    q = _coproduct_skew_table(P, at_h=0, strict_wedge=False)
-    bracket = _zero_cube(n)
-    cobracket = _zero_cube(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[i][j][k] = q[k][i][j]
-                cobracket[k][i][j] = p[i][j][k]
-    names = [f"{g}*" for g in P.generators]
-    return LieBialgebra(n, names, bracket, cobracket)
+    cotangent = LieBialgebra(P.ngens, P.generators, _commutator_h1_table(P),
+                             _coproduct_skew_table(P, at_h=0,
+                                                   strict_wedge=False))
+    return dual_lie_bialgebra(cotangent)
 
 
 def dual_lie_bialgebra(L: LieBialgebra) -> LieBialgebra:
@@ -347,7 +335,7 @@ def validate_lie_bialgebra(L: LieBialgebra) -> HopfReport:
         rep.add("jacobi", "dimension < 3", True)
 
     for k in range(n):
-        t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        t = _zero_cube(n)
         for p in range(n):
             for q in range(n):
                 if not d[k][p][q]:

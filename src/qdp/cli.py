@@ -2,13 +2,12 @@
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed (the
 report says which); 2 usage, parse or manifest errors; 3 internal
-invariant violation.
+invariant violation or any unexpected exception (one line, no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -55,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "presentations (default 8)")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
-    common.add_argument("--no-parallel", action="store_true",
-                        help="run check items strictly sequentially")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for the deterministic random batteries")
 
@@ -128,7 +125,6 @@ def _config(args) -> RunConfig:
         h_order=args.h_order if args.h_order is not None else _default_order(),
         degree_cap=args.degree if args.degree is not None else 8,
         seed=args.seed,
-        parallel=not args.no_parallel,
         output_format=args.format)
 
 
@@ -378,6 +374,9 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except QdpError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import MixedPresentations, NotAHopfMap, NotDivisible, PresentationError
+from .errors import (InputError, MixedPresentations, NotAHopfMap, NotDivisible,
+                     PresentationError)
 from .freealg import Element, Monomial, TensorElement
-from .hopf import (POLY, SERIES, Presentation, _tensor_expand, coproduct,
-                   counit, delta_n, multiply, normal_form)
+from .hopf import (POLY, SERIES, Presentation, _expand_into, _extend,
+                   coproduct, counit, delta_n, multiply, normal_form)
 from .report import HopfReport
 from .series import HSeries, div_h
 
@@ -62,6 +63,19 @@ class MembershipCertificate:
         }
 
 
+def resolve_n_max(n_max: int | None, h_order: int) -> int:
+    """The last n a membership certificate checks: n_max, or the h-order.
+
+    n = 0 alone only tests the counit, which every element passes, so a
+    certificate must reach n >= 1.
+    """
+    if n_max is None:
+        return h_order
+    if n_max < 1:
+        raise InputError(f"n_max must be >= 1, got {n_max}")
+    return n_max
+
+
 def prime_membership(a: Element, P: Presentation,
                      n_max: int | None = None) -> MembershipCertificate:
     """Check h^n-divisibility of the n-th deviation of a, n = 0..n_max.
@@ -70,12 +84,11 @@ def prime_membership(a: Element, P: Presentation,
     vacuous at truncation.  A NotMember verdict carries the smallest
     failing n; all checked valuations are recorded.
     """
+    n_max = resolve_n_max(n_max, P.h_order)
     if P.model != POLY:
         raise PresentationError("membership is defined on POLY presentations")
     if a.pres != P.name:
         raise MixedPresentations(f"element of {a.pres!r} vs {P.name!r}")
-    if n_max is None:
-        n_max = P.h_order
     ns, vals = [], []
     witness = None
     for n in range(n_max + 1):
@@ -260,7 +273,7 @@ class GaugeMap:
     def identity(cls, P: Presentation) -> "GaugeMap":
         return cls.make(P, {g: P.gen(g) for g in P.generators})
 
-    def of_monomial(self, m: Monomial, P: Presentation) -> Element:
+    def of_monomial(self, P: Presentation, m: Monomial) -> Element:
         cached = self._power_cache.get(m)
         if cached is not None:
             return cached
@@ -271,17 +284,14 @@ class GaugeMap:
         return acc
 
     def of_element(self, a: Element, P: Presentation) -> Element:
-        acc = P.zero()
-        for m, c in a.terms.items():
-            acc = acc + self.of_monomial(m, P).scaled(c)
-        return acc.truncate(P.h_order, P.degree_cap)
+        return _extend(a, P, P.zero(), self.of_monomial)
 
     def of_tensor(self, t: TensorElement, P: Presentation) -> TensorElement:
-        acc = TensorElement.zero(P.name, t.rank)
+        acc: dict = {}
         for key, c in t.terms.items():
-            slots = [self.of_monomial(m, P) for m in key]
-            acc = acc + _tensor_expand(slots, P, c)
-        return acc.truncate(P.h_order, P.degree_cap)
+            _expand_into(acc, [self.of_monomial(P, m) for m in key], c)
+        return TensorElement(P.name, t.rank, acc).truncate(P.h_order,
+                                                           P.degree_cap)
 
 
 def gauge_preservation_check(P: Presentation, phi: GaugeMap,

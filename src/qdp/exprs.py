@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ExpressionSyntaxError, UnknownGenerator
 from .freealg import Element, Monomial
-from .hopf import Presentation, element_exp, element_power, multiply
+from .hopf import Presentation, element_exp, multiply, multiply_all
 from .series import HSeries, exp as series_exp
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
@@ -93,7 +93,7 @@ class _Evaluator:
             for _ in range(k):
                 out = out * a
             return out
-        return element_power(a, k, self.P)
+        return multiply_all([a] * k, self.P)
 
     def exp(self, a):
         if self.P is None:
@@ -167,6 +167,8 @@ def _parse_factor(t: _Tokens, ev: _Evaluator):
             k3, v3, p3 = t.next()
             if k3 != "num":
                 raise ExpressionSyntaxError("expected a denominator", p3)
+            if int(v3) == 0:
+                raise ExpressionSyntaxError("zero denominator", p3)
             return ev.rational_frac(num, int(v3))
         return ev.rational(num)
     if kind == "ident" and val == "exp":

@@ -9,8 +9,7 @@ Element is implicitly in normal form.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import MixedPresentations
 from .series import HSeries
@@ -88,7 +87,55 @@ def add_into(acc: dict, key, c) -> None:
     acc[key] = c if prev is None else prev + c
 
 
-class Element:
+class _LinearTerms:
+    """Arithmetic shared by Element and TensorElement: a finite map from
+    keys (a Monomial, or a tuple of them) to HSeries coefficients.
+
+    A subclass names its space with _space() and builds a value of the same
+    space from a terms dict with _new(); everything else is written once.
+    """
+
+    __slots__ = ()
+
+    def _space(self):
+        return self.pres
+
+    def _new(self, terms: Mapping):
+        raise NotImplementedError
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if self._space() != other._space():
+            raise MixedPresentations(
+                f"{self._space()!r} vs {other._space()!r}")
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, s):
+        """Multiply every coefficient by s (HSeries, Fraction or int)."""
+        return self._new({k: c * s for k, c in self.terms.items()})
+
+    def h_valuation(self):
+        """Min coefficient valuation over all terms; +inf for zero."""
+        return min((c.valuation() for c in self.terms.values()), default=INF)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+
+class Element(_LinearTerms):
     """Finite sum of ordered monomials with HSeries coefficients."""
 
     __slots__ = ("pres", "terms")
@@ -96,6 +143,9 @@ class Element:
     def __init__(self, pres: str, terms: Mapping[Monomial, HSeries]):
         self.pres = pres
         self.terms = _clean_terms(terms)
+
+    def _new(self, terms: Mapping) -> "Element":
+        return Element(self.pres, terms)
 
     @classmethod
     def zero(cls, pres: str) -> "Element":
@@ -110,33 +160,8 @@ class Element:
     def from_monomial(cls, pres: str, mono: Monomial, coeff: HSeries) -> "Element":
         return cls(pres, {mono: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
-
-    def __add__(self, other: "Element") -> "Element":
-        if self.pres != other.pres:
-            raise MixedPresentations(f"{self.pres!r} vs {other.pres!r}")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return Element(self.pres, out)
-
-    def __neg__(self) -> "Element":
-        return Element(self.pres, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def scaled(self, s) -> "Element":
-        """Multiply every coefficient by s (HSeries, Fraction or int)."""
-        return Element(self.pres, {m: c * s for m, c in self.terms.items()})
-
-    def h_valuation(self):
-        """Min coefficient valuation over all terms; +inf for zero."""
-        return min((c.valuation() for c in self.terms.values()), default=INF)
 
     def i_degree(self):
         """Min over terms of (coefficient valuation + monomial degree)."""
@@ -157,11 +182,6 @@ class Element:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].deglex_key())
 
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.pres == other.pres and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.pres, frozenset(self.terms.items())))
 
@@ -177,17 +197,26 @@ class Element:
         return " + ".join(bits)
 
 
-class TensorElement:
-    """Rank-n tensor stored as a map  (Monomial, ..., Monomial) -> HSeries."""
+class TensorElement(_LinearTerms):
+    """Rank-n tensor stored as a map  (Monomial, ..., Monomial) -> HSeries.
+
+    Rank 0 is the scalar line: its only key is the empty tuple.
+    """
 
     __slots__ = ("pres", "rank", "terms")
 
     def __init__(self, pres: str, rank: int,
                  terms: Mapping[tuple, HSeries]):
-        assert rank >= 1
+        assert rank >= 0
         self.pres = pres
         self.rank = rank
         self.terms = _clean_terms(terms)
+
+    def _space(self):
+        return (self.pres, self.rank)
+
+    def _new(self, terms: Mapping) -> "TensorElement":
+        return TensorElement(self.pres, self.rank, terms)
 
     @classmethod
     def zero(cls, pres: str, rank: int) -> "TensorElement":
@@ -198,31 +227,6 @@ class TensorElement:
              value=1) -> "TensorElement":
         key = (Monomial.identity(ngens),) * rank
         return cls(pres, rank, {key: HSeries.const(value, order)})
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.pres != other.pres or self.rank != other.rank:
-            raise MixedPresentations("tensor ranks/presentations differ")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return TensorElement(self.pres, self.rank, out)
-
-    def __neg__(self):
-        return TensorElement(self.pres, self.rank,
-                             {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, s) -> "TensorElement":
-        return TensorElement(self.pres, self.rank,
-                             {k: c * s for k, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def h_valuation(self):
-        return min((c.valuation() for c in self.terms.values()), default=INF)
 
     def truncate(self, h_order: int,
                  degree_cap: int | None = None) -> "TensorElement":
@@ -236,19 +240,12 @@ class TensorElement:
 
     def swapped(self) -> "TensorElement":
         """Reverse the slot order (rank-2 opposite coproduct and friends)."""
-        return TensorElement(self.pres, self.rank,
-                             {tuple(reversed(k)): c
-                              for k, c in self.terms.items()})
+        return self._new({tuple(reversed(k)): c
+                          for k, c in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
                       key=lambda kv: tuple(m.deglex_key() for m in kv[0]))
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.pres == other.pres and self.rank == other.rank
-                and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -258,37 +255,3 @@ class TensorElement:
             slots = " (x) ".join(str(m.exponents) for m in key)
             bits.append(f"({c})*[{slots}]")
         return " + ".join(bits)
-
-
-def combine(scalars: Iterable[HSeries], elems: Iterable[Element]) -> Element:
-    """Linear combination sum(s_i * e_i) in canonical form."""
-    scalars = list(scalars)
-    elems = list(elems)
-    if len(scalars) != len(elems):
-        raise ValueError("combine needs one scalar per element")
-    if not elems:
-        raise ValueError("combine of nothing (presentation unknown)")
-    pres = elems[0].pres
-    for e in elems[1:]:
-        if e.pres != pres:
-            raise MixedPresentations(f"{pres!r} vs {e.pres!r}")
-    acc = Element.zero(pres)
-    for s, e in zip(scalars, elems):
-        acc = acc + e.scaled(s)
-    return acc
-
-
-def h_valuation(a: Element):
-    return a.h_valuation()
-
-
-def i_degree(a: Element):
-    return a.i_degree()
-
-
-def tensor_h_valuation(t: TensorElement):
-    return t.h_valuation()
-
-
-def truncate(a: Element, h_order: int, degree_cap: int | None = None) -> Element:
-    return a.truncate(h_order, degree_cap)

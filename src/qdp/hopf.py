@@ -75,14 +75,19 @@ class Presentation:
         self.ngens = len(self.generators)
         self.gen_index = {g: i for i, g in enumerate(self.generators)}
 
+        pairs = list(itertools.combinations(range(self.ngens), 2))
+        for key in relations:
+            if key not in pairs:
+                raise PresentationError(
+                    f"relation key {key!r} is not a generator index pair "
+                    f"(i, j) with 0 <= i < j < {self.ngens}")
         self.relations = {}
-        for i in range(self.ngens):
-            for j in range(i + 1, self.ngens):
-                r = relations.get((i, j))
-                if r is None:
-                    r = Element.zero(name)
-                self._check_relation(i, j, r)
-                self.relations[(i, j)] = r.truncate(h_order, degree_cap)
+        for i, j in pairs:
+            r = relations.get((i, j))
+            if r is None:
+                r = Element.zero(name)
+            self._check_relation(i, j, r)
+            self.relations[(i, j)] = r.truncate(h_order, degree_cap)
 
         self.coproduct_on_gens = {}
         self.counit_on_gens = {}
@@ -146,9 +151,6 @@ class Presentation:
         return Element.from_monomial(
             self.name, Monomial.generator(i, self.ngens),
             HSeries.one(self.h_order))
-
-    def scalar(self, value) -> HSeries:
-        return HSeries.const(value, self.h_order)
 
     def monomials_up_to(self, degree: int) -> list[Monomial]:
         """All ordered monomials of total degree <= degree, deglex order."""
@@ -257,13 +259,6 @@ def multiply_all(factors: Iterable[Element], P: Presentation) -> Element:
     return acc
 
 
-def element_power(a: Element, k: int, P: Presentation) -> Element:
-    acc = P.unit()
-    for _ in range(k):
-        acc = multiply(acc, a, P)
-    return acc
-
-
 def element_exp(a: Element, P: Presentation) -> Element:
     """exp of an element with h-valuation >= 1 (truncation-convergent)."""
     from .errors import NotTopologicallyNilpotent
@@ -327,14 +322,6 @@ def _expand_into(acc: dict, slot_elems: Sequence[Element],
         add_into(acc, key, c)
 
 
-def _tensor_expand(slot_elems: Sequence[Element], P: Presentation,
-                   coeff: HSeries) -> TensorElement:
-    """Expand a pure tensor of Elements into a TensorElement."""
-    acc: dict = {}
-    _expand_into(acc, slot_elems, coeff)
-    return TensorElement(P.name, len(slot_elems), acc)
-
-
 # -- structure maps --------------------------------------------------------------
 
 
@@ -349,14 +336,20 @@ def coproduct_monomial(P: Presentation, m: Monomial) -> TensorElement:
     return acc
 
 
-def coproduct(a: Element, P: Presentation) -> TensorElement:
-    """Multiplicative extension of the generator coproducts."""
+def _extend(a: Element, P: Presentation, zero, image, *args):
+    """Linear extension of the cached per-monomial map image(P, m, *args)
+    over a, truncated to P; `zero` fixes the type and rank of the result."""
     _check_owner(P, a)
     acc: dict = {}
     for m, c in a.terms.items():
-        for key, cm in coproduct_monomial(P, m).terms.items():
+        for key, cm in image(P, m, *args).terms.items():
             add_into(acc, key, cm * c)
-    return TensorElement(P.name, 2, acc).truncate(P.h_order, P.degree_cap)
+    return zero._new(acc).truncate(P.h_order, P.degree_cap)
+
+
+def coproduct(a: Element, P: Presentation) -> TensorElement:
+    """Multiplicative extension of the generator coproducts."""
+    return _extend(a, P, TensorElement.zero(P.name, 2), coproduct_monomial)
 
 
 def counit(a: Element, P: Presentation) -> HSeries:
@@ -379,54 +372,51 @@ def antipode_monomial(P: Presentation, m: Monomial) -> Element:
 
 def antipode(a: Element, P: Presentation) -> Element:
     """Anti-multiplicative extension of the generator antipodes."""
-    _check_owner(P, a)
-    acc: dict = {}
-    for m, c in a.terms.items():
-        for mm, cm in antipode_monomial(P, m).terms.items():
-            add_into(acc, mm, cm * c)
-    return Element(P.name, acc).truncate(P.h_order, P.degree_cap)
+    return _extend(a, P, P.zero(), antipode_monomial)
 
 
 # -- iterated coproducts and deviation maps ----------------------------------------
 
 
+def _tensor_coproduct_slot(t: TensorElement, slot: int,
+                           P: Presentation) -> TensorElement:
+    """Apply the coproduct to one slot of a tensor, raising its rank by 1."""
+    acc: dict[tuple, HSeries] = {}
+    for key, c in t.terms.items():
+        for (m1, m2), c2 in coproduct_monomial(P, key[slot]).terms.items():
+            nk = key[:slot] + (m1, m2) + key[slot + 1:]
+            nc = c * c2
+            if nc.is_zero():
+                continue
+            acc[nk] = acc[nk] + nc if nk in acc else nc
+    return TensorElement(P.name, t.rank + 1, acc).truncate(
+        P.h_order, P.degree_cap)
+
+
 def _iterated_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
-    """Delta^n on a monomial: expand the first slot of Delta^(n-1)."""
+    """Delta^n on a monomial: expand the first slot of Delta^(n-1).
+
+    Delta^0 is the counit, a rank-0 tensor; Delta^1 is the identity.
+    """
     key = (m, n)
     cached = P._iterated_cache.get(key)
     if cached is not None:
         return cached
-    if n == 1:
-        out = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)})
-    elif n == 2:
-        out = coproduct_monomial(P, m)
+    if n == 0:
+        out = TensorElement(P.name, 0, {(): HSeries.one(P.h_order)}
+                            if m.is_identity() else {})
+    elif n == 1:
+        out = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)}
+                            ).truncate(P.h_order, P.degree_cap)
     else:
-        prev = _iterated_monomial(P, m, n - 1)
-        acc: dict[tuple, HSeries] = {}
-        for ptkey, c in prev.terms.items():
-            for (m1, m2), c2 in coproduct_monomial(P, ptkey[0]).terms.items():
-                nk = (m1, m2) + ptkey[1:]
-                nc = c * c2
-                if nc.is_zero():
-                    continue
-                acc[nk] = acc[nk] + nc if nk in acc else nc
-        out = TensorElement(P.name, n, acc)
-    out = out.truncate(P.h_order, P.degree_cap)
+        out = _tensor_coproduct_slot(_iterated_monomial(P, m, n - 1), 0, P)
     P._iterated_cache[key] = out
     return out
 
 
 def iterated_coproduct(a: Element, n: int, P: Presentation) -> TensorElement:
-    """Delta^n; Delta^0 is the counit embedded as a rank-1 scalar tensor."""
-    _check_owner(P, a)
-    if n == 0:
-        return TensorElement(
-            P.name, 1, {(P.identity_monomial(),): counit(a, P)})
-    acc: dict = {}
-    for m, c in a.terms.items():
-        for key, cm in _iterated_monomial(P, m, n).terms.items():
-            add_into(acc, key, cm * c)
-    return TensorElement(P.name, n, acc).truncate(P.h_order, P.degree_cap)
+    """Delta^n; Delta^0 is the counit, a rank-0 (scalar) tensor."""
+    return _extend(a, P, TensorElement.zero(P.name, n), _iterated_monomial, n)
 
 
 def _delta_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
@@ -464,17 +454,12 @@ def _delta_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
 def delta_n(a: Element, n: int, P: Presentation) -> TensorElement:
     """The n-th deviation map (id - eps)^(x n) o Delta^n.
 
-    Supported on tuples with no identity slot; delta_0 follows the rank-1
-    scalar-tensor convention of iterated_coproduct.
+    Supported on tuples with no identity slot; delta_0 = Delta^0 is the
+    counit, a rank-0 tensor.
     """
-    _check_owner(P, a)
     if n == 0:
         return iterated_coproduct(a, 0, P)
-    acc: dict = {}
-    for m, c in a.terms.items():
-        for key, cm in _delta_monomial(P, m, n).terms.items():
-            add_into(acc, key, cm * c)
-    return TensorElement(P.name, n, acc).truncate(P.h_order, P.degree_cap)
+    return _extend(a, P, TensorElement.zero(P.name, n), _delta_monomial, n)
 
 
 def embed_slots(t: TensorElement, slots: Sequence[int], n: int,
@@ -501,12 +486,7 @@ def big_delta_E(a: Element, E: Sequence[int], n: int,
     E = sorted(set(E))
     if any(not 1 <= i <= n for i in E):
         raise ValueError(f"E={E} is not a subset of 1..{n}")
-    if not E:
-        scalar = counit(a, P)
-        out = TensorElement.unit(P.name, n, P.ngens, P.h_order)
-        return out.scaled(scalar)
-    inner = iterated_coproduct(a, len(E), P)
-    return embed_slots(inner, E, n, P)
+    return embed_slots(iterated_coproduct(a, len(E), P), E, n, P)
 
 
 def delta_E(a: Element, E: Sequence[int], n: int,
@@ -526,20 +506,6 @@ def delta_E(a: Element, E: Sequence[int], n: int,
 # -- axiom checking -----------------------------------------------------------------
 
 
-def _tensor_coproduct_slot(t: TensorElement, slot: int,
-                           P: Presentation) -> TensorElement:
-    acc: dict[tuple, HSeries] = {}
-    for key, c in t.terms.items():
-        for (m1, m2), c2 in coproduct_monomial(P, key[slot]).terms.items():
-            nk = key[:slot] + (m1, m2) + key[slot + 1:]
-            nc = c * c2
-            if nc.is_zero():
-                continue
-            acc[nk] = acc[nk] + nc if nk in acc else nc
-    return TensorElement(P.name, t.rank + 1, acc).truncate(
-        P.h_order, P.degree_cap)
-
-
 def _tensor_counit_slot(t: TensorElement, slot: int,
                         P: Presentation) -> TensorElement:
     acc: dict[tuple, HSeries] = {}
@@ -549,10 +515,6 @@ def _tensor_counit_slot(t: TensorElement, slot: int,
         nk = key[:slot] + key[slot + 1:]
         acc[nk] = acc[nk] + c if nk in acc else c
     return TensorElement(P.name, t.rank - 1, acc)
-
-
-def _rank1_to_element(t: TensorElement, P: Presentation) -> Element:
-    return Element(P.name, {key[0]: c for key, c in t.terms.items()})
 
 
 def _convolve_antipode(t: TensorElement, P: Presentation,
@@ -587,10 +549,11 @@ def check_hopf_axioms(P: Presentation, degree_bound: int) -> HopfReport:
         rep.add("coassociativity", label, left == right,
                 _diff_note(left, right))
 
-        lcu = _rank1_to_element(_tensor_counit_slot(cop, 0, P), P)
-        rcu = _rank1_to_element(_tensor_counit_slot(cop, 1, P), P)
-        rep.add("counit-left", label, lcu == elem, _diff_note(lcu, elem))
-        rep.add("counit-right", label, rcu == elem, _diff_note(rcu, elem))
+        ident = iterated_coproduct(elem, 1, P)
+        lcu = _tensor_counit_slot(cop, 0, P)
+        rcu = _tensor_counit_slot(cop, 1, P)
+        rep.add("counit-left", label, lcu == ident, _diff_note(lcu, ident))
+        rep.add("counit-right", label, rcu == ident, _diff_note(rcu, ident))
 
         target = P.unit().scaled(counit(elem, P))
         conv_l = _convolve_antipode(cop, P, 0)

@@ -18,10 +18,6 @@ from .pairing import PairingSeed
 from .series import HSeries
 
 
-def series_to_jsonable(s: HSeries) -> dict:
-    return s.to_jsonable()
-
-
 def series_from_jsonable(data, order: int) -> HSeries:
     if isinstance(data, str):
         from .exprs import parse_scalar
@@ -85,7 +81,7 @@ def presentation_to_manifest(P: Presentation) -> dict:
         ],
         "coproduct": {g: tensor_to_jsonable(P.coproduct_on_gens[g])
                       for g in P.generators},
-        "counit": {g: series_to_jsonable(P.counit_on_gens[g])
+        "counit": {g: P.counit_on_gens[g].to_jsonable()
                    for g in P.generators},
         "antipode": {g: element_to_jsonable(P.antipode_on_gens[g])
                      for g in P.generators},
@@ -104,6 +100,8 @@ def presentation_from_manifest(data: dict) -> Presentation:
         relations = {}
         for item in data.get("relations", ()):
             i, j = int(item["i"]), int(item["j"])
+            if (i, j) in relations:
+                raise InputError(f"relation ({i}, {j}) is given twice")
             relations[(i, j)] = element_from_jsonable(
                 item["r"], name, ngens, order)
         cop = {g: tensor_from_jsonable(data["coproduct"][g], name, 2, ngens,
@@ -118,10 +116,6 @@ def presentation_from_manifest(data: dict) -> Presentation:
         raise InputError(f"malformed presentation manifest: {exc}") from exc
     return Presentation(name, model, gens, order, cap, relations, cop, eps,
                         ant)
-
-
-def seed_to_manifest(seed: PairingSeed) -> dict:
-    return seed.to_jsonable()
 
 
 def seed_from_manifest(data: dict, left: Presentation,

@@ -17,13 +17,13 @@ deviation-map route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, MixedPresentations, PresentationError
 from .freealg import Element, Monomial
 from .hopf import (POLY, SERIES, Presentation, antipode, coproduct_monomial,
                    counit, multiply, multiply_all)
-from .drinfeld import MEMBER, NOT_MEMBER, MembershipCertificate
+from .drinfeld import MEMBER, NOT_MEMBER, MembershipCertificate, resolve_n_max
 from .report import HopfReport
 from .series import HSeries
 
@@ -43,7 +43,6 @@ class PairingSeed:
     right: Presentation
     values: dict  # (left gen index, right gen index) -> HSeries
     validated: bool = False
-    _memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
@@ -284,6 +283,7 @@ def orthogonal_membership(a: Element, seed: PairingSeed,
     _reliable_order); divisibility beyond that window is unobservable, so
     positive verdicts are, as always, relative to truncation.
     """
+    n_max = resolve_n_max(n_max, seed.left.h_order)
     if not seed.validated:
         raise InputError("seed must pass pairing_axioms_check before "
                          "being used as a membership oracle")
@@ -291,8 +291,6 @@ def orthogonal_membership(a: Element, seed: PairingSeed,
         raise PresentationError("membership oracle needs a SERIES right side")
     if seed.left.model != POLY:
         raise PresentationError("membership oracle needs a POLY left side")
-    if n_max is None:
-        n_max = seed.left.h_order
     a_degree = max((m.degree for m in a.terms), default=0)
     window = _reliable_order(seed, a_degree)
     memo: dict = {}

@@ -1,14 +1,13 @@
-"""Check rows, reports, and the (optionally parallel) task runner.
+"""Check rows, reports, and the task runner.
 
 Reports list every check performed, passes included, so a green run is as
-auditable as a red one.  Row order is fixed by task submission order, which
-makes sequential and parallel execution produce identical reports.
+auditable as a red one.  Tasks run one after another in the order given,
+which fixes the row order of a report.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -57,18 +56,12 @@ class HopfReport:
         return "\n".join(lines)
 
 
-def run_tasks(tasks: Sequence[tuple[str, Callable[[], list[CheckRow]]]],
-              parallel: bool) -> list[CheckRow]:
-    """Evaluate independent row-producing tasks, preserving task order."""
-    if parallel and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(tasks))) as pool:
-            futures = [pool.submit(fn) for _, fn in tasks]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [fn() for _, fn in tasks]
+def run_tasks(tasks: Sequence[tuple[str, Callable[[], list[CheckRow]]]]
+              ) -> list[CheckRow]:
+    """Run named row-producing tasks in order and concatenate their rows."""
     rows: list[CheckRow] = []
-    for chunk in chunks:
-        rows.extend(chunk)
+    for _, fn in tasks:
+        rows.extend(fn())
     return rows
 
 

@@ -1,10 +1,10 @@
 """The full verification battery behind `qdp selftest` and the acceptance
 test suite.
 
-Each criterion function returns plain CheckRows so the battery can run
-item-parallel and still assemble a deterministic report: rows depend only
-on the configuration (truncation orders and the random seed), never on
-timing, so sequential and parallel runs emit identical bytes.
+Each criterion function returns plain CheckRows, and the criteria run one
+after another in CRITERIA order.  Rows depend only on the configuration
+(truncation orders and the random seed), so a configuration always emits
+the same bytes.
 
 Heavy random batteries run at the reduced truncation they are specified
 at (h-order 4); the filtration-kernel sweep runs at h-order 2, which is
@@ -18,8 +18,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .bundles import BUILTIN_NAMES, builtin, bundle_selfcheck
+from .bundles import (BUILTIN_NAMES, _primitive_tensor, builtin,
+                      bundle_selfcheck)
 from .classical import (dual_lie_bialgebra, extract_lie_bialgebra,
                         extract_poisson_structure, lie_bialgebra_equal,
                         validate_lie_bialgebra)
@@ -27,7 +29,7 @@ from .drinfeld import (GaugeMap, PRIME_THEN_VEE, VEE_THEN_PRIME,
                        gauge_preservation_check, prime_membership,
                        prime_presentation, roundtrip_check, vee_presentation)
 from .errors import NotAHopfMap
-from .freealg import Element, TensorElement
+from .freealg import Element, TensorElement, add_into
 from .hopf import (Presentation, big_delta_E, coproduct, delta_E, delta_n,
                    embed_slots, multiply, normal_form, tensor_multiply)
 from .pairing import orthogonal_membership, pair, pairing_axioms_check
@@ -46,7 +48,6 @@ class RunConfig:
     degree_cap: int = 8
     n_max: int | None = None
     seed: int = DEFAULT_SEED
-    parallel: bool = True
     output_format: str = "text"
 
 
@@ -139,17 +140,6 @@ def roundtrips(cfg: RunConfig) -> list[CheckRow]:
 # -- criterion 4: deviation-of-product expansions ----------------------------------------
 
 
-def _embedded_delta(a: Element, sub: tuple[int, ...], n: int,
-                    P: Presentation) -> TensorElement:
-    """delta_sub as a rank-n tensor, via the cached single-chain deviations."""
-    if not sub:
-        from .hopf import counit
-        return TensorElement.unit(P.name, n, P.ngens,
-                                  P.h_order).scaled(counit(a, P))
-    inner = delta_n(a, len(sub), P)
-    return embed_slots(inner, sub, n, P)
-
-
 def _covering_pairs(phi: tuple[int, ...]):
     """All (lam, y) with lam | y = phi, as index subsets."""
     for mask in itertools.product((0, 1, 2), repeat=len(phi)):
@@ -159,7 +149,6 @@ def _covering_pairs(phi: tuple[int, ...]):
 
 
 def _tensor_sum(parts, P: Presentation, rank: int) -> TensorElement:
-    from .freealg import add_into
     acc: dict = {}
     for sign, t in parts:
         for key, c in t.terms.items():
@@ -180,10 +169,11 @@ def product_expansion(cfg: RunConfig) -> list[CheckRow]:
             for a, b in pairs:
                 ab = multiply(a, b, P)
                 ba = multiply(b, a, P)
-                da = {s: _embedded_delta(a, s, n, P)
+                # delta_s as a rank-n tensor, via the cached deviations
+                da = {s: embed_slots(delta_n(a, len(s), P), s, n, P)
                       for k in range(n + 1)
                       for s in itertools.combinations(phi, k)}
-                db = {s: _embedded_delta(b, s, n, P)
+                db = {s: embed_slots(delta_n(b, len(s), P), s, n, P)
                       for k in range(n + 1)
                       for s in itertools.combinations(phi, k)}
                 want_parts = []
@@ -248,26 +238,17 @@ def limit_valuations(cfg: RunConfig) -> list[CheckRow]:
         rep.add("limit-structure", f"{name}: rescaled-up algebra is "
                 "commutative mod h", ok)
         R = vee_presentation(Q)
-        for g in R.generators:
+        for i, g in enumerate(R.generators):
             d = coproduct(R.gen(g), R)
+            prim = _primitive_tensor(R.name, i, R.ngens, R.h_order)
             rep.add("limit-structure",
                     f"{name}: vee generator {g} primitive mod h",
-                    _primitive_defect(R, g).h_valuation() >= 1)
+                    (d - prim).h_valuation() >= 1)
             skew = d - d.swapped()
             rep.add("limit-structure",
                     f"{name}: vee coproduct of {g} cocommutative mod h",
                     skew.h_valuation() >= 1)
     return rep.rows
-
-
-def _primitive_defect(R: Presentation, g: str) -> TensorElement:
-    from .freealg import Monomial
-    d = coproduct(R.gen(g), R)
-    one = Monomial.identity(R.ngens)
-    gm = Monomial.generator(R.gen_index[g], R.ngens)
-    c = HSeries.one(R.h_order)
-    prim = TensorElement(R.name, 2, {(gm, one): c, (one, gm): c})
-    return d - prim
 
 
 # -- criterion 7: filtration kernel ------------------------------------------------------
@@ -306,7 +287,7 @@ def pairing_duality(cfg: RunConfig) -> list[CheckRow]:
         xm = normal_form((0,) * m, L)
         for n in range(6):
             yn = normal_form((0,) * n, R).scaled(
-                Fraction(1, _factorial(n)))
+                Fraction(1, factorial(n)))
             got = pair(xm, yn, seed, memo)
             want = (HSeries.one(seed.order) if m == n
                     else HSeries.zero(seed.order))
@@ -323,13 +304,6 @@ def pairing_duality(cfg: RunConfig) -> list[CheckRow]:
                 f"({len(ax.rows)} instances)", ax.passed,
                 "" if ax.passed else str(ax.failures()[0]))
     return rep.rows
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # -- criterion 9: oracle agreement ------------------------------------------------------------
@@ -370,7 +344,6 @@ def oracle_agreement(cfg: RunConfig) -> list[CheckRow]:
         pairing_axioms_check(seed, 2)
     rng = random.Random(cfg.seed + 2)
     battery = _membership_battery_elements(P, rng)
-    memo: dict = {}
     for label, a in battery:
         c1 = prime_membership(a, P, cfg.n_max)
         c2 = orthogonal_membership(a, seed, cfg.n_max)
@@ -446,9 +419,9 @@ CRITERIA = [
 
 def run_selftest(cfg: RunConfig) -> dict:
     """Run the whole battery; the payload is deterministic for a given
-    configuration (the parallel flag changes scheduling, not content)."""
+    configuration."""
     tasks = [(name, (lambda fn=fn: fn(cfg))) for name, fn in CRITERIA]
-    rows = run_tasks(tasks, cfg.parallel)
+    rows = run_tasks(tasks)
     return {
         "tool": "qdp",
         "command": "selftest",

@@ -40,7 +40,7 @@ class HSeries:
     """A truncated series  sum_{k=v_min}^{order} c_k h^k  with Fraction c_k.
 
     v_min may be negative (Laurent storage); contexts that model plain
-    power-series modules must check `is_regular()` themselves.  The empty
+    power-series modules must check the valuation themselves.  The empty
     coefficient window encodes the zero series.
     """
 
@@ -114,10 +114,6 @@ class HSeries:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def is_regular(self) -> bool:
-        """True when no negative exponent is stored."""
-        return self.is_zero() or self.v_min >= 0
 
     def valuation(self):
         """Smallest exponent with nonzero coefficient; +inf for zero."""
@@ -279,10 +275,6 @@ def div_h(a: HSeries, k: int, *, laurent: bool = False) -> HSeries:
             f"series {a} has valuation {a.valuation()} < {k}",
             series=a, needed=k)
     return a.shift(-k)
-
-
-def valuation(a: HSeries):
-    return a.valuation()
 
 
 def exp(a: HSeries) -> HSeries:

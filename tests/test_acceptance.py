@@ -1,15 +1,19 @@
 """Acceptance suite.
 
-Runs the full verification battery through the CLI twice (work-item
-parallel and strictly sequential), checks the two reports are
-byte-identical, and asserts every criterion group from the (shared)
-payload plus direct spot checks of the load-bearing exact values.
+Runs the full verification battery twice, once in this process through
+the CLI entry point and once in a fresh interpreter, checks the two
+reports are byte-identical, and asserts every criterion group from the
+in-process payload plus direct spot checks of the load-bearing exact
+values.
 
 One PASS/FAIL line per criterion is printed (visible with pytest -s).
 """
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from qdp.drinfeld import (PRIME_THEN_VEE, VEE_THEN_PRIME, prime_membership,
 from qdp.series import HSeries
 
 N = D = 8
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run_cli(argv):
@@ -36,16 +41,22 @@ def _run_cli(argv):
 
 @pytest.fixture(scope="module")
 def selftest_outputs():
-    code_par, out_par = _run_cli(["selftest", "--format", "json"])
-    code_seq, out_seq = _run_cli(["selftest", "--format", "json",
-                                  "--no-parallel"])
-    assert code_par == 0 and code_seq == 0
-    return out_par, out_seq
+    # The fresh process shares no cache with this one; it runs meanwhile.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    fresh = subprocess.Popen(
+        [sys.executable, "-m", "qdp.cli", "selftest", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    code_in, out_in = _run_cli(["selftest", "--format", "json"])
+    out_fresh, err_fresh = fresh.communicate()
+    assert code_in == 0 and fresh.returncode == 0, err_fresh
+    return out_in, out_fresh
 
 
 @pytest.fixture(scope="module")
 def payload(selftest_outputs):
-    return json.loads(selftest_outputs[1])
+    return json.loads(selftest_outputs[0])
 
 
 def _rows(payload, *checks):
@@ -149,10 +160,10 @@ def test_criterion_10_gauge_preservation(payload):
 
 
 def test_criterion_11_determinism(selftest_outputs):
-    out_par, out_seq = selftest_outputs
-    ok = out_par == out_seq
+    out_in, out_fresh = selftest_outputs
+    ok = out_in == out_fresh
     print(f"ACCEPTANCE 11 deterministic reports: "
-          f"{'PASS' if ok else 'FAIL'} ({len(out_seq)} bytes)")
+          f"{'PASS' if ok else 'FAIL'} ({len(out_in)} bytes)")
     assert ok
 
 

@@ -6,7 +6,7 @@ import pytest
 from qdp.bundles import builtin
 from qdp.classical import (ClassicalElement, LieBialgebra, dual_lie_bialgebra,
                            extract_lie_bialgebra, extract_poisson_structure,
-                           filtration_degree, lie_bialgebra_equal, specialise,
+                           lie_bialgebra_equal, specialise,
                            validate_lie_bialgebra)
 from qdp.drinfeld import prime_presentation
 from qdp.errors import (DimensionMismatch, NegativeValuation,
@@ -46,15 +46,15 @@ class TestFiltrationDegree:
     def test_mixed(self, borel2):
         a = ClassicalElement(borel2.name, {Monomial((1, 1)): Fraction(1),
                                            Monomial((1, 0)): Fraction(1)})
-        assert filtration_degree(a) == 2
+        assert a.filtration_degree == 2
 
     def test_scalar(self, borel2):
         one = ClassicalElement(borel2.name,
                                {Monomial.identity(2): Fraction(1)})
-        assert filtration_degree(one) == 0
+        assert one.filtration_degree == 0
 
     def test_zero_convention(self, borel2):
-        assert filtration_degree(ClassicalElement(borel2.name, {})) \
+        assert ClassicalElement(borel2.name, {}).filtration_degree \
             == -math.inf
 
 

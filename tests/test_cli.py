@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from qdp import cli
 from qdp.cli import run
 
 MANIFEST_DIR = Path(__file__).resolve().parents[1] / "src/qdp/manifests"
@@ -39,6 +40,46 @@ def test_member_both_routes_agree(capsys):
 
 def test_member_bad_expression_is_usage_error(capsys):
     assert run(["member", "borel2", "--element", "h*q"]) == 2
+
+
+def test_member_zero_denominator_is_usage_error(capsys):
+    assert run(["member", "borel2", "--element", "1/0"]) == 2
+    err = capsys.readouterr().err
+    assert "denominator" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("via", ["delta", "pairing"])
+@pytest.mark.parametrize("n_max", ["-3", "0"])
+def test_member_vacuous_n_max_is_usage_error(capsys, via, n_max):
+    # n = 0 alone only tests the counit, which every element passes
+    assert run(["member", "borel2", "--element", "x", "--via", via,
+                "--n-max", n_max]) == 2
+    assert "n_max" in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def boom(args, cfg):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli._HANDLERS, "list", boom)
+    assert run(["list"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda rels: [dict(r, i=r["j"], j=r["i"]) for r in rels],
+     "relation key"),
+    (lambda rels: rels + rels, "given twice"),
+], ids=["swapped", "duplicated"])
+def test_manifest_relations_are_never_dropped(tmp_path, capsys, mangle,
+                                              message):
+    data = json.loads(
+        (MANIFEST_DIR / "borel2.json").read_text(encoding="utf-8"))
+    data["relations"] = mangle(data["relations"])
+    path = tmp_path / "mangled.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["limit", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_check_hopf_json_schema(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from qdp.bundles import builtin
 from qdp.errors import MixedPresentations
-from qdp.freealg import Element, Monomial, TensorElement, combine
+from qdp.freealg import Element, Monomial, TensorElement
 from qdp.hopf import multiply
 from qdp.manifest import element_from_jsonable, element_to_jsonable
 from qdp.selftest import random_elements
@@ -37,21 +37,28 @@ class TestMonomial:
 
 
 class TestCombine:
+    # Linear combinations are built from scaled() and +.
     def test_cancellation(self, borel2):
         x = borel2.gen("x")
-        out = combine([HSeries.one(8), HSeries.const(-1, 8)], [x, x])
+        out = x.scaled(HSeries.one(8)) + x.scaled(HSeries.const(-1, 8))
         assert out.is_zero()
 
     def test_two_generators(self, borel2):
         h = HSeries.h_power(1, 8)
-        out = combine([h, h], [borel2.gen("x"), borel2.gen("y")])
+        out = borel2.gen("x").scaled(h) + borel2.gen("y").scaled(h)
         assert out.coeff(Monomial((1, 0))) == h
         assert out.coeff(Monomial((0, 1))) == h
 
     def test_mixed_presentations(self, borel2):
         other = builtin("abelian2", 8, 8).quea
         with pytest.raises(MixedPresentations):
-            combine([HSeries.one(8)] * 2, [borel2.gen("x"), other.gen("x1")])
+            borel2.gen("x") + other.gen("x1")
+        one = Monomial.identity(2)
+        t1 = TensorElement(borel2.name, 1, {(one,): HSeries.one(8)})
+        t2 = TensorElement(borel2.name, 2, {(one, one): HSeries.one(8)})
+        with pytest.raises(MixedPresentations):
+            t1 - t2
+        assert t1 != t2 and t1 != borel2.unit()
 
 
 class TestValuations:
@@ -79,7 +86,7 @@ class TestValuations:
         rng = random.Random(5)
         h = HSeries.h_power(1, borel2.h_order)
         for a in random_elements(borel2, rng, 10):
-            scaled = combine([h], [a])
+            scaled = a.scaled(h)
             if scaled.is_zero():
                 continue
             assert scaled.h_valuation() == 1 + a.h_valuation()

@@ -12,8 +12,8 @@ from qdp.errors import (FuelExceeded, NotTopologicallyNilpotent,
 from qdp.freealg import Element, Monomial, TensorElement
 from qdp.hopf import (POLY, Presentation, antipode, big_delta_E,
                       check_diamond, check_hopf_axioms, coproduct, counit,
-                      delta_E, delta_n, element_exp, iterated_coproduct,
-                      multiply, normal_form)
+                      delta_E, delta_n, element_exp, embed_slots,
+                      iterated_coproduct, multiply, normal_form)
 from qdp.selftest import random_elements
 from qdp.series import HSeries
 
@@ -148,9 +148,14 @@ class TestIteratedCoproduct:
                 assert sum(m.degree for m in key) == 1
 
     def test_rank_zero_convention(self, borel2):
-        t = iterated_coproduct(borel2.unit(5), 0, borel2)
-        assert t.rank == 1
-        assert t.terms == {(Monomial.identity(2),): HSeries.const(5, 8)}
+        # Delta^0 = delta_0 = eps, a rank-0 tensor keyed by the empty tuple
+        a = borel2.unit(5) + borel2.gen("x")
+        t = iterated_coproduct(a, 0, borel2)
+        assert t.rank == 0
+        assert t.terms == {(): HSeries.const(5, 8)}
+        assert delta_n(a, 0, borel2) == t
+        assert embed_slots(t, (), 2, borel2).terms == {
+            (Monomial.identity(2),) * 2: HSeries.const(5, 8)}
 
 
 class TestDeltaFamily:
@@ -305,8 +310,9 @@ class TestPresentationValidation:
             Presentation(name, POLY, ["x"], 4, None, {}, cop,
                          {"x": HSeries.one(4)}, ant)
 
-    def test_inadmissible_relation_rejected(self):
-        name = "badrel"
+    @staticmethod
+    def _primitive_pair(name):
+        """Coproducts, counits and antipodes of two primitive generators."""
         one = HSeries.one(4)
         cop, eps, ant = {}, {}, {}
         for i, g in enumerate(("a", "b")):
@@ -315,11 +321,24 @@ class TestPresentationValidation:
             cop[g] = TensorElement(name, 2, {(gm, idm): one, (idm, gm): one})
             eps[g] = HSeries.zero(4)
             ant[g] = Element.from_monomial(name, gm, HSeries.const(-1, 4))
+        return cop, eps, ant
+
+    def test_inadmissible_relation_rejected(self):
+        name = "badrel"
         # degree-3 correction is out of the admissible shape
-        bad = Element.from_monomial(name, Monomial((3, 0)), one)
+        bad = Element.from_monomial(name, Monomial((3, 0)), HSeries.one(4))
         with pytest.raises(PresentationError, match="inadmissible"):
             Presentation(name, POLY, ["a", "b"], 4, None, {(0, 1): bad},
-                         cop, eps, ant)
+                         *self._primitive_pair(name))
+
+    @pytest.mark.parametrize("key", [(1, 0), (0, 7), (1, 1), (-1, 1)])
+    def test_relation_key_out_of_range_rejected(self, key):
+        # a relation under any other key would be silently ignored
+        name = "badkey"
+        r = Element.from_monomial(name, Monomial((0, 1)), HSeries.one(4))
+        with pytest.raises(PresentationError, match="relation key"):
+            Presentation(name, POLY, ["a", "b"], 4, None, {key: r},
+                         *self._primitive_pair(name))
 
     def test_reserved_generator_name(self):
         with pytest.raises(PresentationError, match="reserved"):

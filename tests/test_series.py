@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdp.errors import NotDivisible, NotTopologicallyNilpotent
-from qdp.series import HSeries, div_h, exp, valuation
+from qdp.series import HSeries, div_h, exp
 
 
 def H(terms, order=8):
@@ -81,13 +81,13 @@ class TestDivH:
 
 class TestValuation:
     def test_plain(self):
-        assert valuation(H({3: 1, 5: -1})) == 3
+        assert H({3: 1, 5: -1}).valuation() == 3
 
     def test_zero(self):
-        assert valuation(HSeries.zero(8)) == math.inf
+        assert HSeries.zero(8).valuation() == math.inf
 
     def test_laurent(self):
-        assert valuation(H({-1: 1, 0: 1})) == -1
+        assert H({-1: 1, 0: 1}).valuation() == -1
 
 
 class TestExp:
