@@ -6,7 +6,7 @@ trips; semiclassical limits and dual Lie bialgebras; seeded Hopf
 pairings with an orthogonality-based membership oracle.
 """
 
-from .series import HSeries, div_h, exp as series_exp
+from .series import HSeries, div_h
 from .freealg import Element, Monomial, TensorElement
 from .hopf import (POLY, SERIES, Presentation, antipode, check_diamond,
                    check_hopf_axioms, coproduct, counit, delta_E, delta_n,

@@ -16,7 +16,6 @@ transposing them; the returned basis is dual to the generator images.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,13 +40,6 @@ class ClassicalElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def filtration_degree(self):
-        """Max total degree of the support; 0 for scalars, -inf for 0."""
-        if not self.terms:
-            return -math.inf
-        return max(m.degree for m in self.terms)
 
     def coeff(self, m: Monomial) -> Fraction:
         return self.terms.get(m, Fraction(0))
@@ -136,15 +128,6 @@ class LieBialgebra:
             "cobracket": [[k, i, j, str(v)]
                           for k, i, j, v in self.cobracket_nonzero()],
         }
-
-    @classmethod
-    def from_jsonable(cls, data) -> "LieBialgebra":
-        return cls.from_sparse(
-            int(data["dim"]), list(data["basis"]),
-            [(int(i), int(j), int(k), Fraction(v))
-             for i, j, k, v in data["bracket"]],
-            [(int(k), int(i), int(j), Fraction(v))
-             for k, i, j, v in data["cobracket"]])
 
     def __repr__(self):
         br = ", ".join(
@@ -372,37 +355,9 @@ def validate_lie_bialgebra(L: LieBialgebra) -> HopfReport:
     return rep
 
 
-def lie_bialgebra_equal(L1: LieBialgebra, L2: LieBialgebra,
-                        basis_map=None) -> bool:
-    """Table equality, by default in the canonical bases (identity map).
-
-    basis_map, when given, is an invertible matrix M of rationals sending
-    the i-th basis vector of L1 to sum_a M[a][i] times the a-th basis
-    vector of L2; the comparison then checks that M is an isomorphism of
-    both structures.  Basis names are not compared.
-    """
+def lie_bialgebra_equal(L1: LieBialgebra, L2: LieBialgebra) -> bool:
+    """Table equality in the canonical bases; basis names are not
+    compared."""
     if L1.dim != L2.dim:
         raise DimensionMismatch(f"{L1.dim} != {L2.dim}")
-    n = L1.dim
-    if basis_map is None:
-        return L1.bracket == L2.bracket and L1.cobracket == L2.cobracket
-    M = [[Fraction(v) for v in row] for row in basis_map]
-    for i in range(n):
-        for j in range(n):
-            for a in range(n):
-                lhs = sum((L1.bracket[i][j][k] * M[a][k] for k in range(n)),
-                          Fraction(0))
-                rhs = sum((M[p][i] * M[q][j] * L2.bracket[p][q][a]
-                           for p in range(n) for q in range(n)), Fraction(0))
-                if lhs != rhs:
-                    return False
-    for k in range(n):
-        for a in range(n):
-            for b in range(n):
-                lhs = sum((L1.cobracket[k][p][q] * M[a][p] * M[b][q]
-                           for p in range(n) for q in range(n)), Fraction(0))
-                rhs = sum((M[m][k] * L2.cobracket[m][a][b] for m in range(n)),
-                          Fraction(0))
-                if lhs != rhs:
-                    return False
-    return True
+    return L1.bracket == L2.bracket and L1.cobracket == L2.cobracket

@@ -63,17 +63,23 @@ class MembershipCertificate:
         }
 
 
-def resolve_n_max(n_max: int | None, h_order: int) -> int:
-    """The last n a membership certificate checks: n_max, or the h-order.
+def certify(a: Element, n_max: int | None, default: int,
+            valuation) -> MembershipCertificate:
+    """Record valuation(n) for n = 0..n_max; the first n with
+    valuation(n) < n is the witness against membership.
 
-    n = 0 alone only tests the counit, which every element passes, so a
-    certificate must reach n >= 1.
+    n_max defaults to `default`.  n = 0 alone only tests the counit,
+    which every element passes, so a certificate must reach n >= 1.
     """
     if n_max is None:
-        return h_order
-    if n_max < 1:
+        n_max = default
+    elif n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
-    return n_max
+    ns = list(range(n_max + 1))
+    vals = [valuation(n) for n in ns]
+    witness = next((n for n, v in zip(ns, vals) if v < n), None)
+    verdict = MEMBER if witness is None else NOT_MEMBER
+    return MembershipCertificate(repr(a), ns, vals, verdict, witness)
 
 
 def prime_membership(a: Element, P: Presentation,
@@ -84,21 +90,12 @@ def prime_membership(a: Element, P: Presentation,
     vacuous at truncation.  A NotMember verdict carries the smallest
     failing n; all checked valuations are recorded.
     """
-    n_max = resolve_n_max(n_max, P.h_order)
     if P.model != POLY:
         raise PresentationError("membership is defined on POLY presentations")
     if a.pres != P.name:
         raise MixedPresentations(f"element of {a.pres!r} vs {P.name!r}")
-    ns, vals = [], []
-    witness = None
-    for n in range(n_max + 1):
-        v = delta_n(a, n, P).h_valuation()
-        ns.append(n)
-        vals.append(v)
-        if v < n and witness is None:
-            witness = n
-    verdict = MEMBER if witness is None else NOT_MEMBER
-    return MembershipCertificate(repr(a), ns, vals, verdict, witness)
+    return certify(a, n_max, P.h_order,
+                   lambda n: delta_n(a, n, P).h_valuation())
 
 
 # -- the rescaling transforms ---------------------------------------------------

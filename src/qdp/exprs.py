@@ -7,8 +7,10 @@ Grammar:
             | 'exp' '(' expr ')' | '(' expr ')' | '-' factor
 
 Identifiers resolve against a presentation's generators; 'h' and 'exp'
-are reserved.  exp() requires an argument of h-valuation >= 1.  Scalar
-mode accepts the same grammar with identifiers forbidden.
+are reserved.  exp() requires an argument of h-valuation >= 1.  A scalar
+is an element of the presentation on no generators, so scalars parse by
+the same grammar and the same arithmetic, and any identifier in them is
+a syntax error.
 
 Printing is the inverse: parse(print(e)) reproduces e exactly.
 """
@@ -20,8 +22,9 @@ from fractions import Fraction
 
 from .errors import ExpressionSyntaxError, UnknownGenerator
 from .freealg import Element, Monomial
-from .hopf import Presentation, element_exp, multiply, multiply_all
-from .series import HSeries, exp as series_exp
+from .hopf import (POLY, Presentation, counit, element_exp, multiply,
+                   multiply_all)
+from .series import HSeries
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
 
@@ -62,84 +65,25 @@ class _Tokens:
             raise ExpressionSyntaxError(f"expected {op!r}", pos)
 
 
-class _Evaluator:
-    """Shared recursive-descent evaluation; scalar mode has no generators."""
-
-    def __init__(self, P: Presentation | None, order: int):
-        self.P = P
-        self.order = order
-
-    # scalar embedding helpers -------------------------------------------------
-
-    def from_scalar(self, s: HSeries):
-        if self.P is None:
-            return s
-        return self.P.unit().scaled(s)
-
-    def mul(self, a, b):
-        if self.P is None:
-            return a * b
-        return multiply(a, b, self.P)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def power(self, a, k: int):
-        if self.P is None:
-            out = HSeries.one(self.order)
-            for _ in range(k):
-                out = out * a
-            return out
-        return multiply_all([a] * k, self.P)
-
-    def exp(self, a):
-        if self.P is None:
-            return series_exp(a)
-        return element_exp(a, self.P)
-
-    def h(self, k: int):
-        return self.from_scalar(HSeries.h_power(k, self.order))
-
-    def ident(self, name: str, pos: int):
-        if self.P is None:
-            raise ExpressionSyntaxError(
-                f"identifier {name!r} not allowed in a scalar expression",
-                pos)
-        if name not in self.P.gen_index:
-            raise UnknownGenerator(
-                f"{name!r} is not a generator of {self.P.name!r} "
-                f"(generators: {', '.join(self.P.generators)})")
-        return self.P.gen(name)
-
-    def rational(self, num: int):
-        return self.from_scalar(HSeries.const(num, self.order))
-
-    def rational_frac(self, num: int, den: int):
-        return self.from_scalar(HSeries.const(Fraction(num, den), self.order))
-
-
-def _parse_expr(t: _Tokens, ev: _Evaluator):
-    acc = _parse_term(t, ev)
+def _parse_expr(t: _Tokens, P: Presentation) -> Element:
+    acc = _parse_term(t, P)
     while True:
         kind, val, _ = t.peek()
         if kind == "op" and val in "+-":
             t.next()
-            rhs = _parse_term(t, ev)
-            acc = ev.add(acc, rhs if val == "+" else ev.neg(rhs))
+            rhs = _parse_term(t, P)
+            acc = acc + rhs if val == "+" else acc - rhs
         else:
             return acc
 
 
-def _parse_term(t: _Tokens, ev: _Evaluator):
-    acc = _parse_factor(t, ev)
+def _parse_term(t: _Tokens, P: Presentation) -> Element:
+    acc = _parse_factor(t, P)
     while True:
         kind, val, _ = t.peek()
         if kind == "op" and val == "*":
             t.next()
-            acc = ev.mul(acc, _parse_factor(t, ev))
+            acc = multiply(acc, _parse_factor(t, P), P)
         else:
             return acc
 
@@ -151,16 +95,16 @@ def _parse_nat(t: _Tokens) -> int:
     return int(val)
 
 
-def _parse_factor(t: _Tokens, ev: _Evaluator):
+def _parse_factor(t: _Tokens, P: Presentation) -> Element:
     kind, val, pos = t.next()
     if kind == "op" and val == "-":
-        return ev.neg(_parse_factor(t, ev))
+        return -_parse_factor(t, P)
     if kind == "op" and val == "(":
-        inner = _parse_expr(t, ev)
+        inner = _parse_expr(t, P)
         t.expect_op(")")
         return inner
     if kind == "num":
-        num = int(val)
+        num = Fraction(int(val))
         k2, v2, _ = t.peek()
         if k2 == "op" and v2 == "/":
             t.next()
@@ -169,32 +113,41 @@ def _parse_factor(t: _Tokens, ev: _Evaluator):
                 raise ExpressionSyntaxError("expected a denominator", p3)
             if int(v3) == 0:
                 raise ExpressionSyntaxError("zero denominator", p3)
-            return ev.rational_frac(num, int(v3))
-        return ev.rational(num)
+            num /= int(v3)
+        return P.unit(num)
     if kind == "ident" and val == "exp":
         t.expect_op("(")
-        inner = _parse_expr(t, ev)
+        inner = _parse_expr(t, P)
         t.expect_op(")")
-        return ev.exp(inner)
+        return element_exp(inner, P)
     if kind == "ident" and val == "h":
         k2, v2, _ = t.peek()
+        k = 1
         if k2 == "op" and v2 == "^":
             t.next()
-            return ev.h(_parse_nat(t))
-        return ev.h(1)
+            k = _parse_nat(t)
+        return P.unit().scaled(HSeries.h_power(k, P.h_order))
     if kind == "ident":
-        base = ev.ident(val, pos)
+        if val not in P.gen_index:
+            if not P.generators:
+                raise ExpressionSyntaxError(
+                    f"identifier {val!r} not allowed in a scalar expression",
+                    pos)
+            raise UnknownGenerator(
+                f"{val!r} is not a generator of {P.name!r} "
+                f"(generators: {', '.join(P.generators)})")
+        base = P.gen(val)
         k2, v2, _ = t.peek()
         if k2 == "op" and v2 == "^":
             t.next()
-            return ev.power(base, _parse_nat(t))
+            return multiply_all([base] * _parse_nat(t), P)
         return base
     raise ExpressionSyntaxError("expected a factor", pos)
 
 
-def _run_parser(src: str, ev: _Evaluator):
+def _run_parser(src: str, P: Presentation) -> Element:
     t = _Tokens(src)
-    out = _parse_expr(t, ev)
+    out = _parse_expr(t, P)
     kind, _, pos = t.peek()
     if kind is not None:
         raise ExpressionSyntaxError("trailing input", pos)
@@ -203,13 +156,14 @@ def _run_parser(src: str, ev: _Evaluator):
 
 def parse_element(src: str, P: Presentation) -> Element:
     """Parse an element expression over P's generators, normal-formed."""
-    return _run_parser(src, _Evaluator(P, P.h_order)).truncate(
-        P.h_order, P.degree_cap)
+    return _run_parser(src, P).truncate(P.h_order, P.degree_cap)
 
 
 def parse_scalar(src: str, order: int) -> HSeries:
-    """Parse a generator-free expression into a truncated series."""
-    return _run_parser(src, _Evaluator(None, order))
+    """Parse a generator-free expression into a truncated series: an
+    element of the algebra on no generators, read off by the counit."""
+    P = Presentation("scalars", POLY, [], order, None, {}, {}, {}, {})
+    return counit(_run_parser(src, P), P)
 
 
 # -- printing (fixed point of the parser) ----------------------------------------

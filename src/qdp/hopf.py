@@ -89,6 +89,14 @@ class Presentation:
             self._check_relation(i, j, r)
             self.relations[(i, j)] = r.truncate(h_order, degree_cap)
 
+        for what, given in (("coproduct", coproduct_on_gens),
+                            ("counit", counit_on_gens),
+                            ("antipode", antipode_on_gens)):
+            stray = sorted(set(given) - set(self.generators))
+            if stray:
+                raise PresentationError(
+                    f"{what} given for {', '.join(map(repr, stray))}, which "
+                    "is not a generator")
         self.coproduct_on_gens = {}
         self.counit_on_gens = {}
         self.antipode_on_gens = {}
@@ -480,27 +488,31 @@ def embed_slots(t: TensorElement, slots: Sequence[int], n: int,
     return TensorElement(P.name, n, out)
 
 
-def big_delta_E(a: Element, E: Sequence[int], n: int,
-                P: Presentation) -> TensorElement:
-    """Delta_E = j_E o Delta^{|E|} as a rank-n tensor."""
+def _subset(E: Sequence[int], n: int) -> list[int]:
     E = sorted(set(E))
     if any(not 1 <= i <= n for i in E):
         raise ValueError(f"E={E} is not a subset of 1..{n}")
+    return E
+
+
+def big_delta_E(a: Element, E: Sequence[int], n: int,
+                P: Presentation) -> TensorElement:
+    """Delta_E = j_E o Delta^{|E|} as a rank-n tensor."""
+    E = _subset(E, n)
     return embed_slots(iterated_coproduct(a, len(E), P), E, n, P)
 
 
 def delta_E(a: Element, E: Sequence[int], n: int,
             P: Presentation) -> TensorElement:
-    """Inclusion-exclusion combination sum_{E' <= E} (-1)^(|E|-|E'|) Delta_E'."""
-    E = sorted(set(E))
-    if any(not 1 <= i <= n for i in E):
-        raise ValueError(f"E={E} is not a subset of 1..{n}")
-    acc = TensorElement.zero(P.name, n)
-    for k in range(len(E) + 1):
-        sign = (-1) ** (len(E) - k)
-        for sub in itertools.combinations(E, k):
-            acc = acc + big_delta_E(a, sub, n, P).scaled(sign)
-    return acc.truncate(P.h_order, P.degree_cap)
+    """delta_E = j_E o delta_{|E|} as a rank-n tensor.
+
+    Built from delta_n, not from Delta_E, so the inversion formula
+    Delta_E = sum over psi <= E of delta_psi compares the deviation maps
+    against the iterated coproducts; it holds exactly when the coproduct
+    is counital.
+    """
+    E = _subset(E, n)
+    return embed_slots(delta_n(a, len(E), P), E, n, P)
 
 
 # -- axiom checking -----------------------------------------------------------------

@@ -104,14 +104,16 @@ def presentation_from_manifest(data: dict) -> Presentation:
                 raise InputError(f"relation ({i}, {j}) is given twice")
             relations[(i, j)] = element_from_jsonable(
                 item["r"], name, ngens, order)
+        # Every generator must have an entry, and entries under other
+        # names are read too, so that Presentation rejects them.
         cop = {g: tensor_from_jsonable(data["coproduct"][g], name, 2, ngens,
                                        order)
-               for g in gens}
+               for g in [*gens, *data["coproduct"]]}
         eps = {g: series_from_jsonable(data["counit"][g], order)
-               for g in gens}
+               for g in [*gens, *data["counit"]]}
         ant = {g: element_from_jsonable(data["antipode"][g], name, ngens,
                                         order)
-               for g in gens}
+               for g in [*gens, *data["antipode"]]}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed presentation manifest: {exc}") from exc
     return Presentation(name, model, gens, order, cap, relations, cop, eps,

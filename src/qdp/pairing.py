@@ -1,13 +1,15 @@
 """Truncated Hopf pairings between an enveloping-type presentation and a
 degree-capped one.
 
-A pairing is seeded by generator-vs-generator values and evaluated by the
-compatibility rules: pairing a product on one side splits the other side
-with its coproduct.  The recursion consumes the left word one generator
-at a time; the single-generator-versus-monomial base case splits the
-right word instead.  A per-call memo table keeps evaluation polynomial,
-and a recursion-stack guard turns any (never expected) cyclic dependency
-into a hard error instead of a hang.
+A pairing is seeded by generator-vs-generator values and evaluated by one
+compatibility rule read both ways round, <uv, w> = <u (x) v, Delta(w)> and
+<u, vw> = <Delta(u), v (x) w>.  _pair_split pairs two rank-2 tensors slot
+by slot; which of them holds the coproduct is data, not a code branch.
+The recursion consumes the left word one generator at a time; the
+single-generator-versus-monomial base case splits the right word instead.
+A per-call memo table keeps evaluation polynomial, and a recursion-stack
+guard turns any (never expected) cyclic dependency into a hard error
+instead of a hang.
 
 The orthogonality route to membership pairs a candidate against spanning
 products of the right-hand augmentation-plus-h ideal and demands h^n
@@ -23,7 +25,7 @@ from .errors import InputError, MixedPresentations, PresentationError
 from .freealg import Element, Monomial
 from .hopf import (POLY, SERIES, Presentation, antipode, coproduct_monomial,
                    counit, multiply, multiply_all)
-from .drinfeld import MEMBER, NOT_MEMBER, MembershipCertificate, resolve_n_max
+from .drinfeld import MembershipCertificate, certify
 from .report import HopfReport
 from .series import HSeries
 
@@ -65,12 +67,33 @@ class PairingSeed:
         }
 
 
-def _first_letter_split(m: Monomial) -> tuple[int, Monomial]:
-    """(first generator index, remaining ordered monomial)."""
+def _first_letter_split(m: Monomial) -> tuple[Monomial, Monomial]:
+    """(first generator, remaining ordered monomial), whose product is m."""
     i = next(k for k, e in enumerate(m.exponents) if e)
     rest = list(m.exponents)
     rest[i] -= 1
-    return i, Monomial(rest)
+    return Monomial.generator(i, len(rest)), Monomial(rest)
+
+
+def _pair_split(seed: PairingSeed, left: dict, right: dict, memo: dict,
+                stack: set) -> HSeries:
+    """<s, t> for rank-2 tensors s, t given as key -> coefficient maps:
+    the sum of c_s * c_t * <s1, t1> * <s2, t2> over their keys.
+
+    With s = u (x) v and t = Delta(w) this is <uv, w>; with s = Delta(u)
+    and t = v (x) w it is <u, vw>.
+    """
+    acc = HSeries.zero(seed.order)
+    for (s1, s2), cs in left.items():
+        for (t1, t2), ct in right.items():
+            a = _pair_mono(seed, s1, t1, memo, stack)
+            if a.is_zero():
+                continue
+            b = _pair_mono(seed, s2, t2, memo, stack)
+            if b.is_zero():
+                continue
+            acc = acc + cs * ct * a * b
+    return acc.truncate(seed.order)
 
 
 def _pair_mono(seed: PairingSeed, lm: Monomial, rm: Monomial,
@@ -90,30 +113,14 @@ def _pair_mono(seed: PairingSeed, lm: Monomial, rm: Monomial,
         raise InputError("pairing recursion hit a cyclic dependency; "
                          "the seed does not define a pairing")
     stack.add(key)
-    acc = HSeries.zero(order)
+    one = HSeries.one(order)
     if lm.degree >= 2:
-        li, lrest = _first_letter_split(lm)
-        lgen = Monomial.generator(li, seed.left.ngens)
-        for (m1, m2), c in coproduct_monomial(seed.right, rm).terms.items():
-            a = _pair_mono(seed, lgen, m1, memo, stack)
-            if a.is_zero():
-                continue
-            b = _pair_mono(seed, lrest, m2, memo, stack)
-            if b.is_zero():
-                continue
-            acc = acc + c * a * b
+        acc = _pair_split(seed, {_first_letter_split(lm): one},
+                          coproduct_monomial(seed.right, rm).terms,
+                          memo, stack)
     else:
-        ri, rrest = _first_letter_split(rm)
-        rgen = Monomial.generator(ri, seed.right.ngens)
-        for (u1, u2), c in coproduct_monomial(seed.left, lm).terms.items():
-            a = _pair_mono(seed, u1, rgen, memo, stack)
-            if a.is_zero():
-                continue
-            b = _pair_mono(seed, u2, rrest, memo, stack)
-            if b.is_zero():
-                continue
-            acc = acc + c * a * b
-    acc = acc.truncate(order)
+        acc = _pair_split(seed, coproduct_monomial(seed.left, lm).terms,
+                          {_first_letter_split(rm): one}, memo, stack)
     stack.discard(key)
     memo[key] = acc
     return acc
@@ -140,42 +147,6 @@ def pair(a: Element, b: Element, seed: PairingSeed,
     return acc.truncate(seed.order)
 
 
-def _pair_split_right(seed, u1: Element, u2: Element, v: Element,
-                      memo) -> HSeries:
-    """<u1 (x) u2, Delta(v)> summed over the right coproduct."""
-    acc = HSeries.zero(seed.order)
-    for rm, cv in v.terms.items():
-        for (m1, m2), c in coproduct_monomial(seed.right, rm).terms.items():
-            p = pair(u1, Element.from_monomial(seed.right.name, m1,
-                                               HSeries.one(seed.order)),
-                     seed, memo)
-            if p.is_zero():
-                continue
-            q = pair(u2, Element.from_monomial(seed.right.name, m2,
-                                               HSeries.one(seed.order)),
-                     seed, memo)
-            acc = acc + cv * c * p * q
-    return acc.truncate(seed.order)
-
-
-def _pair_split_left(seed, u: Element, v1: Element, v2: Element,
-                     memo) -> HSeries:
-    """<Delta(u), v1 (x) v2> summed over the left coproduct."""
-    acc = HSeries.zero(seed.order)
-    for lm, cu in u.terms.items():
-        for (m1, m2), c in coproduct_monomial(seed.left, lm).terms.items():
-            p = pair(Element.from_monomial(seed.left.name, m1,
-                                           HSeries.one(seed.order)),
-                     v1, seed, memo)
-            if p.is_zero():
-                continue
-            q = pair(Element.from_monomial(seed.left.name, m2,
-                                           HSeries.one(seed.order)),
-                     v2, seed, memo)
-            acc = acc + cu * c * p * q
-    return acc.truncate(seed.order)
-
-
 def _reliable_order(seed: PairingSeed, absorbable_degree: int) -> int:
     """Order through which two evaluation routes of the pairing must agree.
 
@@ -199,6 +170,7 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
     rep = HopfReport()
     memo: dict = {}
     cmp_order = _reliable_order(seed, degree_bound)
+    one = HSeries.one(seed.order)
 
     def same(a: HSeries, b: HSeries) -> bool:
         return a.truncate(cmp_order) == b.truncate(cmp_order)
@@ -227,8 +199,8 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
         prod = multiply(lelem(u1), lelem(u2), L)
         for v in rmonos:
             got = pair(prod, relem(v), seed, memo)
-            want = _pair_split_right(seed, lelem(u1), lelem(u2), relem(v),
-                                     memo)
+            want = _pair_split(seed, {(u1, u2): one},
+                               coproduct_monomial(R, v).terms, memo, set())
             rep.add("left-product-compat",
                     f"<{u1!r}*{u2!r}, {v!r}>", same(got, want),
                     "" if same(got, want) else f"{got} vs {want}")
@@ -239,8 +211,8 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
         prod = multiply(relem(v1), relem(v2), R)
         for u in lmonos:
             got = pair(lelem(u), prod, seed, memo)
-            want = _pair_split_left(seed, lelem(u), relem(v1), relem(v2),
-                                    memo)
+            want = _pair_split(seed, coproduct_monomial(L, u).terms,
+                               {(v1, v2): one}, memo, set())
             rep.add("right-product-compat",
                     f"<{u!r}, {v1!r}*{v2!r}>", same(got, want),
                     "" if same(got, want) else f"{got} vs {want}")
@@ -283,7 +255,6 @@ def orthogonal_membership(a: Element, seed: PairingSeed,
     _reliable_order); divisibility beyond that window is unobservable, so
     positive verdicts are, as always, relative to truncation.
     """
-    n_max = resolve_n_max(n_max, seed.left.h_order)
     if not seed.validated:
         raise InputError("seed must pass pairing_axioms_check before "
                          "being used as a membership oracle")
@@ -294,18 +265,14 @@ def orthogonal_membership(a: Element, seed: PairingSeed,
     a_degree = max((m.degree for m in a.terms), default=0)
     window = _reliable_order(seed, a_degree)
     memo: dict = {}
-    ns, vals = [], []
-    witness = None
-    for n in range(n_max + 1):
+
+    def worst_valuation(n: int):
         worst = math.inf
         for w in _ideal_spanning_products(seed.right, n):
             v = pair(a, w, seed, memo).truncate(window).valuation()
             worst = min(worst, v)
             if worst < n:
                 break
-        ns.append(n)
-        vals.append(worst)
-        if worst < n and witness is None:
-            witness = n
-    verdict = MEMBER if witness is None else NOT_MEMBER
-    return MembershipCertificate(repr(a), ns, vals, verdict, witness)
+        return worst
+
+    return certify(a, n_max, seed.left.h_order, worst_valuation)

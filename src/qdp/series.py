@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import NotDivisible, NotTopologicallyNilpotent
+from .errors import NotDivisible
 
 Scalar = Union[int, Fraction]
 
@@ -260,33 +260,18 @@ class HSeries:
                    [Fraction(c) for c in data["coeffs"]])
 
 
-def div_h(a: HSeries, k: int, *, laurent: bool = False) -> HSeries:
+def div_h(a: HSeries, k: int) -> HSeries:
     """Divide by h^k.
 
-    Outside Laurent mode the result must stay a plain power series, which
-    requires valuation(a) >= k; a violation raises NotDivisible.  Callers
-    treat that error as a finding: the element does not lie in h^k times
-    the module it was claimed to.
+    The result must stay a plain power series, which requires
+    valuation(a) >= k; a violation raises NotDivisible.  Callers treat
+    that error as a finding: the element does not lie in h^k times the
+    module it was claimed to.
     """
     if k < 0:
         return a.shift(-k)
-    if not laurent and a.coeffs and a.v_min < k:
+    if a.coeffs and a.v_min < k:
         raise NotDivisible(
             f"series {a} has valuation {a.valuation()} < {k}",
             series=a, needed=k)
     return a.shift(-k)
-
-
-def exp(a: HSeries) -> HSeries:
-    """exp of a series with valuation >= 1, exact up to a.order."""
-    if a.coeffs and a.v_min <= 0:
-        raise NotTopologicallyNilpotent(
-            f"exp needs valuation >= 1, got {a.valuation()}")
-    result = HSeries.one(a.order)
-    term = HSeries.one(a.order)
-    for k in range(1, a.order + 1):
-        term = term * a * Fraction(1, k)
-        if term.is_zero():
-            break
-        result = result + term
-    return result.truncate(a.order)

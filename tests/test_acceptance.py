@@ -2,13 +2,14 @@
 
 Runs the full verification battery twice, once in this process through
 the CLI entry point and once in a fresh interpreter, checks the two
-reports are byte-identical, and asserts every criterion group from the
-in-process payload plus direct spot checks of the load-bearing exact
-values.
+reports are byte-identical and match the recorded digest, and asserts
+every criterion group from the in-process payload plus direct spot
+checks of the load-bearing exact values.
 
 One PASS/FAIL line per criterion is printed (visible with pytest -s).
 """
 
+import hashlib
 import io
 import json
 import os
@@ -30,6 +31,10 @@ from qdp.series import HSeries
 
 N = D = 8
 SRC = Path(__file__).resolve().parents[1] / "src"
+# sha256 of `qdp selftest --format json` at the default seed, as recorded
+# in bench/goldens.json; any change to a report byte moves it.
+REPORT_SHA256 = \
+    "684c721b1afdf4c7eba693c736ef5230347c397c37f798adf77d4ebc0a43780b"
 
 
 def _run_cli(argv):
@@ -165,6 +170,11 @@ def test_criterion_11_determinism(selftest_outputs):
     print(f"ACCEPTANCE 11 deterministic reports: "
           f"{'PASS' if ok else 'FAIL'} ({len(out_in)} bytes)")
     assert ok
+
+
+def test_report_bytes_pinned(selftest_outputs):
+    digest = hashlib.sha256(selftest_outputs[0].encode("utf-8")).hexdigest()
+    assert digest == REPORT_SHA256
 
 
 def test_selftest_passes_and_validates(payload):

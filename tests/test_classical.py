@@ -1,10 +1,9 @@
-import math
 from fractions import Fraction
 
 import pytest
 
 from qdp.bundles import builtin
-from qdp.classical import (ClassicalElement, LieBialgebra, dual_lie_bialgebra,
+from qdp.classical import (LieBialgebra, dual_lie_bialgebra,
                            extract_lie_bialgebra, extract_poisson_structure,
                            lie_bialgebra_equal, specialise,
                            validate_lie_bialgebra)
@@ -40,22 +39,6 @@ class TestSpecialise:
         a = borel2.gen("x").scaled(HSeries.h_power(-1, 8))
         with pytest.raises(NegativeValuation):
             specialise(a, borel2)
-
-
-class TestFiltrationDegree:
-    def test_mixed(self, borel2):
-        a = ClassicalElement(borel2.name, {Monomial((1, 1)): Fraction(1),
-                                           Monomial((1, 0)): Fraction(1)})
-        assert a.filtration_degree == 2
-
-    def test_scalar(self, borel2):
-        one = ClassicalElement(borel2.name,
-                               {Monomial.identity(2): Fraction(1)})
-        assert one.filtration_degree == 0
-
-    def test_zero_convention(self, borel2):
-        assert ClassicalElement(borel2.name, {}).filtration_degree \
-            == -math.inf
 
 
 class TestExtractLie:
@@ -213,14 +196,3 @@ class TestEquality:
         with pytest.raises(DimensionMismatch):
             lie_bialgebra_equal(LieBialgebra(2, ["a", "b"]),
                                 LieBialgebra(3, ["a", "b", "c"]))
-
-    def test_basis_map(self):
-        # swapping the two basis vectors of the abelian algebra is an iso
-        Z = LieBialgebra(2, ["a", "b"])
-        M = [[0, 1], [1, 0]]
-        assert lie_bialgebra_equal(Z, Z, basis_map=M)
-        # scaling y in borel2: [x, 2y] = 2y still works with M = diag(1, 2)
-        L = builtin("borel2", 8, 8).lie
-        assert lie_bialgebra_equal(L, L, basis_map=[[1, 0], [0, 2]])
-        # but swapping x and y is not an isomorphism of borel2
-        assert not lie_bialgebra_equal(L, L, basis_map=[[0, 1], [1, 0]])

@@ -82,6 +82,17 @@ def test_manifest_relations_are_never_dropped(tmp_path, capsys, mangle,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table", ["coproduct", "counit", "antipode"])
+def test_manifest_structure_maps_are_never_dropped(tmp_path, capsys, table):
+    data = json.loads(
+        (MANIFEST_DIR / "borel2.json").read_text(encoding="utf-8"))
+    data[table]["z"] = data[table]["x"]
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["check-hopf", str(path), "--bound", "1"]) == 2
+    assert "'z', which is not a generator" in capsys.readouterr().err
+
+
 def test_check_hopf_json_schema(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     assert run(["check-hopf", "borel2", "--bound", "2",

@@ -227,6 +227,24 @@ class TestDeltaFamily:
                         assert big_delta_E(a, E, n, borel2) == total
 
 
+    def test_inclusion_exclusion_detects_non_counital_coproduct(self):
+        # Delta(y) = 2*y (x) 1 + exp(hx) (x) y: (id (x) eps) o Delta != id,
+        # so Delta_E and the deviation maps no longer invert each other
+        P = builtin("borel2", 4, 4).quea
+        extra = TensorElement(P.name, 2, {
+            (Monomial((0, 1)), Monomial.identity(2)): HSeries.one(4)})
+        Q = Presentation(P.name, P.model, P.generators, 4, P.degree_cap,
+                         P.relations,
+                         {"x": P.coproduct_on_gens["x"],
+                          "y": P.coproduct_on_gens["y"] + extra},
+                         P.counit_on_gens, P.antipode_on_gens)
+        y = Q.gen("y")
+        total = TensorElement.zero(Q.name, 2)
+        for psi in ((), (1,), (2,), (1, 2)):
+            total = total + delta_E(y, psi, 2, Q)
+        assert big_delta_E(y, (1, 2), 2, Q) != total
+
+
 class TestAxiomChecks:
     def test_abelian_passes(self, abelian2):
         assert check_hopf_axioms(abelian2, 3).passed
