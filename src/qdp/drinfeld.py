@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from .errors import (InputError, MixedPresentations, NotAHopfMap, NotDivisible,
                      PresentationError)
 from .freealg import Element, Monomial, TensorElement
-from .hopf import (POLY, SERIES, Presentation, _expand_into, _extend,
-                   coproduct, counit, delta_n, multiply, normal_form)
+from .hopf import (POLY, SERIES, Presentation, _diff_note, _expand_into,
+                   _extend, coproduct, counit, delta_n, multiply, normal_form)
 from .report import HopfReport
 from .series import HSeries, div_h
 
@@ -306,7 +306,7 @@ def gauge_preservation_check(P: Presentation, phi: GaugeMap,
         ok = lhs == rhs
         hopf_ok = hopf_ok and ok
         rep.add("hopf-map-coproduct", g, ok,
-                "" if ok else f"discrepancy: {lhs - rhs!r}")
+                _diff_note(lhs, rhs))
         eps = counit(img, P)
         ok = eps.is_zero()
         hopf_ok = hopf_ok and ok
@@ -319,7 +319,7 @@ def gauge_preservation_check(P: Presentation, phi: GaugeMap,
         ok = lhs == rhs
         hopf_ok = hopf_ok and ok
         rep.add("hopf-map-relation", f"{gj}*{gi}", ok,
-                "" if ok else f"discrepancy: {lhs - rhs!r}")
+                _diff_note(lhs, rhs))
     if not hopf_ok:
         raise NotAHopfMap("gauge map is not a Hopf morphism", rep)
 

@@ -124,6 +124,8 @@ class Presentation:
         self._antipode_cache: dict[Monomial, Element] = {}
         self._iterated_cache: dict[tuple[Monomial, int], TensorElement] = {}
         self._delta_cache: dict[tuple[Monomial, int], TensorElement] = {}
+        # pairing._ideal_spanning_products: [n] -> factor combination -> product
+        self._ideal_products: list[dict[tuple[int, ...], Element]] = []
 
     # -- construction helpers ------------------------------------------------
 
@@ -632,10 +634,20 @@ def _mono_label(P: Presentation, m: Monomial) -> str:
         for i, e in enumerate(m.exponents) if e)
 
 
+_NOTE_TERMS = 3
+
+
 def _diff_note(got, want) -> str:
+    """The leading terms of got - want in deglex order, for a failing row;
+    a failing axiom can differ in thousands of terms."""
     if got == want:
         return ""
     try:
-        return f"discrepancy: {got - want!r}"
-    except Exception:
+        diff = got - want
+    except MixedPresentations:
         return f"got {got!r}, want {want!r}"
+    terms = diff.sorted_terms()
+    note = f"discrepancy: {diff._new(dict(terms[:_NOTE_TERMS]))!r}"
+    if len(terms) > _NOTE_TERMS:
+        note += f" (+{len(terms) - _NOTE_TERMS} more terms)"
+    return note

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import InputError, MixedPresentations, PresentationError
 from .freealg import Element, Monomial
 from .hopf import (POLY, SERIES, Presentation, antipode, coproduct_monomial,
-                   counit, multiply, multiply_all)
+                   counit, multiply)
 from .drinfeld import MembershipCertificate, certify
 from .report import HopfReport
 from .series import HSeries
@@ -229,21 +229,33 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
     return rep
 
 
-def _ideal_spanning_products(R: Presentation, n: int) -> list[Element]:
+def _ideal_spanning_products(R: Presentation, n: int) -> tuple[Element, ...]:
     """Products of exactly n factors drawn from {h * 1} and the
     generators, capped at the degree bound; they span the n-th power of
-    the augmentation-plus-h ideal up to higher truncation."""
-    h_unit = R.unit().scaled(HSeries.h_power(1, R.h_order))
-    factors = [h_unit] + [R.gen(g) for g in R.generators]
-    cap = R.degree_cap if R.degree_cap is not None else n
-    out = []
-    for combo in itertools.combinations_with_replacement(
-            range(len(factors)), n):
-        gen_count = sum(1 for i in combo if i > 0)
-        if gen_count > cap:
-            continue
-        out.append(multiply_all([factors[i] for i in combo], R))
-    return out
+    the augmentation-plus-h ideal up to higher truncation.
+
+    The products depend only on (R, n), so R keeps them per n, keyed by
+    their factor combination.  Each product for n is the one for its first
+    n - 1 factors times the last, the same multiplications multiply_all
+    makes, in combinations_with_replacement order.
+    """
+    levels = R._ideal_products
+    if len(levels) <= n:
+        if not levels:
+            levels.append({(): R.unit()})
+        h_unit = R.unit().scaled(HSeries.h_power(1, R.h_order))
+        factors = [h_unit] + [R.gen(g) for g in R.generators]
+        cap = R.degree_cap
+        for k in range(len(levels), n + 1):
+            prev, level = levels[-1], {}
+            for combo in itertools.combinations_with_replacement(
+                    range(len(factors)), k):
+                if cap is not None and sum(1 for i in combo if i > 0) > cap:
+                    continue
+                level[combo] = multiply(prev[combo[:-1]],
+                                        factors[combo[-1]], R)
+            levels.append(level)
+    return tuple(levels[n].values())
 
 
 def orthogonal_membership(a: Element, seed: PairingSeed,

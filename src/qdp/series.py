@@ -1,15 +1,21 @@
 """Truncated power/Laurent series in the deformation parameter h.
 
-Coefficients are exact rationals (fractions.Fraction).  Every value carries
-a truncation order N: exponents above N are unknown and never stored.
-Arithmetic propagates the order pessimistically (minimum through sums,
-valuation-adjusted minimum through products) so precision loss is always
-explicit.
+Coefficients are exact rationals stored as Python-int numerators over one
+common denominator per series, the representation of FLINT's fmpq_poly:
+each sum or product is one pass of int arithmetic followed by one gcd,
+instead of a normalised fractions.Fraction per coefficient.  The public
+surface speaks Fraction (coeff_at, items, str, to_jsonable).
 
-Equality compares stored content only, after trimming zero coefficients:
-two series that agree coefficient-by-coefficient are equal even if they
-were computed at different truncation orders.  The order is bookkeeping
-about what is known, not part of the value's identity.
+Every value carries a truncation order N: exponents above N are unknown and
+never stored.  Arithmetic propagates the order pessimistically (minimum
+through sums, valuation-adjusted minimum through products) so precision
+loss is always explicit.
+
+Equality compares stored content only: two series that agree
+coefficient-by-coefficient are equal even if they were computed at
+different truncation orders.  The order is bookkeeping about what is known,
+not part of the value's identity.  Because the stored form is canonical,
+that content comparison is a structural one.
 """
 
 from __future__ import annotations
@@ -23,80 +29,88 @@ from .errors import NotDivisible
 Scalar = Union[int, Fraction]
 
 INF = math.inf
-_ZERO = Fraction(0)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x) -> Scalar:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-class HSeries:
-    """A truncated series  sum_{k=v_min}^{order} c_k h^k  with Fraction c_k.
+def _make(v_min: int, order: int, cs: list, den: int) -> "HSeries":
+    """The canonical series  sum_i (cs[i] / den) h^(v_min + i), cut at
+    `order`.  `cs` holds ints and is consumed; `den` is a positive int."""
+    if v_min + len(cs) - 1 > order:
+        del cs[max(0, order - v_min + 1):]
+    while cs and not cs[-1]:
+        cs.pop()
+    obj = object.__new__(HSeries)
+    obj.order = order
+    if not cs:
+        obj.v_min = order + 1
+        obj.coeffs = ()
+        obj.den = 1
+        return obj
+    if not cs[0]:
+        i = 1
+        while not cs[i]:
+            i += 1
+        del cs[:i]
+        v_min += i
+    if den != 1:
+        g = math.gcd(den, *cs)
+        if g != 1:
+            den //= g
+            cs = [c // g for c in cs]
+    obj.v_min = v_min
+    obj.coeffs = tuple(cs)
+    obj.den = den
+    return obj
 
-    v_min may be negative (Laurent storage); contexts that model plain
-    power-series modules must check the valuation themselves.  The empty
-    coefficient window encodes the zero series.
+
+class HSeries:
+    """A truncated series  sum_{k=v_min}^{order} (coeffs[k - v_min] / den) h^k.
+
+    `coeffs` is a tuple of int numerators and `den` a positive int.  The
+    form is canonical: gcd(den, *coeffs) == 1, the first and last numerators
+    are nonzero, and the zero series has coeffs == (), den == 1 and
+    v_min == order + 1.  v_min may be negative (Laurent storage); contexts
+    that model plain power-series modules must check the valuation
+    themselves.
+
+    The constructor accepts int, Fraction and str coefficients.
     """
 
-    __slots__ = ("v_min", "order", "coeffs")
+    __slots__ = ("v_min", "order", "coeffs", "den")
 
     def __init__(self, v_min: int, order: int, coeffs: Iterable[Scalar]):
-        cs = [_as_fraction(c) for c in coeffs]
-        # drop anything beyond the truncation order
-        if v_min + len(cs) - 1 > order:
-            cs = cs[: max(0, order - v_min + 1)]
-        # trim leading zeros
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            v_min += 1
-        # trim trailing zeros
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            v_min = order + 1
-        self.v_min = v_min
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _fast(cls, v_min: int, order: int, cs: list) -> "HSeries":
-        """Internal constructor for already-Fraction coefficient lists."""
-        if v_min + len(cs) - 1 > order:
-            del cs[max(0, order - v_min + 1):]
-        while cs and not cs[0]:
-            cs.pop(0)
-            v_min += 1
-        while cs and not cs[-1]:
-            cs.pop()
-        obj = object.__new__(cls)
-        obj.v_min = v_min if cs else order + 1
-        obj.order = order
-        obj.coeffs = tuple(cs)
-        return obj
+        qs = [_rational(c) for c in coeffs]
+        den = math.lcm(*[q.denominator for q in qs])
+        s = _make(v_min, order,
+                  [q.numerator * (den // q.denominator) for q in qs], den)
+        self.v_min, self.order, self.coeffs, self.den = \
+            s.v_min, s.order, s.coeffs, s.den
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "HSeries":
-        return cls(order + 1, order, ())
+        return _make(order + 1, order, [], 1)
 
     @classmethod
     def const(cls, value: Scalar, order: int) -> "HSeries":
-        return cls(0, order, (value,))
+        return cls.h_power(0, order, value)
 
     @classmethod
     def one(cls, order: int) -> "HSeries":
-        return cls.const(1, order)
+        return _make(0, order, [1], 1)
 
     @classmethod
     def h_power(cls, k: int, order: int, value: Scalar = 1) -> "HSeries":
-        return cls(k, order, (value,))
+        q = _rational(value)
+        return _make(k, order, [q.numerator], q.denominator)
 
     @classmethod
     def from_map(cls, terms: Mapping[int, Scalar], order: int) -> "HSeries":
@@ -121,13 +135,14 @@ class HSeries:
 
     def coeff_at(self, k: int) -> Fraction:
         if self.coeffs and self.v_min <= k < self.v_min + len(self.coeffs):
-            return self.coeffs[k - self.v_min]
+            return Fraction(self.coeffs[k - self.v_min], self.den)
         return Fraction(0)
 
     def items(self):
+        den = self.den
         for i, c in enumerate(self.coeffs):
             if c:
-                yield self.v_min + i, c
+                yield self.v_min + i, Fraction(c, den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -135,18 +150,37 @@ class HSeries:
         if not isinstance(other, HSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        if not self.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a:
             return other.truncate(order)
-        if not other.coeffs:
+        if not b:
             return self.truncate(order)
-        lo = min(self.v_min, other.v_min)
-        hi = max(self.v_min + len(self.coeffs), other.v_min + len(other.coeffs)) - 1
-        cs = [self.coeff_at(k) + other.coeff_at(k) for k in range(lo, hi + 1)]
-        return HSeries._fast(lo, order, cs)
+        da, db = self.den, other.den
+        if da == db:
+            den = da
+        else:
+            # bring both over lcm(da, db)
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            den = da * fa
+            a = [c * fa for c in a]
+            b = [c * fb for c in b]
+        va, vb = self.v_min, other.v_min
+        lo = min(va, vb)
+        cs = [0] * (va - lo)
+        cs += a
+        cs += [0] * (vb + len(b) - lo - len(cs))
+        for i, c in enumerate(b, vb - lo):
+            cs[i] += c
+        return _make(lo, order, cs, den)
 
     def __neg__(self) -> "HSeries":
-        return HSeries._fast(self.v_min, self.order,
-                             [-c for c in self.coeffs])
+        out = object.__new__(HSeries)
+        out.v_min = self.v_min
+        out.order = self.order
+        out.coeffs = tuple([-c for c in self.coeffs])
+        out.den = self.den
+        return out
 
     def __sub__(self, other: "HSeries") -> "HSeries":
         return self + (-other)
@@ -156,35 +190,35 @@ class HSeries:
             # The unknown tail of one factor pollutes the product from
             # order + partner's lowest stored exponent onward.
             order = min(self.order + other.v_min, other.order + self.v_min)
-            if not self.coeffs or not other.coeffs:
-                return HSeries._fast(order + 1, order, [])
+            a, b = self.coeffs, other.coeffs
+            if not a or not b:
+                return _make(order + 1, order, [], 1)
             v = self.v_min + other.v_min
-            if len(self.coeffs) == 1:
-                a = self.coeffs[0]
-                return HSeries._fast(v, order,
-                                     [a * b for b in other.coeffs])
-            if len(other.coeffs) == 1:
-                b = other.coeffs[0]
-                return HSeries._fast(v, order,
-                                     [a * b for a in self.coeffs])
+            den = self.den * other.den
+            if len(a) == 1:
+                x = a[0]
+                return _make(v, order, [x * y for y in b], den)
+            if len(b) == 1:
+                y = b[0]
+                return _make(v, order, [x * y for x in a], den)
             width = order - v + 1
             if width <= 0:
-                return HSeries._fast(order + 1, order, [])
-            acc = [_ZERO] * width
-            for i, a in enumerate(self.coeffs):
-                if not a:
+                return _make(order + 1, order, [], 1)
+            acc = [0] * width
+            nb = len(b)
+            for i, x in enumerate(a):
+                if not x:
                     continue
-                lim = min(len(other.coeffs), width - i)
-                for j in range(lim):
-                    b = other.coeffs[j]
-                    if b:
-                        acc[i + j] += a * b
-            return HSeries._fast(v, order, acc)
+                for j in range(min(nb, width - i)):
+                    acc[i + j] += x * b[j]
+            return _make(v, order, acc, den)
         if isinstance(other, (int, Fraction)):
             if not other:
-                return HSeries._fast(self.order + 1, self.order, [])
-            return HSeries._fast(self.v_min, self.order,
-                                 [c * other for c in self.coeffs])
+                return _make(self.order + 1, self.order, [], 1)
+            p = other.numerator
+            return _make(self.v_min, self.order,
+                         [c * p for c in self.coeffs],
+                         self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -199,8 +233,9 @@ class HSeries:
             out.v_min = self.v_min if self.coeffs else order + 1
             out.order = order
             out.coeffs = self.coeffs
+            out.den = self.den
             return out
-        return HSeries._fast(self.v_min, order, list(self.coeffs))
+        return _make(self.v_min, order, list(self.coeffs), self.den)
 
     def shift(self, k: int) -> "HSeries":
         """Multiply by h^k (k may be negative); shifts the window."""
@@ -208,21 +243,23 @@ class HSeries:
         out.v_min = self.v_min + k
         out.order = self.order + k
         out.coeffs = self.coeffs
+        out.den = self.den
         return out
 
-    # -- equality (content-based) -------------------------------------------
+    # -- equality (content-based, structural on the canonical form) ----------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HSeries):
             return NotImplemented
-        if not self.coeffs and not other.coeffs:
-            return True
-        return self.v_min == other.v_min and self.coeffs == other.coeffs
+        if not self.coeffs:
+            return not other.coeffs
+        return (self.v_min == other.v_min and self.den == other.den
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         if not self.coeffs:
             return hash(())
-        return hash((self.v_min, self.coeffs))
+        return hash((self.v_min, self.den, self.coeffs))
 
     # -- display ------------------------------------------------------------
 
@@ -248,10 +285,11 @@ class HSeries:
     # -- serialization --------------------------------------------------------
 
     def to_jsonable(self) -> dict:
+        den = self.den
         return {
             "v_min": self.v_min if self.coeffs else self.order + 1,
             "order": self.order,
-            "coeffs": [str(c) for c in self.coeffs],
+            "coeffs": [str(Fraction(c, den)) for c in self.coeffs],
         }
 
     @classmethod

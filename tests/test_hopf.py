@@ -270,6 +270,29 @@ class TestAxiomChecks:
         failing = {(r.check, r.subject) for r in rep.failures()}
         assert any("antipode" in c and "y" in s for c, s in failing)
 
+    def test_failure_note_names_leading_terms(self):
+        # Delta(y) scaled by (1 + h): coassociativity and both counit laws
+        # fail on every monomial containing y
+        P = builtin("borel2", 4, 4).quea
+        one_plus_h = HSeries.from_map({0: 1, 1: 1}, 4)
+        Q = Presentation(P.name, P.model, P.generators, 4, P.degree_cap,
+                         P.relations,
+                         {"x": P.coproduct_on_gens["x"],
+                          "y": P.coproduct_on_gens["y"].scaled(one_plus_h)},
+                         P.counit_on_gens, P.antipode_on_gens)
+        failing = {(r.check, r.subject): r.detail
+                   for r in check_hopf_axioms(Q, 3).failures()}
+        assert len(failing) == 18
+        assert failing[("counit-left", "y")] == "discrepancy: (h)*[(0, 1)]"
+        assert failing[("coassociativity", "y")] == (
+            "discrepancy: (-h - h^2)*[(0, 0) (x) (0, 0) (x) (0, 1)]"
+            " + (-h^2 - h^3)*[(0, 0) (x) (1, 0) (x) (0, 1)]"
+            " + (-1/2*h^3 - 1/2*h^4)*[(0, 0) (x) (2, 0) (x) (0, 1)]"
+            " (+8 more terms)")
+        for detail in failing.values():
+            assert detail.count("*[") <= 3
+            assert len(detail) < 400
+
 
 class TestDiamond:
     def test_heisenberg_confluent(self, heis):

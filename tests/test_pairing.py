@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -6,9 +7,9 @@ import pytest
 
 from qdp.bundles import builtin
 from qdp.errors import InputError
-from qdp.hopf import antipode, counit, multiply, normal_form
-from qdp.pairing import (PairingSeed, orthogonal_membership, pair,
-                         pairing_axioms_check)
+from qdp.hopf import antipode, counit, multiply, multiply_all, normal_form
+from qdp.pairing import (PairingSeed, _ideal_spanning_products,
+                         orthogonal_membership, pair, pairing_axioms_check)
 from qdp.drinfeld import prime_membership, prime_presentation
 from qdp.series import HSeries
 
@@ -102,6 +103,19 @@ class TestAxioms:
 
 
 class TestOrthogonalMembership:
+    def test_spanning_products_match_multiply_all(self):
+        # the cached products, built level by level, are the products of
+        # each factor combination in combinations_with_replacement order
+        R = prime_presentation(builtin("borel2", 6, 6).quea, 3)
+        h_unit = R.unit().scaled(HSeries.h_power(1, R.h_order))
+        factors = [h_unit, R.gen("x"), R.gen("y")]
+        for n in (4, 0, 1, 2, 3):
+            want = [multiply_all([factors[i] for i in combo], R)
+                    for combo in itertools.combinations_with_replacement(
+                        range(3), n)
+                    if sum(1 for i in combo if i > 0) <= 3]
+            assert list(_ideal_spanning_products(R, n)) == want
+
     def test_requires_validation(self):
         b = builtin("borel2", 6, 6)
         seed = PairingSeed(b.quea, prime_presentation(b.quea, 6),

@@ -168,3 +168,195 @@ def test_serialization_roundtrip():
 def test_zero_serialization():
     z = HSeries.zero(5)
     assert HSeries.from_jsonable(z.to_jsonable()) == z
+
+
+# -- reference model ----------------------------------------------------------
+#
+# The Fraction-per-coefficient series that HSeries replaced: one normalised
+# Fraction per stored coefficient, trimmed to nonzero ends.  Every HSeries
+# operation must agree with it exactly.
+
+class RefSeries:
+    def __init__(self, v_min, order, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        if v_min + len(cs) - 1 > order:
+            cs = cs[: max(0, order - v_min + 1)]
+        while cs and cs[0] == 0:
+            cs.pop(0)
+            v_min += 1
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.v_min = v_min if cs else order + 1
+        self.order = order
+        self.coeffs = tuple(cs)
+
+    def coeff_at(self, k):
+        if self.coeffs and self.v_min <= k < self.v_min + len(self.coeffs):
+            return self.coeffs[k - self.v_min]
+        return Fraction(0)
+
+    def items(self):
+        return [(self.v_min + i, c) for i, c in enumerate(self.coeffs) if c]
+
+    def __add__(self, other):
+        order = min(self.order, other.order)
+        if not self.coeffs:
+            return other.truncate(order)
+        if not other.coeffs:
+            return self.truncate(order)
+        lo = min(self.v_min, other.v_min)
+        hi = max(self.v_min + len(self.coeffs),
+                 other.v_min + len(other.coeffs)) - 1
+        return RefSeries(lo, order, [self.coeff_at(k) + other.coeff_at(k)
+                                     for k in range(lo, hi + 1)])
+
+    def __neg__(self):
+        return RefSeries(self.v_min, self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, RefSeries):
+            order = min(self.order + other.v_min, other.order + self.v_min)
+            if not self.coeffs or not other.coeffs:
+                return RefSeries(order + 1, order, [])
+            v = self.v_min + other.v_min
+            acc = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    acc[i + j] += a * b
+            return RefSeries(v, order, acc)
+        if not other:
+            return RefSeries(self.order + 1, self.order, [])
+        return RefSeries(self.v_min, self.order,
+                         [c * other for c in self.coeffs])
+
+    def truncate(self, order):
+        order = min(order, self.order)
+        return RefSeries(self.v_min, order, self.coeffs)
+
+    def shift(self, k):
+        return RefSeries(self.v_min + k, self.order + k, self.coeffs)
+
+    def div_h(self, k):
+        if k >= 0 and self.coeffs and self.v_min < k:
+            raise NotDivisible("reference", series=self, needed=k)
+        return self.shift(-k)
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, c in self.items():
+            if k == 0:
+                parts.append(str(c))
+            else:
+                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+                hk = "h" if k == 1 else f"h^{k}"
+                parts.append(f"{head}{hk}")
+        out = parts[0]
+        for p in parts[1:]:
+            out += " - " + p[1:] if p.startswith("-") else " + " + p
+        return out
+
+    def to_jsonable(self):
+        return {"v_min": self.v_min if self.coeffs else self.order + 1,
+                "order": self.order,
+                "coeffs": [str(c) for c in self.coeffs]}
+
+
+def assert_canonical(s):
+    assert type(s.den) is int and s.den > 0
+    assert all(type(c) is int for c in s.coeffs)
+    if s.coeffs:
+        assert s.coeffs[0] and s.coeffs[-1]
+        assert math.gcd(s.den, *s.coeffs) == 1
+        assert s.v_min + len(s.coeffs) - 1 <= s.order
+    else:
+        assert s.den == 1 and s.v_min == s.order + 1
+
+
+def assert_matches(s, r):
+    assert_canonical(s)
+    assert (s.v_min, s.order) == (r.v_min, r.order)
+    assert len(s.coeffs) == len(r.coeffs)
+    assert tuple(Fraction(c, s.den) for c in s.coeffs) == r.coeffs
+    lo = min(s.v_min, s.order) - 1
+    for k in range(lo, s.order + 2):
+        got = s.coeff_at(k)
+        assert type(got) is Fraction and got == r.coeff_at(k)
+    assert list(s.items()) == r.items()
+    assert str(s) == str(r)
+    assert s.to_jsonable() == r.to_jsonable()
+    back = HSeries.from_jsonable(s.to_jsonable())
+    assert back == s and hash(back) == hash(s)
+    assert (back.v_min, back.order, back.coeffs, back.den) == \
+        (s.v_min, s.order, s.coeffs, s.den)
+
+
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=24),
+    st.sampled_from([0, 0, Fraction(1, 720), Fraction(-5040, 7)]))
+
+
+@st.composite
+def series_pair(draw):
+    """The same random coefficient window as an HSeries and a RefSeries,
+    Laurent windows and zero ends included."""
+    v_min = draw(st.integers(-3, 5))
+    order = draw(st.integers(v_min - 2, v_min + 8))
+    coeffs = draw(st.lists(rationals, max_size=8))
+    if draw(st.booleans()):
+        coeffs = [str(Fraction(c)) for c in coeffs]
+    return HSeries(v_min, order, coeffs), RefSeries(v_min, order, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pair(), series_pair())
+def test_arithmetic_matches_reference(x, y):
+    (a, ra), (b, rb) = x, y
+    assert_matches(a, ra)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(-a, -ra)
+    assert_matches(a * b, ra * rb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pair(), st.integers(-12, 12),
+       st.fractions(min_value=-9, max_value=9, max_denominator=30))
+def test_scalar_product_matches_reference(x, k, q):
+    a, ra = x
+    for s in (k, q):
+        assert_matches(a * s, ra * s)
+        assert_matches(s * a, ra * s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pair(), st.integers(-4, 10), st.integers(-3, 4))
+def test_window_ops_match_reference(x, order, k):
+    a, ra = x
+    assert_matches(a.truncate(order), ra.truncate(order))
+    assert_matches(a.shift(k), ra.shift(k))
+    try:
+        want = ra.div_h(k)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            div_h(a, k)
+    else:
+        assert_matches(div_h(a, k), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series(), series(), series(), series_pair())
+def test_equal_values_hash_equal(a, b, c, x):
+    for u, v in (((a * b) * c, a * (b * c)), ((a + b) + c, a + (b + c)),
+                 (a * (b + c), a * b + a * c), (a - a, HSeries.zero(3))):
+        assert u == v and hash(u) == hash(v)
+    # the same content known to a further order
+    s = x[0]
+    longer = HSeries(s.v_min, s.order + 3,
+                     [s.coeff_at(k) for k in range(s.v_min, s.order + 1)])
+    assert longer == s and hash(longer) == hash(s)
