@@ -286,9 +286,10 @@ class GaugeMap:
     def of_tensor(self, t: TensorElement, P: Presentation) -> TensorElement:
         acc: dict = {}
         for key, c in t.terms.items():
-            _expand_into(acc, [self.of_monomial(P, m) for m in key], c)
-        return TensorElement(P.name, t.rank, acc).truncate(P.h_order,
-                                                           P.degree_cap)
+            slots = [self.of_monomial(P, m) for m in key]
+            _expand_into(acc, [(e, e.h_valuation()) for e in slots], c,
+                         P.h_order)
+        return TensorElement(P.name, t.rank, acc)
 
 
 def gauge_preservation_check(P: Presentation, phi: GaugeMap,

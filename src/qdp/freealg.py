@@ -18,14 +18,31 @@ INF = math.inf
 
 
 class Monomial:
-    """Ordered monomial as an exponent vector, with cached total degree."""
+    """Ordered monomial as an exponent vector, with cached total degree.
 
-    __slots__ = ("exponents", "degree", "_hash")
+    Monomials are interned: constructing one returns the single object for
+    its exponent vector, so equality and hashing are object identity and a
+    dict keyed by Monomials (or tuples of them) never calls Python code to
+    hash or compare a key.  Identity hashes differ from run to run, but no
+    code iterates a set of Monomials (pairing's recursion stack is used for
+    membership tests only) and every dict of terms keeps insertion order, so
+    no output depends on them.  The intern table lives as long as the
+    process; it holds one small object per exponent vector ever built.
+    """
 
-    def __init__(self, exponents: Sequence[int]):
-        self.exponents = tuple(exponents)
-        self.degree = sum(self.exponents)
-        self._hash = hash(self.exponents)
+    __slots__ = ("exponents", "degree")
+
+    _interned: dict[tuple[int, ...], "Monomial"] = {}
+
+    def __new__(cls, exponents: Sequence[int]):
+        exponents = tuple(exponents)
+        m = cls._interned.get(exponents)
+        if m is None:
+            m = object.__new__(cls)
+            m.exponents = exponents
+            m.degree = sum(exponents)
+            cls._interned[exponents] = m
+        return m
 
     @classmethod
     def identity(cls, ngens: int) -> "Monomial":
@@ -63,12 +80,6 @@ class Monomial:
 
     def deglex_key(self):
         return (self.degree, self.exponents)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other: "Monomial"):
         return self.deglex_key() < other.deglex_key()
@@ -126,8 +137,9 @@ class _LinearTerms:
         return self._new({k: c * s for k, c in self.terms.items()})
 
     def h_valuation(self):
-        """Min coefficient valuation over all terms; +inf for zero."""
-        return min((c.valuation() for c in self.terms.values()), default=INF)
+        """Min coefficient valuation over all terms; +inf for zero.  Stored
+        coefficients are nonzero, so v_min is each one's valuation."""
+        return min([c.v_min for c in self.terms.values()], default=INF)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -120,6 +120,9 @@ class Presentation:
 
         # caches, keyed by immutable values; shared across all operations
         self._nf_cache: dict[tuple[int, ...], Element] = {}
+        # product table: (ma, mb) -> (normal form of ma*mb, its h-valuation)
+        self._product_cache: dict[tuple[Monomial, Monomial],
+                                  tuple[Element, int | float]] = {}
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._antipode_cache: dict[Monomial, Element] = {}
         self._iterated_cache: dict[tuple[Monomial, int], TensorElement] = {}
@@ -247,19 +250,42 @@ def _normal_form_uncached(word: tuple[int, ...], P: Presentation) -> Element:
     return Element(P.name, acc).truncate(P.h_order, P.degree_cap)
 
 
+def _product(P: Presentation, ma: Monomial,
+             mb: Monomial) -> tuple[Element, int | float]:
+    """Fill the product-table entry of (ma, mb): the normal form of ma*mb
+    and its h-valuation.  Callers look in P._product_cache first."""
+    nf = normal_form(ma.word() + mb.word(), P)
+    entry = P._product_cache[(ma, mb)] = (nf, nf.h_valuation())
+    return entry
+
+
 def multiply(a: Element, b: Element, P: Presentation) -> Element:
-    """Bilinear extension of word concatenation + normal_form."""
+    """Bilinear extension of word concatenation + normal_form.
+
+    Truncation-aware: with c_m a coefficient of nf(m_a m_b), the product
+    term c_a c_b c_m has valuation v(c_a) + v(c_b) + v(c_m).  A pair is
+    skipped when that sum with the least v(c_m) exceeds N, and a term when
+    its own sum does: either lands wholly above h^N, which truncation at N
+    discards.  The least v(c_m) can be negative (a Laurent relation
+    coefficient such as -h^-1), so it is part of the pair bound.  Stored
+    coefficients are nonzero, so v_min is their valuation.
+    """
     _check_owner(P, a, b)
+    N = P.h_order
+    table = P._product_cache
     acc: dict = {}
     for ma, ca in a.terms.items():
-        wa = ma.word()
+        va = ca.v_min
         for mb, cb in b.terms.items():
-            c = ca * cb
-            if c.is_zero():
+            nf, v = table.get((ma, mb)) or _product(P, ma, mb)
+            if va + cb.v_min + v > N:
                 continue
-            for m, cm in normal_form(wa + mb.word(), P).terms.items():
-                add_into(acc, m, cm * c)
-    return Element(P.name, acc).truncate(P.h_order, P.degree_cap)
+            c = ca * cb
+            vc = c.v_min
+            for m, cm in nf.terms.items():
+                if vc + cm.v_min <= N:
+                    add_into(acc, m, (cm * c).truncate(N))
+    return Element(P.name, acc)
 
 
 def multiply_all(factors: Iterable[Element], P: Presentation) -> Element:
@@ -297,39 +323,60 @@ def _check_owner(P: Presentation, *values):
 
 def tensor_multiply(s: TensorElement, t: TensorElement,
                     P: Presentation) -> TensorElement:
-    """Product in the rank-n tensor algebra over P, slot by slot."""
+    """Product in the rank-n tensor algebra over P, slot by slot.
+
+    Truncation-aware like multiply: a pair of terms is skipped when
+    v(c_a) + v(c_b) plus the least valuation of each slot's normal form
+    exceeds N.  Those valuations may be negative (a Laurent relation
+    coefficient), so a bound on v(c_a) + v(c_b) alone would be unsound.
+    """
     if s.rank != t.rank:
         raise MixedPresentations("tensor ranks differ")
+    N = P.h_order
+    table = P._product_cache
     acc: dict = {}
     for ka, ca in s.terms.items():
+        va = ca.v_min
         for kb, cb in t.terms.items():
-            c = ca * cb
-            if c.is_zero():
+            slots = [table.get(pair) or _product(P, *pair)
+                     for pair in zip(ka, kb)]
+            if va + cb.v_min + sum(v for _, v in slots) > N:
                 continue
-            slot_elems = [normal_form(ma.word() + mb.word(), P)
-                          for ma, mb in zip(ka, kb)]
-            _expand_into(acc, slot_elems, c)
-    return TensorElement(P.name, s.rank, acc).truncate(
-        P.h_order, P.degree_cap)
+            _expand_into(acc, slots, ca * cb, N)
+    return TensorElement(P.name, s.rank, acc)
 
 
-def _expand_into(acc: dict, slot_elems: Sequence[Element],
-                 coeff: HSeries) -> None:
-    """Merge a pure tensor of Elements into monomial-tuple terms."""
+def _expand_into(acc: dict, slots: Sequence[tuple[Element, int | float]],
+                 coeff: HSeries, h_order: int) -> None:
+    """Merge coeff * (e_1 (x) ... (x) e_k) into monomial-tuple terms of acc,
+    each cut at h_order; `slots` pairs each e_i, truncated to the
+    presentation, with its h-valuation.
+
+    Truncation-aware: a partial product coeff * c_1 ... c_i is dropped as
+    soon as its valuation plus the least valuations of e_(i+1) .. e_k
+    exceeds h_order, because every term it would grow into lands above
+    h^h_order.  Those least valuations can be negative (Laurent
+    coefficients), so they are part of the bound.
+    """
+    lowest = sum(v for _, v in slots)
+    if coeff.valuation() + lowest > h_order:   # also when a slot is zero
+        return
+    bound = h_order - lowest
     keys = [()]
     coeffs = [coeff]
-    for e in slot_elems:
+    for e, v in slots:
+        bound += v      # h_order minus the least valuations still to come
         nkeys, ncoeffs = [], []
         for key, c in zip(keys, coeffs):
+            vc = c.v_min
             for m, cm in e.terms.items():
-                nc = c * cm
-                if nc.is_zero():
+                if vc + cm.v_min > bound:
                     continue
                 nkeys.append(key + (m,))
-                ncoeffs.append(nc)
+                ncoeffs.append(c * cm)
         keys, coeffs = nkeys, ncoeffs
     for key, c in zip(keys, coeffs):
-        add_into(acc, key, c)
+        add_into(acc, key, c.truncate(h_order))
 
 
 # -- structure maps --------------------------------------------------------------
@@ -348,13 +395,23 @@ def coproduct_monomial(P: Presentation, m: Monomial) -> TensorElement:
 
 def _extend(a: Element, P: Presentation, zero, image, *args):
     """Linear extension of the cached per-monomial map image(P, m, *args)
-    over a, truncated to P; `zero` fixes the type and rank of the result."""
+    over a, truncated to P; `zero` fixes the type and rank of the result.
+
+    Every image is already truncated to P (h-order and degree cap), so the
+    result is built in one pass: a term c_m * c whose valuation exceeds N
+    is skipped before it is multiplied, and each kept product is cut at N.
+    Valuations may be negative (Laurent coefficients); the test is exact,
+    since the valuation of a product of nonzero series is the sum.
+    """
     _check_owner(P, a)
+    N = P.h_order
     acc: dict = {}
     for m, c in a.terms.items():
+        vc = c.v_min
         for key, cm in image(P, m, *args).terms.items():
-            add_into(acc, key, cm * c)
-    return zero._new(acc).truncate(P.h_order, P.degree_cap)
+            if vc + cm.v_min <= N:
+                add_into(acc, key, (cm * c).truncate(N))
+    return zero._new(acc)
 
 
 def coproduct(a: Element, P: Presentation) -> TensorElement:
@@ -390,17 +447,22 @@ def antipode(a: Element, P: Presentation) -> Element:
 
 def _tensor_coproduct_slot(t: TensorElement, slot: int,
                            P: Presentation) -> TensorElement:
-    """Apply the coproduct to one slot of a tensor, raising its rank by 1."""
+    """Apply the coproduct to one slot of a tensor, raising its rank by 1.
+
+    t is truncated to P.  A product c * c2 whose valuation exceeds N is
+    skipped before it is multiplied; each kept one is cut at N.
+    """
+    N = P.h_order
     acc: dict[tuple, HSeries] = {}
     for key, c in t.terms.items():
+        vc = c.v_min
         for (m1, m2), c2 in coproduct_monomial(P, key[slot]).terms.items():
-            nk = key[:slot] + (m1, m2) + key[slot + 1:]
-            nc = c * c2
-            if nc.is_zero():
+            if vc + c2.v_min > N:
                 continue
+            nk = key[:slot] + (m1, m2) + key[slot + 1:]
+            nc = (c * c2).truncate(N)
             acc[nk] = acc[nk] + nc if nk in acc else nc
-    return TensorElement(P.name, t.rank + 1, acc).truncate(
-        P.h_order, P.degree_cap)
+    return TensorElement(P.name, t.rank + 1, acc)
 
 
 def _iterated_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
@@ -434,6 +496,14 @@ def _delta_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
 
     Equivalent to projecting every slot of Delta^n with id - eps, but never
     materializes terms that a later projection would kill.
+
+    Truncation-aware, in one pass: the term pc * c lands above h^N exactly
+    when v(pc) + v(c) > N, so it is skipped before it is multiplied, and a
+    whole sub-tensor delta_{n-1}(m1) is skipped when v(c) plus its
+    valuation exceeds N (each sub-valuation is computed once per call).
+    Valuations may be negative (Laurent coefficients); both tests stay
+    sound because they bound the valuation of what they skip from below.
+    Every sub-tensor is still built, so the cache holds the same entries.
     """
     key = (m, n)
     cached = P._delta_cache.get(key)
@@ -443,20 +513,30 @@ def _delta_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
         if m.is_identity():
             out = TensorElement.zero(P.name, 1)
         else:
-            out = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)})
+            out = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)}
+                                ).truncate(P.h_order, P.degree_cap)
     else:
+        N = P.h_order
         acc: dict[tuple, HSeries] = {}
+        subs: dict[Monomial, tuple] = {}
         for (m1, m2), c in coproduct_monomial(P, m).terms.items():
             if m2.is_identity():
                 continue
-            for pkey, pc in _delta_monomial(P, m1, n - 1).terms.items():
-                nk = pkey + (m2,)
-                nc = pc * c
-                if nc.is_zero():
+            sub = subs.get(m1)
+            if sub is None:
+                t = _delta_monomial(P, m1, n - 1)
+                sub = subs[m1] = (t.terms, t.h_valuation())
+            terms, v = sub
+            vc = c.v_min
+            if vc + v > N:
+                continue
+            for pkey, pc in terms.items():
+                if vc + pc.v_min > N:
                     continue
+                nk = pkey + (m2,)
+                nc = (pc * c).truncate(N)
                 acc[nk] = acc[nk] + nc if nk in acc else nc
         out = TensorElement(P.name, n, acc)
-    out = out.truncate(P.h_order, P.degree_cap)
     P._delta_cache[key] = out
     return out
 

@@ -35,6 +35,35 @@ class TestMonomial:
         assert Monomial((0, 2)) < Monomial((1, 1)) < Monomial((2, 0))
         assert Monomial((2, 0)) < Monomial((0, 3))
 
+    def test_interned(self):
+        assert Monomial((1, 0)) is Monomial.from_word((0,), 2)
+        assert Monomial([0, 1]) is Monomial.generator(1, 2)
+        assert Monomial((0, 0)) is Monomial.identity(2)
+        assert Monomial((1, 0)).merged(Monomial((1, 2))) is Monomial((2, 2))
+
+    def test_equal_vectors_hash_equal_across_presentations(self):
+        # tuple, list, word, generator and merged presentations of x*y^2
+        forms = [Monomial((1, 2)), Monomial([1, 2]),
+                 Monomial.from_word((0, 1, 1), 2),
+                 Monomial.generator(0, 2).merged(Monomial((0, 2)))]
+        assert len({hash(m) for m in forms}) == 1
+        assert all(m == forms[0] for m in forms)
+        table = {(forms[0], Monomial((0, 1))): 1}
+        assert all(table[(m, Monomial.generator(1, 2))] == 1 for m in forms)
+        assert Monomial((1, 2)) != Monomial((2, 1))
+
+    def test_deglex_sorting_unchanged(self):
+        monos = builtin("heisenberg3", 4, 4).quea.monomials_up_to(3)
+        shuffled = list(monos)
+        random.Random(5).shuffle(shuffled)
+        assert sorted(shuffled) == monos
+        assert monos == sorted(monos, key=lambda m: (sum(m.exponents),
+                                                     m.exponents))
+        assert [m.exponents for m in sorted(
+            Monomial(e) for e in ((2, 0), (0, 1), (1, 1), (0, 0), (0, 2),
+                                  (1, 0)))] == [
+            (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
 
 class TestCombine:
     # Linear combinations are built from scaled() and +.

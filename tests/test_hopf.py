@@ -7,9 +7,11 @@ import pytest
 
 import qdp.hopf as hopf
 from qdp.bundles import builtin
+from qdp.drinfeld import GaugeMap, prime_membership, prime_presentation
 from qdp.errors import (FuelExceeded, NotTopologicallyNilpotent,
                         PresentationError)
-from qdp.freealg import Element, Monomial, TensorElement
+from qdp.exprs import parse_element
+from qdp.freealg import Element, Monomial, TensorElement, add_into
 from qdp.hopf import (POLY, Presentation, antipode, big_delta_E,
                       check_diamond, check_hopf_axioms, coproduct, counit,
                       delta_E, delta_n, element_exp, embed_slots,
@@ -384,3 +386,264 @@ class TestPresentationValidation:
     def test_reserved_generator_name(self):
         with pytest.raises(PresentationError, match="reserved"):
             Presentation("bad", POLY, ["h"], 4, None, {}, {}, {}, {})
+
+
+# -- reference model ----------------------------------------------------------
+#
+# The product loops before they became truncation-aware: every product is
+# formed, summed, and only then truncated at N.  Installed over qdp.hopf's
+# own functions (same signatures as the engine had), they rebuild every
+# structure map the old way; the engine must agree with them exactly,
+# coefficient orders included.
+
+def ref_multiply(a, b, P):
+    hopf._check_owner(P, a, b)
+    acc = {}
+    for ma, ca in a.terms.items():
+        wa = ma.word()
+        for mb, cb in b.terms.items():
+            c = ca * cb
+            if c.is_zero():
+                continue
+            for m, cm in normal_form(wa + mb.word(), P).terms.items():
+                add_into(acc, m, cm * c)
+    return Element(P.name, acc).truncate(P.h_order, P.degree_cap)
+
+
+def ref_tensor_multiply(s, t, P):
+    acc = {}
+    for ka, ca in s.terms.items():
+        for kb, cb in t.terms.items():
+            c = ca * cb
+            if c.is_zero():
+                continue
+            slot_elems = [normal_form(ma.word() + mb.word(), P)
+                          for ma, mb in zip(ka, kb)]
+            ref_expand_into(acc, slot_elems, c)
+    return TensorElement(P.name, s.rank, acc).truncate(
+        P.h_order, P.degree_cap)
+
+
+def ref_expand_into(acc, slot_elems, coeff):
+    keys = [()]
+    coeffs = [coeff]
+    for e in slot_elems:
+        nkeys, ncoeffs = [], []
+        for key, c in zip(keys, coeffs):
+            for m, cm in e.terms.items():
+                nc = c * cm
+                if nc.is_zero():
+                    continue
+                nkeys.append(key + (m,))
+                ncoeffs.append(nc)
+        keys, coeffs = nkeys, ncoeffs
+    for key, c in zip(keys, coeffs):
+        add_into(acc, key, c)
+
+
+def ref_extend(a, P, zero, image, *args):
+    hopf._check_owner(P, a)
+    acc = {}
+    for m, c in a.terms.items():
+        for key, cm in image(P, m, *args).terms.items():
+            add_into(acc, key, cm * c)
+    return zero._new(acc).truncate(P.h_order, P.degree_cap)
+
+
+def ref_tensor_coproduct_slot(t, slot, P):
+    acc = {}
+    for key, c in t.terms.items():
+        cop = hopf.coproduct_monomial(P, key[slot])
+        for (m1, m2), c2 in cop.terms.items():
+            nk = key[:slot] + (m1, m2) + key[slot + 1:]
+            nc = c * c2
+            if nc.is_zero():
+                continue
+            acc[nk] = acc[nk] + nc if nk in acc else nc
+    return TensorElement(P.name, t.rank + 1, acc).truncate(
+        P.h_order, P.degree_cap)
+
+
+def ref_delta_monomial(P, m, n):
+    key = (m, n)
+    cached = P._delta_cache.get(key)
+    if cached is not None:
+        return cached
+    if n == 1:
+        if m.is_identity():
+            out = TensorElement.zero(P.name, 1)
+        else:
+            out = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)})
+    else:
+        acc = {}
+        for (m1, m2), c in hopf.coproduct_monomial(P, m).terms.items():
+            if m2.is_identity():
+                continue
+            for pkey, pc in ref_delta_monomial(P, m1, n - 1).terms.items():
+                nk = pkey + (m2,)
+                nc = pc * c
+                if nc.is_zero():
+                    continue
+                acc[nk] = acc[nk] + nc if nk in acc else nc
+        out = TensorElement(P.name, n, acc)
+    out = out.truncate(P.h_order, P.degree_cap)
+    P._delta_cache[key] = out
+    return out
+
+
+REFERENCE = {"multiply": ref_multiply, "tensor_multiply": ref_tensor_multiply,
+             "_extend": ref_extend,
+             "_tensor_coproduct_slot": ref_tensor_coproduct_slot,
+             "_delta_monomial": ref_delta_monomial}
+
+
+def _fresh(P, relations=None):
+    """A copy of P with empty caches, optionally with other relations."""
+    return Presentation(P.name, P.model, P.generators, P.h_order,
+                        P.degree_cap,
+                        P.relations if relations is None else relations,
+                        P.coproduct_on_gens, P.counit_on_gens,
+                        P.antipode_on_gens)
+
+
+def _laurent_borel2(N):
+    """borel2 with the relation y*x = x*y - h^-1 y: a manifest may give a
+    Laurent coefficient, so normal forms can carry negative valuations."""
+    P = builtin("borel2", N, N).quea
+    r = Element.from_monomial(P.name, Monomial((0, 1)),
+                              HSeries.h_power(-1, N, -1))
+    return _fresh(P, {(0, 1): r})
+
+
+def _shifted_primitive(N):
+    """One generator with Delta(x) = x (x) 1 + 1 (x) x + h x (x) x (1 + hx is
+    group-like): products of positive-valuation coefficients whose order
+    exceeds N, landing in terms that receive nothing else."""
+    name = "shift1"
+    one, x = Monomial.identity(1), Monomial.generator(0, 1)
+    cop = TensorElement(name, 2, {(x, one): HSeries.one(N),
+                                  (one, x): HSeries.one(N),
+                                  (x, x): HSeries.h_power(1, N)})
+    ant = Element(name, {Monomial((k,)): HSeries.h_power(k - 1, N,
+                                                         (-1) ** k)
+                         for k in range(1, N + 2)})
+    return Presentation(name, POLY, ["x"], N, None, {}, {"x": cop},
+                        {"x": HSeries.zero(N)}, {"x": ant})
+
+
+def _exact(value):
+    """A value with every coefficient's truncation order made explicit."""
+    if isinstance(value, HSeries):
+        return (value, value.order)
+    return (type(value).__name__, value._space(),
+            {k: (c, c.order) for k, c in value.terms.items()})
+
+
+def _structure_maps(P, seed):
+    """Every product loop of the engine, run on random elements of P that
+    carry h^k coefficients, then on h^k times the generators in descending
+    order, whose products have valuation above N before rewriting; with
+    the per-monomial caches those loops filled."""
+    rng = random.Random(seed)
+    elems = random_elements(P, rng, 6, max_degree=2, max_h=3)
+    hk = HSeries.h_power((P.h_order + 1) // 2, P.h_order)
+    elems += [P.gen(i).scaled(hk) for i in reversed(range(P.ngens))]
+    out = []
+    for a, b in zip(elems, elems[1:]):
+        # through the module, so that the reference loops can stand in
+        out.append(hopf.multiply(a, b, P))
+        da, db = coproduct(a, P), coproduct(b, P)
+        out.append(da)
+        out.append(hopf.tensor_multiply(da, db, P))
+        out.append(hopf._tensor_coproduct_slot(da, 0, P))
+        out.append(hopf._tensor_coproduct_slot(db, 1, P))
+        out.append(antipode(a, P))
+        out.append(iterated_coproduct(a, 3, P))
+        out.extend(delta_n(a, n, P) for n in (1, 2, 3))
+    caches = [{k: _exact(v) for k, v in cache.items()}
+              for cache in (P._coproduct_cache, P._antipode_cache,
+                            P._iterated_cache, P._delta_cache)]
+    return [_exact(v) for v in out], caches
+
+
+def _reference_run(monkeypatch, fn):
+    """fn() with the reference loops installed in qdp.hopf."""
+    with monkeypatch.context() as mp:
+        for name, ref in REFERENCE.items():
+            mp.setattr(hopf, name, ref)
+        return fn()
+
+
+class TestTruncationAwareProducts:
+    @pytest.mark.parametrize("N", [4, 5, 6])
+    @pytest.mark.parametrize("name", ["borel2", "heisenberg3", "abelian2"])
+    def test_matches_reference(self, monkeypatch, name, N):
+        P = builtin(name, N, N).quea
+        want = _reference_run(monkeypatch,
+                              lambda: _structure_maps(_fresh(P), N))
+        assert _structure_maps(_fresh(P), N) == want
+
+    @pytest.mark.parametrize("N", [4, 5])
+    def test_positive_valuation_coproduct_matches_reference(self, monkeypatch,
+                                                           N):
+        want = _reference_run(
+            monkeypatch, lambda: _structure_maps(_shifted_primitive(N), N))
+        assert _structure_maps(_shifted_primitive(N), N) == want
+
+    @pytest.mark.parametrize("N", [4, 5])
+    def test_degree_capped_presentation_matches_reference(self, monkeypatch,
+                                                          N):
+        # the SERIES-model image of borel2: every product is also cut at D
+        Q = prime_presentation(builtin("borel2", N, N).quea, 3)
+        want = _reference_run(monkeypatch,
+                              lambda: _structure_maps(_fresh(Q), N))
+        assert _structure_maps(_fresh(Q), N) == want
+
+    @pytest.mark.parametrize("N", [4, 5, 6])
+    def test_laurent_relation_matches_reference(self, monkeypatch, N):
+        want = _reference_run(
+            monkeypatch, lambda: _structure_maps(_laurent_borel2(N), N))
+        assert _structure_maps(_laurent_borel2(N), N) == want
+
+    def test_gauge_of_tensor_matches_reference(self):
+        # GaugeMap.of_tensor expands through _expand_into as well
+        P = _laurent_borel2(5)
+        h = HSeries.h_power(1, 5)
+        phi = GaugeMap.make(P, {"x": P.gen("x") + P.gen("y").scaled(h),
+                                "y": P.gen("y")})
+        rng = random.Random(7)
+        for a in random_elements(P, rng, 4, max_degree=2, max_h=3):
+            t = coproduct(a, P)
+            acc = {}
+            for key, c in t.terms.items():
+                ref_expand_into(acc, [phi.of_monomial(P, m) for m in key], c)
+            want = TensorElement(P.name, 2, acc).truncate(5, None)
+            assert _exact(phi.of_tensor(t, P)) == _exact(want)
+
+    def test_laurent_relation_axiom_rows_match_reference(self, monkeypatch):
+        # a pair bound on v(c_a) + v(c_b) alone, without the normal form's
+        # negative valuation, flips a coproduct-respects-relation row here
+        def rows():
+            rep = check_hopf_axioms(_laurent_borel2(5), 2)
+            return [(r.check, r.subject, r.passed, r.detail)
+                    for r in rep.rows]
+        want = _reference_run(monkeypatch, rows)
+        assert rows() == want
+        assert not all(ok for _, _, ok, _ in want)
+
+    def test_delta_cache_working_set(self):
+        # pruning may skip only what truncation discards: the cached
+        # deviation tensors are exactly those of the unpruned loops
+        def cached_after(P, src):
+            prime_membership(parse_element(src, P), P)
+            cache = P._delta_cache.values()
+            return (len(cache), sum(len(t.terms) for t in cache),
+                    sum(len(c.coeffs) for t in cache
+                        for c in t.terms.values()))
+
+        terms = {}
+        for N in (5, 6, 7):
+            Q = _fresh(builtin("borel2", N, 8).quea)
+            terms[N] = cached_after(Q, "h^3*x*y^2")[1]
+        assert terms == {5: 4750, 6: 23845, 7: 116208}
+        assert cached_after(Q, "y*x*y") == (157, 116383, 120335)
