@@ -128,10 +128,25 @@ def _config(args) -> RunConfig:
         output_format=args.format)
 
 
-def _load_presentation(source: str, cfg: RunConfig):
+def _load_presentation(source: str, args, cfg: RunConfig):
+    """A built-in at the configured (N, D), or a manifest at its own.
+
+    A manifest fixes its h-order (and a SERIES manifest its degree cap):
+    cfg takes them over, so that the report header states what was run,
+    and an explicit --h-order or --degree that differs is a usage error.
+    """
     if source in BUILTIN_NAMES:
         return builtin(source, cfg.h_order, cfg.degree_cap).quea
-    return presentation_from_manifest(load_json(source))
+    P = presentation_from_manifest(load_json(source))
+    fixed = [("h_order", "--h-order", args.h_order, P.h_order)]
+    if P.model == SERIES:
+        fixed.append(("degree_cap", "--degree", args.degree, P.degree_cap))
+    for field, flag, given, value in fixed:
+        if given is not None and given != value:
+            raise InputError(f"{flag} {given} differs from the manifest "
+                             f"{source}, which is at {value}")
+        setattr(cfg, field, value)
+    return P
 
 
 def _emit_report(rep: HopfReport, cfg: RunConfig, command: str,
@@ -189,20 +204,20 @@ def _cmd_show(args, cfg) -> int:
 
 
 def _cmd_check_hopf(args, cfg) -> int:
-    P = _load_presentation(args.source, cfg)
+    P = _load_presentation(args.source, args, cfg)
     rep = check_hopf_axioms(P, args.bound)
     return _emit_report(rep, cfg, "check-hopf", {"presentation": P.name,
                                                  "bound": args.bound})
 
 
 def _cmd_diamond(args, cfg) -> int:
-    P = _load_presentation(args.source, cfg)
+    P = _load_presentation(args.source, args, cfg)
     rep = check_diamond(P)
     return _emit_report(rep, cfg, "diamond", {"presentation": P.name})
 
 
 def _cmd_transform(args, cfg, which: str) -> int:
-    P = _load_presentation(args.source, cfg)
+    P = _load_presentation(args.source, args, cfg)
     out = (prime_presentation(P, cfg.degree_cap) if which == "prime"
            else vee_presentation(P))
     if which == "prime" and cfg.h_order < cfg.degree_cap:
@@ -219,7 +234,7 @@ def _cmd_transform(args, cfg, which: str) -> int:
 
 
 def _cmd_member(args, cfg) -> int:
-    P = _load_presentation(args.source, cfg)
+    P = _load_presentation(args.source, args, cfg)
     elem = parse_element(args.element, P)
     rep = HopfReport()
     certs = {}
@@ -248,7 +263,7 @@ def _cmd_member(args, cfg) -> int:
 
 
 def _cmd_limit(args, cfg) -> int:
-    P = _load_presentation(args.source, cfg)
+    P = _load_presentation(args.source, args, cfg)
     if P.model == SERIES:
         L = extract_poisson_structure(P)
     else:
@@ -285,7 +300,7 @@ def _cmd_dual_check(args, cfg) -> int:
 
 
 def _cmd_roundtrip(args, cfg) -> int:
-    P = _load_presentation(args.source, cfg)
+    P = _load_presentation(args.source, args, cfg)
     direction = (PRIME_THEN_VEE if args.direction == "prime-vee"
                  else VEE_THEN_PRIME)
     cap = cfg.degree_cap if direction == PRIME_THEN_VEE else None
@@ -296,8 +311,8 @@ def _cmd_roundtrip(args, cfg) -> int:
 
 
 def _cmd_pair(args, cfg) -> int:
-    left = _load_presentation(args.left, cfg)
-    right = _load_presentation(args.right, cfg)
+    left = _load_presentation(args.left, args, cfg)
+    right = _load_presentation(args.right, args, cfg)
     seed = seed_from_manifest(load_json(args.seed_file), left, right)
     a = parse_element(args.left_elem, left)
     b = parse_element(args.right_elem, right)

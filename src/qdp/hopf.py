@@ -45,6 +45,11 @@ class Presentation:
     Generator counits are normalized to zero.  A description with
     epsilon(x) = c != 0 is rejected with a pointer to the substitution
     x -> x - c that removes the offset.
+
+    A deformation is defined over k[[h]], so a relation, coproduct or
+    antipode coefficient of negative h-valuation is rejected: every
+    coefficient the engine forms has valuation >= 0, which the pruning
+    bounds and truncation windows below rely on.
     """
 
     def __init__(self, name: str, model: str, generators: Sequence[str],
@@ -87,6 +92,8 @@ class Presentation:
             if r is None:
                 r = Element.zero(name)
             self._check_relation(i, j, r)
+            _check_power_series(
+                f"relation ({self.generators[i]},{self.generators[j]})", r)
             self.relations[(i, j)] = r.truncate(h_order, degree_cap)
 
         for what, given in (("coproduct", coproduct_on_gens),
@@ -111,11 +118,13 @@ class Presentation:
             if cop is None or cop.rank != 2:
                 raise PresentationError(f"generator {g!r} needs a rank-2 "
                                         "coproduct entry")
+            _check_power_series(f"coproduct of {g!r}", cop)
             self.coproduct_on_gens[g] = cop.truncate(h_order, degree_cap)
             ant = antipode_on_gens.get(g)
             if ant is None:
                 raise PresentationError(f"generator {g!r} needs an antipode "
                                         "entry")
+            _check_power_series(f"antipode of {g!r}", ant)
             self.antipode_on_gens[g] = ant.truncate(h_order, degree_cap)
 
         # caches, keyed by immutable values; shared across all operations
@@ -126,7 +135,10 @@ class Presentation:
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._antipode_cache: dict[Monomial, Element] = {}
         self._iterated_cache: dict[tuple[Monomial, int], TensorElement] = {}
+        # (m, n) -> delta_n(m) at the widest window built so far, and that
+        # window; see _delta_monomial
         self._delta_cache: dict[tuple[Monomial, int], TensorElement] = {}
+        self._delta_windows: dict[tuple[Monomial, int], int] = {}
         # pairing._ideal_spanning_products: [n] -> factor combination -> product
         self._ideal_products: list[dict[tuple[int, ...], Element]] = []
 
@@ -178,6 +190,14 @@ class Presentation:
         return (f"Presentation({self.name!r}, {self.model}, "
                 f"gens={self.generators}, N={self.h_order}, "
                 f"D={self.degree_cap})")
+
+
+def _check_power_series(what: str, value) -> None:
+    v = value.h_valuation()
+    if v < 0:
+        raise PresentationError(
+            f"{what} has a coefficient of h-valuation {v}; a deformation "
+            "over k[[h]] has no negative powers of h")
 
 
 # -- rewriting ----------------------------------------------------------------
@@ -266,9 +286,8 @@ def multiply(a: Element, b: Element, P: Presentation) -> Element:
     term c_a c_b c_m has valuation v(c_a) + v(c_b) + v(c_m).  A pair is
     skipped when that sum with the least v(c_m) exceeds N, and a term when
     its own sum does: either lands wholly above h^N, which truncation at N
-    discards.  The least v(c_m) can be negative (a Laurent relation
-    coefficient such as -h^-1), so it is part of the pair bound.  Stored
-    coefficients are nonzero, so v_min is their valuation.
+    discards.  Stored coefficients are nonzero, so v_min is their
+    valuation.
     """
     _check_owner(P, a, b)
     N = P.h_order
@@ -327,8 +346,7 @@ def tensor_multiply(s: TensorElement, t: TensorElement,
 
     Truncation-aware like multiply: a pair of terms is skipped when
     v(c_a) + v(c_b) plus the least valuation of each slot's normal form
-    exceeds N.  Those valuations may be negative (a Laurent relation
-    coefficient), so a bound on v(c_a) + v(c_b) alone would be unsound.
+    exceeds N.
     """
     if s.rank != t.rank:
         raise MixedPresentations("tensor ranks differ")
@@ -355,8 +373,7 @@ def _expand_into(acc: dict, slots: Sequence[tuple[Element, int | float]],
     Truncation-aware: a partial product coeff * c_1 ... c_i is dropped as
     soon as its valuation plus the least valuations of e_(i+1) .. e_k
     exceeds h_order, because every term it would grow into lands above
-    h^h_order.  Those least valuations can be negative (Laurent
-    coefficients), so they are part of the bound.
+    h^h_order.
     """
     lowest = sum(v for _, v in slots)
     if coeff.valuation() + lowest > h_order:   # also when a slot is zero
@@ -393,22 +410,26 @@ def coproduct_monomial(P: Presentation, m: Monomial) -> TensorElement:
     return acc
 
 
-def _extend(a: Element, P: Presentation, zero, image, *args):
+def _extend(a: Element, P: Presentation, zero, image, *args,
+            windowed: bool = False):
     """Linear extension of the cached per-monomial map image(P, m, *args)
     over a, truncated to P; `zero` fixes the type and rank of the result.
 
     Every image is already truncated to P (h-order and degree cap), so the
     result is built in one pass: a term c_m * c whose valuation exceeds N
     is skipped before it is multiplied, and each kept product is cut at N.
-    Valuations may be negative (Laurent coefficients); the test is exact,
-    since the valuation of a product of nonzero series is the sum.
+    The test is exact, since the valuation of a product of nonzero series
+    is the sum.  A windowed image is asked only for the h-order its
+    coefficient can reach, image(P, m, *args, w=N - v(c_m)): its terms
+    above that land above h^N.
     """
     _check_owner(P, a)
     N = P.h_order
     acc: dict = {}
     for m, c in a.terms.items():
         vc = c.v_min
-        for key, cm in image(P, m, *args).terms.items():
+        t = image(P, m, *args, w=N - vc) if windowed else image(P, m, *args)
+        for key, cm in t.terms.items():
             if vc + cm.v_min <= N:
                 add_into(acc, key, (cm * c).truncate(N))
     return zero._new(acc)
@@ -491,53 +512,60 @@ def iterated_coproduct(a: Element, n: int, P: Presentation) -> TensorElement:
     return _extend(a, P, TensorElement.zero(P.name, n), _iterated_monomial, n)
 
 
-def _delta_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
-    """delta_n on a monomial via delta_n = (delta_{n-1} (x) (id - eps)) o Delta.
+def _delta_monomial(P: Presentation, m: Monomial, n: int, *,
+                    w: int | None = None) -> TensorElement:
+    """delta_n on a monomial up to h^w (default: the h-order N), via
+    delta_n = (delta_{n-1} (x) (id - eps)) o Delta.
 
     Equivalent to projecting every slot of Delta^n with id - eps, but never
     materializes terms that a later projection would kill.
 
-    Truncation-aware, in one pass: the term pc * c lands above h^N exactly
-    when v(pc) + v(c) > N, so it is skipped before it is multiplied, and a
-    whole sub-tensor delta_{n-1}(m1) is skipped when v(c) plus its
-    valuation exceeds N (each sub-valuation is computed once per call).
-    Valuations may be negative (Laurent coefficients); both tests stay
-    sound because they bound the valuation of what they skip from below.
-    Every sub-tensor is still built, so the cache holds the same entries.
+    Demand-driven window: a sub-deviation delta_{n-1}(m1) under a coproduct
+    coefficient c is needed only up to h^(w - v(c)), so each m1 is built
+    once, at the widest such window among its coproduct terms, and not at
+    all when that window is negative.  A term pc * c with v(pc) + v(c) > w
+    is skipped before it is multiplied, and each kept one is cut at w.
+    Every valuation is >= 0, so the order of each kept product is at least
+    w, and the result equals the full-window delta_n(m) cut at w,
+    coefficient orders included.
+
+    P._delta_cache holds, per (m, n), the widest window built so far (kept
+    in P._delta_windows).  A narrower request reuses that entry uncut,
+    since every consumer cuts at its own window; a wider one replaces it.
     """
+    if w is None:
+        w = P.h_order
     key = (m, n)
     cached = P._delta_cache.get(key)
-    if cached is not None:
+    if cached is not None and P._delta_windows[key] >= w:
         return cached
     if n == 1:
-        if m.is_identity():
-            out = TensorElement.zero(P.name, 1)
-        else:
-            out = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)}
-                                ).truncate(P.h_order, P.degree_cap)
+        terms = {} if m.is_identity() else {(m,): HSeries.one(w)}
+        out = TensorElement(P.name, 1, terms).truncate(w, P.degree_cap)
     else:
-        N = P.h_order
+        cop = [(m1, m2, c) for (m1, m2), c
+               in coproduct_monomial(P, m).terms.items()
+               if not m2.is_identity()]
+        need: dict[Monomial, int] = {}
+        for m1, _, c in cop:
+            need[m1] = max(need.get(m1, -1), w - c.v_min)
+        subs = {m1: _delta_monomial(P, m1, n - 1, w=wm).terms
+                for m1, wm in need.items() if wm >= 0}
         acc: dict[tuple, HSeries] = {}
-        subs: dict[Monomial, tuple] = {}
-        for (m1, m2), c in coproduct_monomial(P, m).terms.items():
-            if m2.is_identity():
+        for m1, m2, c in cop:
+            terms = subs.get(m1)
+            if terms is None:
                 continue
-            sub = subs.get(m1)
-            if sub is None:
-                t = _delta_monomial(P, m1, n - 1)
-                sub = subs[m1] = (t.terms, t.h_valuation())
-            terms, v = sub
             vc = c.v_min
-            if vc + v > N:
-                continue
             for pkey, pc in terms.items():
-                if vc + pc.v_min > N:
+                if vc + pc.v_min > w:
                     continue
                 nk = pkey + (m2,)
-                nc = (pc * c).truncate(N)
+                nc = (pc * c).truncate(w)
                 acc[nk] = acc[nk] + nc if nk in acc else nc
         out = TensorElement(P.name, n, acc)
     P._delta_cache[key] = out
+    P._delta_windows[key] = w
     return out
 
 
@@ -549,7 +577,8 @@ def delta_n(a: Element, n: int, P: Presentation) -> TensorElement:
     """
     if n == 0:
         return iterated_coproduct(a, 0, P)
-    return _extend(a, P, TensorElement.zero(P.name, n), _delta_monomial, n)
+    return _extend(a, P, TensorElement.zero(P.name, n), _delta_monomial, n,
+                   windowed=True)
 
 
 def embed_slots(t: TensorElement, slots: Sequence[int], n: int,

@@ -162,3 +162,63 @@ def test_env_default_order(capsys, monkeypatch):
 
 def test_no_command_prints_help(capsys):
     assert run([]) == 2
+
+
+def _borel2_manifest() -> dict:
+    return json.loads(
+        (MANIFEST_DIR / "borel2.json").read_text(encoding="utf-8"))
+
+
+def _laurent(coeff: dict) -> dict:
+    return dict(coeff, v_min=-1)
+
+
+@pytest.mark.parametrize("where", ["relation", "coproduct", "antipode"])
+def test_laurent_manifest_is_usage_error(tmp_path, capsys, where):
+    # a coefficient in h^-1: once accepted, `member` of h^3*x*y^2 gave exit
+    # 0 (relation) or exit 1 (coproduct of y, x (x) y term)
+    data = _borel2_manifest()
+    if where == "relation":
+        term = data["relations"][0]["r"][0]
+    elif where == "coproduct":
+        term = next(t for t in data["coproduct"]["y"]
+                    if t["monomials"] == [[1, 0], [0, 1]])
+    else:
+        term = data["antipode"]["y"][0]
+    term["coeff"] = _laurent(term["coeff"])
+    path = tmp_path / "laurent.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["member", str(path), "--element=h^3*x*y^2"]) == 2
+    err = capsys.readouterr().err
+    assert "h-valuation -1" in err and "Traceback" not in err
+
+
+def test_manifest_header_states_its_own_order(tmp_path, capsys):
+    path = tmp_path / "borel2_5.json"
+    assert run(["show", "borel2", "--manifest", "--h-order", "5"]) == 0
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    for extra in ([], ["--h-order", "5"]):
+        assert run(["member", str(path), "--element=h^3*x*y^2",
+                    "--format", "json", *extra]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["h_order"] == 5
+        assert payload["certificates"]["delta"]["n_checked"] == \
+            list(range(6))
+    assert run(["member", str(path), "--element=h^3*x*y^2"]) == 0
+    assert capsys.readouterr().out.startswith("[member] N=5 D=8\n")
+
+
+def test_manifest_order_conflict_is_usage_error(tmp_path, capsys):
+    assert run(["member", str(MANIFEST_DIR / "borel2.json"), "--h-order",
+                "5", "--element=h^3*x*y^2", "--format", "json"]) == 2
+    assert "--h-order 5 differs" in capsys.readouterr().err
+    prime_path = tmp_path / "prime.json"
+    assert run(["prime", "borel2", "--degree", "4", "-o",
+                str(prime_path)]) == 0
+    capsys.readouterr()
+    assert run(["limit", str(prime_path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree_cap"] == 4
+    assert run(["limit", str(prime_path), "--degree", "4"]) == 0
+    capsys.readouterr()
+    assert run(["limit", str(prime_path), "--degree", "6"]) == 2
+    assert "--degree 6 differs" in capsys.readouterr().err

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from qdp.drinfeld import (GaugeMap, PRIME_THEN_VEE, VEE_THEN_PRIME,
                           prime_presentation, roundtrip_check,
                           vee_presentation)
 from qdp.errors import (NotAHopfMap, NotDivisible, PresentationError)
+from qdp.exprs import parse_element
 from qdp.freealg import Element, Monomial, TensorElement
 from qdp.hopf import POLY, SERIES, Presentation, multiply
 from qdp.series import HSeries
@@ -214,3 +217,30 @@ class TestCertificateSerialization:
         assert data["witness"] == 1
         assert data["n_checked"] == [0, 1, 2, 3]
         assert data["valuations"][0] is None  # +inf encodes as null
+
+
+def _member_delta_catalogue() -> list[str]:
+    """The benchmark's member-delta elements (bench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.all_member_elements("member-delta")
+
+
+class TestTruncationStability:
+    def test_delta_verdicts_stable_from_order_7_to_9(self):
+        # an "up to truncation" verdict must not change when N is raised;
+        # one presentation per order, so later certificates reuse and widen
+        # the windowed deviations cached by earlier ones
+        elements = _member_delta_catalogue()
+        assert len(elements) == 57
+        P7 = builtin("borel2", 7, 8).quea
+        P9 = builtin("borel2", 9, 8).quea
+        for src in elements:
+            c7 = prime_membership(parse_element(src, P7), P7)
+            c9 = prime_membership(parse_element(src, P9), P9)
+            assert (c7.verdict, c7.witness) == (c9.verdict, c9.witness), src
+            for n, v in zip(c7.n_checked, c7.valuations):
+                if v != math.inf:
+                    assert c9.valuation_at(n) == v, (src, n)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -7,12 +8,13 @@ import pytest
 
 import qdp.hopf as hopf
 from qdp.bundles import builtin
-from qdp.drinfeld import GaugeMap, prime_membership, prime_presentation
-from qdp.errors import (FuelExceeded, NotTopologicallyNilpotent,
+from qdp.drinfeld import (GaugeMap, prime_membership, prime_presentation,
+                          vee_presentation)
+from qdp.errors import (FuelExceeded, NotDivisible, NotTopologicallyNilpotent,
                         PresentationError)
 from qdp.exprs import parse_element
 from qdp.freealg import Element, Monomial, TensorElement, add_into
-from qdp.hopf import (POLY, Presentation, antipode, big_delta_E,
+from qdp.hopf import (POLY, SERIES, Presentation, antipode, big_delta_E,
                       check_diamond, check_hopf_axioms, coproduct, counit,
                       delta_E, delta_n, element_exp, embed_slots,
                       iterated_coproduct, multiply, normal_form)
@@ -383,6 +385,50 @@ class TestPresentationValidation:
             Presentation(name, POLY, ["a", "b"], 4, None, {key: r},
                          *self._primitive_pair(name))
 
+    @pytest.mark.parametrize("where", ["relation", "coproduct", "antipode"])
+    def test_laurent_coefficient_rejected(self, where):
+        # a deformation over k[[h]] has no h^-1: the engine's pruning bounds
+        # and truncation windows assume every valuation is >= 0
+        P = builtin("borel2", 5, 5).quea
+        h_inv = HSeries.h_power(-1, 5, -1)
+        y = Monomial((0, 1))
+        relations = dict(P.relations)
+        cop = dict(P.coproduct_on_gens)
+        ant = dict(P.antipode_on_gens)
+        if where == "relation":
+            relations[(0, 1)] = Element.from_monomial(P.name, y, h_inv)
+        elif where == "coproduct":
+            cop["y"] = cop["y"] + TensorElement(
+                P.name, 2, {(Monomial((1, 0)), y): h_inv})
+        else:
+            ant["y"] = ant["y"] + Element.from_monomial(P.name, y, h_inv)
+        with pytest.raises(PresentationError, match="h-valuation -1"):
+            Presentation(P.name, P.model, P.generators, 5, None, relations,
+                         cop, P.counit_on_gens, ant)
+
+    @pytest.mark.parametrize("name", ["abelian1", "abelian2", "abelian3",
+                                      "borel2", "heisenberg3"])
+    def test_rescaling_builds_no_laurent_coefficient(self, name):
+        # prime multiplies by h^k, k >= 0, or divides exactly (NotDivisible);
+        # vee divides exactly; so neither can hand Presentation an h^-1
+        P = builtin(name, 6, 6).quea
+        Q = prime_presentation(P, 4)
+        V = vee_presentation(Q)
+        for R in (Q, V):
+            values = [*R.relations.values(), *R.coproduct_on_gens.values(),
+                      *R.antipode_on_gens.values()]
+            assert all(v.h_valuation() >= 0 for v in values)
+
+    def test_vee_of_noncommutative_input_is_not_divisible(self):
+        # borel2's own relation y*x = x*y - y read as a SERIES presentation:
+        # vee would need h^-1 * y, and the exact division refuses first
+        P = builtin("borel2", 6, 6).quea
+        S = Presentation(P.name, SERIES, P.generators, 6, 4, P.relations,
+                         P.coproduct_on_gens, P.counit_on_gens,
+                         P.antipode_on_gens)
+        with pytest.raises(NotDivisible, match=r"relation y\*x"):
+            vee_presentation(S)
+
     def test_reserved_generator_name(self):
         with pytest.raises(PresentationError, match="reserved"):
             Presentation("bad", POLY, ["h"], 4, None, {}, {}, {}, {})
@@ -391,10 +437,12 @@ class TestPresentationValidation:
 # -- reference model ----------------------------------------------------------
 #
 # The product loops before they became truncation-aware: every product is
-# formed, summed, and only then truncated at N.  Installed over qdp.hopf's
-# own functions (same signatures as the engine had), they rebuild every
-# structure map the old way; the engine must agree with them exactly,
-# coefficient orders included.
+# formed, summed, and only then truncated at N, and every deviation is built
+# to the full h-order.  Installed over qdp.hopf's own functions (same
+# signatures as the engine had), they rebuild every structure map the old
+# way; the engine must agree with them exactly, coefficient orders included,
+# and each windowed deviation it caches must be the reference one cut at its
+# window.
 
 def ref_multiply(a, b, P):
     hopf._check_owner(P, a, b)
@@ -441,7 +489,7 @@ def ref_expand_into(acc, slot_elems, coeff):
         add_into(acc, key, c)
 
 
-def ref_extend(a, P, zero, image, *args):
+def ref_extend(a, P, zero, image, *args, windowed=False):
     hopf._check_owner(P, a)
     acc = {}
     for m, c in a.terms.items():
@@ -497,22 +545,11 @@ REFERENCE = {"multiply": ref_multiply, "tensor_multiply": ref_tensor_multiply,
              "_delta_monomial": ref_delta_monomial}
 
 
-def _fresh(P, relations=None):
-    """A copy of P with empty caches, optionally with other relations."""
+def _fresh(P):
+    """A copy of P with empty caches."""
     return Presentation(P.name, P.model, P.generators, P.h_order,
-                        P.degree_cap,
-                        P.relations if relations is None else relations,
-                        P.coproduct_on_gens, P.counit_on_gens,
-                        P.antipode_on_gens)
-
-
-def _laurent_borel2(N):
-    """borel2 with the relation y*x = x*y - h^-1 y: a manifest may give a
-    Laurent coefficient, so normal forms can carry negative valuations."""
-    P = builtin("borel2", N, N).quea
-    r = Element.from_monomial(P.name, Monomial((0, 1)),
-                              HSeries.h_power(-1, N, -1))
-    return _fresh(P, {(0, 1): r})
+                        P.degree_cap, P.relations, P.coproduct_on_gens,
+                        P.counit_on_gens, P.antipode_on_gens)
 
 
 def _shifted_primitive(N):
@@ -543,7 +580,7 @@ def _structure_maps(P, seed):
     """Every product loop of the engine, run on random elements of P that
     carry h^k coefficients, then on h^k times the generators in descending
     order, whose products have valuation above N before rewriting; with
-    the per-monomial caches those loops filled."""
+    the per-monomial caches those loops filled, and P itself."""
     rng = random.Random(seed)
     elems = random_elements(P, rng, 6, max_degree=2, max_h=3)
     hk = HSeries.h_power((P.h_order + 1) // 2, P.h_order)
@@ -562,8 +599,8 @@ def _structure_maps(P, seed):
         out.extend(delta_n(a, n, P) for n in (1, 2, 3))
     caches = [{k: _exact(v) for k, v in cache.items()}
               for cache in (P._coproduct_cache, P._antipode_cache,
-                            P._iterated_cache, P._delta_cache)]
-    return [_exact(v) for v in out], caches
+                            P._iterated_cache)]
+    return [_exact(v) for v in out], caches, P
 
 
 def _reference_run(monkeypatch, fn):
@@ -574,40 +611,49 @@ def _reference_run(monkeypatch, fn):
         return fn()
 
 
+def _assert_windowed_deltas(Q, full):
+    """Every deviation Q caches, at window w, is the full-window reference
+    tensor cut at w, coefficient orders included."""
+    assert Q._delta_cache
+    assert Q._delta_cache.keys() <= full.keys()
+    assert Q._delta_windows.keys() == Q._delta_cache.keys()
+    for key, t in Q._delta_cache.items():
+        w = Q._delta_windows[key]
+        assert 0 <= w <= Q.h_order
+        assert _exact(t) == _exact(full[key].truncate(w))
+
+
+def _matches_reference(monkeypatch, make, seed):
+    want, want_caches, R = _reference_run(
+        monkeypatch, lambda: _structure_maps(make(), seed))
+    got, got_caches, Q = _structure_maps(make(), seed)
+    assert got == want
+    assert got_caches == want_caches
+    _assert_windowed_deltas(Q, R._delta_cache)
+
+
 class TestTruncationAwareProducts:
     @pytest.mark.parametrize("N", [4, 5, 6])
     @pytest.mark.parametrize("name", ["borel2", "heisenberg3", "abelian2"])
     def test_matches_reference(self, monkeypatch, name, N):
         P = builtin(name, N, N).quea
-        want = _reference_run(monkeypatch,
-                              lambda: _structure_maps(_fresh(P), N))
-        assert _structure_maps(_fresh(P), N) == want
+        _matches_reference(monkeypatch, lambda: _fresh(P), N)
 
     @pytest.mark.parametrize("N", [4, 5])
     def test_positive_valuation_coproduct_matches_reference(self, monkeypatch,
                                                            N):
-        want = _reference_run(
-            monkeypatch, lambda: _structure_maps(_shifted_primitive(N), N))
-        assert _structure_maps(_shifted_primitive(N), N) == want
+        _matches_reference(monkeypatch, lambda: _shifted_primitive(N), N)
 
     @pytest.mark.parametrize("N", [4, 5])
     def test_degree_capped_presentation_matches_reference(self, monkeypatch,
                                                           N):
         # the SERIES-model image of borel2: every product is also cut at D
         Q = prime_presentation(builtin("borel2", N, N).quea, 3)
-        want = _reference_run(monkeypatch,
-                              lambda: _structure_maps(_fresh(Q), N))
-        assert _structure_maps(_fresh(Q), N) == want
-
-    @pytest.mark.parametrize("N", [4, 5, 6])
-    def test_laurent_relation_matches_reference(self, monkeypatch, N):
-        want = _reference_run(
-            monkeypatch, lambda: _structure_maps(_laurent_borel2(N), N))
-        assert _structure_maps(_laurent_borel2(N), N) == want
+        _matches_reference(monkeypatch, lambda: _fresh(Q), N)
 
     def test_gauge_of_tensor_matches_reference(self):
         # GaugeMap.of_tensor expands through _expand_into as well
-        P = _laurent_borel2(5)
+        P = _fresh(builtin("borel2", 5, 5).quea)
         h = HSeries.h_power(1, 5)
         phi = GaugeMap.make(P, {"x": P.gen("x") + P.gen("y").scaled(h),
                                 "y": P.gen("y")})
@@ -620,20 +666,26 @@ class TestTruncationAwareProducts:
             want = TensorElement(P.name, 2, acc).truncate(5, None)
             assert _exact(phi.of_tensor(t, P)) == _exact(want)
 
-    def test_laurent_relation_axiom_rows_match_reference(self, monkeypatch):
-        # a pair bound on v(c_a) + v(c_b) alone, without the normal form's
-        # negative valuation, flips a coproduct-respects-relation row here
-        def rows():
-            rep = check_hopf_axioms(_laurent_borel2(5), 2)
-            return [(r.check, r.subject, r.passed, r.detail)
-                    for r in rep.rows]
-        want = _reference_run(monkeypatch, rows)
-        assert rows() == want
-        assert not all(ok for _, _, ok, _ in want)
+    @pytest.mark.parametrize("N", [5, 6])
+    @pytest.mark.parametrize("src", ["h^3*x*y^2", "y*x*y"])
+    def test_certificates_match_reference(self, monkeypatch, src, N):
+        # the scaling workload's certificates, the deviations they cache at
+        # their windows, and the certificates' own deviation tensors
+        def run():
+            P = _fresh(builtin("borel2", N, N).quea)
+            a = parse_element(src, P)
+            cert = prime_membership(a, P)
+            deltas = [_exact(delta_n(a, n, P)) for n in range(N + 1)]
+            return cert, deltas, P
+        want, want_deltas, R = _reference_run(monkeypatch, run)
+        got, got_deltas, Q = run()
+        assert got == want
+        assert got_deltas == want_deltas
+        _assert_windowed_deltas(Q, R._delta_cache)
 
     def test_delta_cache_working_set(self):
-        # pruning may skip only what truncation discards: the cached
-        # deviation tensors are exactly those of the unpruned loops
+        # each deviation is built only to the window its coefficient can
+        # reach: a member h^k * m needs delta_n(m) only to h^(N - k)
         def cached_after(P, src):
             prime_membership(parse_element(src, P), P)
             cache = P._delta_cache.values()
@@ -645,5 +697,20 @@ class TestTruncationAwareProducts:
         for N in (5, 6, 7):
             Q = _fresh(builtin("borel2", N, 8).quea)
             terms[N] = cached_after(Q, "h^3*x*y^2")[1]
-        assert terms == {5: 4750, 6: 23845, 7: 116208}
-        assert cached_after(Q, "y*x*y") == (157, 116383, 120335)
+        assert terms == {5: 152, 6: 412, 7: 1068}
+        # y*x*y has coefficient h^0, so it widens the entries it shares
+        assert cached_after(Q, "y*x*y") == (122, 13582, 17534)
+
+    @pytest.mark.parametrize("N", [8, 9, 10])
+    def test_scaling_member_certificate(self, N):
+        P = _fresh(builtin("borel2", N, 8).quea)
+        cert = prime_membership(parse_element("h^3*x*y^2", P), P)
+        assert cert.verdict == "MemberUpToTruncation"
+        assert cert.valuations == [math.inf, 3, 3, 3, *range(4, N + 1)]
+
+    def test_scaling_nonmember_certificate(self):
+        P = _fresh(builtin("borel2", 8, 8).quea)
+        cert = prime_membership(parse_element("y*x*y", P), P)
+        assert cert.verdict == "NotMember"
+        assert cert.witness == 1
+        assert cert.valuations == [math.inf, 0, 0, 0, 1, 2, 3, 4, 5]
