@@ -10,11 +10,11 @@ import qdp.hopf as hopf
 from qdp.bundles import builtin
 from qdp.drinfeld import (GaugeMap, prime_membership, prime_presentation,
                           vee_presentation)
-from qdp.errors import (FuelExceeded, NotDivisible, NotTopologicallyNilpotent,
+from qdp.errors import (FuelExceeded, NotTopologicallyNilpotent,
                         PresentationError)
 from qdp.exprs import parse_element
 from qdp.freealg import Element, Monomial, TensorElement, add_into
-from qdp.hopf import (POLY, SERIES, Presentation, antipode, big_delta_E,
+from qdp.hopf import (POLY, Presentation, antipode, big_delta_E,
                       check_diamond, check_hopf_axioms, coproduct, counit,
                       delta_E, delta_n, element_exp, embed_slots,
                       iterated_coproduct, multiply, normal_form)
@@ -409,8 +409,9 @@ class TestPresentationValidation:
     @pytest.mark.parametrize("name", ["abelian1", "abelian2", "abelian3",
                                       "borel2", "heisenberg3"])
     def test_rescaling_builds_no_laurent_coefficient(self, name):
-        # prime multiplies by h^k, k >= 0, or divides exactly (NotDivisible);
-        # vee divides exactly; so neither can hand Presentation an h^-1
+        # prime multiplies by h^k, k >= 0, or divides exactly, and vee
+        # divides exactly: a failed division is NotDivisible
+        # (TestVeeTransform), so neither hands Presentation an h^-1
         P = builtin(name, 6, 6).quea
         Q = prime_presentation(P, 4)
         V = vee_presentation(Q)
@@ -418,16 +419,6 @@ class TestPresentationValidation:
             values = [*R.relations.values(), *R.coproduct_on_gens.values(),
                       *R.antipode_on_gens.values()]
             assert all(v.h_valuation() >= 0 for v in values)
-
-    def test_vee_of_noncommutative_input_is_not_divisible(self):
-        # borel2's own relation y*x = x*y - y read as a SERIES presentation:
-        # vee would need h^-1 * y, and the exact division refuses first
-        P = builtin("borel2", 6, 6).quea
-        S = Presentation(P.name, SERIES, P.generators, 6, 4, P.relations,
-                         P.coproduct_on_gens, P.counit_on_gens,
-                         P.antipode_on_gens)
-        with pytest.raises(NotDivisible, match=r"relation y\*x"):
-            vee_presentation(S)
 
     def test_reserved_generator_name(self):
         with pytest.raises(PresentationError, match="reserved"):
