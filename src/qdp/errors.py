@@ -39,8 +39,8 @@ class MixedPresentations(InputError):
 
 
 class FuelExceeded(MathematicalFailure):
-    """Rewriting did not finish within its fuel bound; the presentation is
-    presumably non-terminating (inadmissible)."""
+    """Rewriting returned to a word it was still rewriting; the presentation
+    does not terminate (inadmissible)."""
 
 
 class PresentationError(InputError):

@@ -5,10 +5,10 @@ relations x_j x_i = x_i x_j + r_ij (i < j), coproducts / counits /
 antipodes on generators, an h-truncation order N and, for degree-capped
 (SERIES) presentations, a total-degree cap D.
 
-normal_form rewrites words onto the ordered-monomial basis; everything
-else (products, coproducts, antipodes, the iterated coproducts and the
-deviation maps delta_E / delta_n) is built on top of it by (anti-)
-multiplicative and linear extension.
+normal_form rewrites words onto the ordered-monomial basis by one memoised
+step, nf(m*x_j); everything else (products, coproducts, antipodes, the
+iterated coproducts and the deviation maps delta_E / delta_n) is built on
+top of it by (anti-)multiplicative and linear extension.
 
 Models:
   POLY    enveloping-algebra flavour, ordered monomials of any degree;
@@ -39,8 +39,8 @@ class Presentation:
     Relation admissibility (enforced at construction): every monomial of
     r_ij has total degree <= 1, or degree exactly 2 with coefficient
     valuation >= 1 and monomial strictly below x_i x_j in deglex order.
-    This is the shape that keeps rewriting terminating; the fuel bound in
-    normal_form is the runtime safety net.
+    This is the shape that keeps rewriting terminating; a re-entry guard
+    in the rewriting step is the runtime safety net.
 
     Generator counits are normalized to zero.  A description with
     epsilon(x) = c != 0 is rejected with a pointer to the substitution
@@ -66,6 +66,8 @@ class Presentation:
             degree_cap = None
         if h_order < 1:
             raise PresentationError("h_order must be >= 1")
+        if degree_cap is not None and degree_cap < 1:
+            raise PresentationError("degree cap must be >= 1")
         if len(set(generators)) != len(generators):
             raise PresentationError("generator names must be distinct")
         for g in generators:
@@ -128,7 +130,8 @@ class Presentation:
             self.antipode_on_gens[g] = ant.truncate(h_order, degree_cap)
 
         # caches, keyed by immutable values; shared across all operations
-        self._nf_cache: dict[tuple[int, ...], Element] = {}
+        self._nf_cache: dict[tuple[Monomial, int], Element] = {}
+        self._nf_building: set[tuple[Monomial, int]] = set()
         # product table: (ma, mb) -> (normal form of ma*mb, its h-valuation)
         self._product_cache: dict[tuple[Monomial, Monomial],
                                   tuple[Element, int | float]] = {}
@@ -203,71 +206,72 @@ def _check_power_series(what: str, value) -> None:
 # -- rewriting ----------------------------------------------------------------
 
 
-def _fuel_bound(P: Presentation, word_len: int) -> int:
-    cap = P.degree_cap if P.degree_cap is not None else P.h_order
-    return 10 * max(1, word_len) * (cap + P.h_order + 2) ** 2
-
-
-def _rewrite_at(P: Presentation, word: tuple[int, ...], t: int,
-                coeff: HSeries) -> list[tuple[HSeries, tuple[int, ...]]]:
+def _rewrite_at(P: Presentation, word: tuple[int, ...],
+                t: int) -> list[tuple[HSeries, tuple[int, ...]]]:
     """Apply x_j x_i -> x_i x_j + r_ij at position t (word[t] > word[t+1])."""
     j, i = word[t], word[t + 1]
-    swapped = word[:t] + (i, j) + word[t + 2:]
-    branches = [(coeff, swapped)]
-    r = P.relations[(i, j)]
     prefix, suffix = word[:t], word[t + 2:]
-    for m, c in r.terms.items():
-        branches.append((coeff * c, prefix + m.word() + suffix))
+    branches = [(HSeries.one(P.h_order), prefix + (i, j) + suffix)]
+    for m, c in P.relations[(i, j)].terms.items():
+        branches.append((c, prefix + m.word() + suffix))
     return branches
 
 
-def _first_inversion(word: tuple[int, ...]) -> int | None:
-    for t in range(len(word) - 1):
-        if word[t] > word[t + 1]:
-            return t
-    return None
+def normal_form(word: Sequence[int], P: Presentation) -> Element:
+    """Rewrite a word of generator indices onto ordered monomials, truncated
+    to the presentation's (N, D); a word longer than D is 0.
 
-
-def normal_form(word: Sequence[int], P: Presentation,
-                coeff: HSeries | None = None) -> Element:
-    """Rewrite a word of generator indices onto ordered monomials.
-
-    Deterministic (leftmost inversion first), truncated to the
-    presentation's (N, D), and guarded by a fuel bound whose exhaustion
-    raises FuelExceeded rather than returning a silently wrong answer.
+    Folds the letters left to right through nf(m*x_j), so the ordered
+    prefix only ever meets its leftmost inversion at the junction.
     """
-    word = tuple(word)
-    base = P._nf_cache.get(word)
-    if base is None:
-        base = _normal_form_uncached(word, P)
-        P._nf_cache[word] = base
-    if coeff is None:
-        return base
-    return base.scaled(coeff)
+    N, D = P.h_order, P.degree_cap
+    if D is not None and len(word) > D:
+        return P.zero()
+    acc = {P.identity_monomial(): HSeries.one(N)}
+    for j in word:
+        nxt: dict = {}
+        for m, c in acc.items():
+            e = m.exponents
+            if not any(e[j + 1:]):
+                add_into(nxt, Monomial(e[:j] + (e[j] + 1,) + e[j + 1:]), c)
+                continue
+            vc = c.v_min
+            for m2, c2 in _times_generator(P, m, j).terms.items():
+                if vc + c2.v_min <= N:
+                    add_into(nxt, m2, (c * c2).truncate(N))
+        acc = nxt
+    return Element(P.name, acc)
 
 
-def _normal_form_uncached(word: tuple[int, ...], P: Presentation) -> Element:
-    fuel = _fuel_bound(P, len(word))
-    acc: dict[Monomial, HSeries] = {}
-    todo = [(HSeries.one(P.h_order), word)]
-    while todo:
-        coeff, w = todo.pop()
-        if coeff.is_zero():
-            continue
-        if P.degree_cap is not None and len(w) > P.degree_cap:
-            continue
-        t = _first_inversion(w)
-        if t is None:
-            m = Monomial.from_word(w, P.ngens)
-            acc[m] = acc[m] + coeff if m in acc else coeff
-            continue
-        fuel -= 1
-        if fuel < 0:
-            raise FuelExceeded(
-                f"rewriting of a word of length {len(word)} in "
-                f"{P.name!r} exceeded its fuel bound")
-        todo.extend(_rewrite_at(P, w, t, coeff))
-    return Element(P.name, acc).truncate(P.h_order, P.degree_cap)
+def _times_generator(P: Presentation, m: Monomial, j: int) -> Element:
+    """nf(m*x_j) for an ordered monomial m whose last letter x_k has k > j,
+    by m'x_k x_j -> m'x_j x_k + m' r_jk, memoised per (m, j) in P._nf_cache.
+
+    Each branch is below m*x_j in (length, deglex of content, inversions),
+    well-founded for admissible relations, so the recursion ends; entering
+    an (m, j) still in P._nf_building raises FuelExceeded instead.
+    """
+    key = (m, j)
+    out = P._nf_cache.get(key)
+    if out is not None:
+        return out
+    if key in P._nf_building:
+        raise FuelExceeded(f"rewriting in {P.name!r} returned to a word it "
+                           "was still rewriting; it does not terminate")
+    P._nf_building.add(key)
+    try:
+        out = P._nf_cache[key] = _resolve_at(P, m.word() + (j,), m.degree - 1)
+    finally:
+        P._nf_building.discard(key)
+    return out
+
+
+def _resolve_at(P: Presentation, word: tuple[int, ...], t: int) -> Element:
+    """Rewrite the word once at position t and normal-form every branch."""
+    out = P.zero()
+    for c, w in _rewrite_at(P, word, t):
+        out = out + normal_form(w, P).scaled(c)
+    return out.truncate(P.h_order, P.degree_cap)
 
 
 def _product(P: Presentation, ma: Monomial,
@@ -716,16 +720,8 @@ def check_diamond(P: Presentation) -> HopfReport:
     for i in range(P.ngens):
         for j in range(i + 1, P.ngens):
             for k in range(j + 1, P.ngens):
-                word = (k, j, i)
-                one = HSeries.one(P.h_order)
-                route_a = P.zero()
-                for c, w in _rewrite_at(P, word, 0, one):
-                    route_a = route_a + normal_form(w, P, c)
-                route_b = P.zero()
-                for c, w in _rewrite_at(P, word, 1, one):
-                    route_b = route_b + normal_form(w, P, c)
-                route_a = route_a.truncate(P.h_order, P.degree_cap)
-                route_b = route_b.truncate(P.h_order, P.degree_cap)
+                route_a = _resolve_at(P, (k, j, i), 0)
+                route_b = _resolve_at(P, (k, j, i), 1)
                 label = (f"{P.generators[k]}*{P.generators[j]}"
                          f"*{P.generators[i]}")
                 rep.add("diamond", label, route_a == route_b,

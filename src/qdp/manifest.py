@@ -18,14 +18,21 @@ from .pairing import PairingSeed
 from .series import HSeries
 
 
+def _exact_int(value, what: str) -> int:
+    """A JSON number with an integral value, as an int; anything else (a
+    fraction, a string, a boolean) is an input error, never truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def series_from_jsonable(data, order: int) -> HSeries:
     if isinstance(data, str):
         from .exprs import parse_scalar
         return parse_scalar(data, order)
     if isinstance(data, (int, float)):
-        if isinstance(data, float) and not data.is_integer():
-            raise InputError(f"non-exact coefficient {data!r}")
-        return HSeries.const(int(data), order)
+        return HSeries.const(_exact_int(data, "a numeric coefficient"), order)
     try:
         return HSeries.from_jsonable(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -37,10 +44,17 @@ def element_to_jsonable(e: Element) -> list:
             for m, c in e.sorted_terms()]
 
 
+def _monomial_from_jsonable(data) -> Monomial:
+    exponents = tuple(_exact_int(x, "monomial exponent") for x in data)
+    if any(e < 0 for e in exponents):
+        raise InputError(f"monomial {list(exponents)} has a negative exponent")
+    return Monomial(exponents)
+
+
 def element_from_jsonable(data, pres: str, ngens: int, order: int) -> Element:
     terms = {}
     for item in data:
-        m = Monomial(tuple(int(x) for x in item["monomial"]))
+        m = _monomial_from_jsonable(item["monomial"])
         if len(m.exponents) != ngens:
             raise InputError(
                 f"monomial {item['monomial']} has wrong arity (want {ngens})")
@@ -59,8 +73,7 @@ def tensor_from_jsonable(data, pres: str, rank: int, ngens: int,
                          order: int) -> TensorElement:
     terms = {}
     for item in data:
-        key = tuple(Monomial(tuple(int(x) for x in ms))
-                    for ms in item["monomials"])
+        key = tuple(_monomial_from_jsonable(ms) for ms in item["monomials"])
         if len(key) != rank or any(len(m.exponents) != ngens for m in key):
             raise InputError(f"bad tensor key {item['monomials']}")
         c = series_from_jsonable(item["coeff"], order)
@@ -92,14 +105,14 @@ def presentation_from_manifest(data: dict) -> Presentation:
     try:
         name = data["name"]
         model = data["model"]
-        order = int(data["h_order"])
+        order = _exact_int(data["h_order"], "h_order")
         cap = data.get("degree_cap")
-        cap = None if cap is None else int(cap)
+        cap = None if cap is None else _exact_int(cap, "degree_cap")
         gens = list(data["generators"])
         ngens = len(gens)
         relations = {}
         for item in data.get("relations", ()):
-            i, j = int(item["i"]), int(item["j"])
+            i, j = (_exact_int(item[k], f"relation {k}") for k in "ij")
             if (i, j) in relations:
                 raise InputError(f"relation ({i}, {j}) is given twice")
             relations[(i, j)] = element_from_jsonable(

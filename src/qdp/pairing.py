@@ -276,6 +276,11 @@ def orthogonal_membership(a: Element, seed: PairingSeed,
         raise PresentationError("membership oracle needs a POLY left side")
     a_degree = max((m.degree for m in a.terms), default=0)
     window = _reliable_order(seed, a_degree)
+    if window < 0:
+        raise InputError(
+            f"the candidate has degree {a_degree}, above the right side's "
+            f"degree cap {seed.right.degree_cap}: no pairing value is "
+            "reliable at any h-order")
     memo: dict = {}
 
     def worst_valuation(n: int):

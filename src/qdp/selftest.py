@@ -96,28 +96,38 @@ def membership_battery(cfg: RunConfig) -> list[CheckRow]:
 # -- criterion 2: limit duality tables ----------------------------------------------
 
 
-def limit_duality(cfg: RunConfig) -> list[CheckRow]:
+def limit_duality_rows(bundle, degree_cap: int):
+    """The limit-duality rows of one bundle, with the Lie bialgebra L its
+    presentation quantises and the Poisson structure LP of its rescaled
+    image (degree cap `degree_cap`): (rows, L, LP)."""
+    name = bundle.name
     rep = HopfReport()
+    L = extract_lie_bialgebra(bundle.quea)
+    Q = prime_presentation(bundle.quea, degree_cap)
+    LP = extract_poisson_structure(Q)
+    rep.add("limit-duality", f"{name}: poisson(prime) == dual(lie)",
+            lie_bialgebra_equal(LP, dual_lie_bialgebra(L)))
+    rep.add("limit-duality", f"{name}: poisson(prime) == expected dual",
+            lie_bialgebra_equal(LP, bundle.expected_dual))
+    R = vee_presentation(Q)
+    rep.add("limit-duality", f"{name}: lie(vee(prime)) == lie",
+            lie_bialgebra_equal(extract_lie_bialgebra(R), L))
+    rep.add("limit-duality", f"{name}: extracted structures validate",
+            validate_lie_bialgebra(L).passed
+            and validate_lie_bialgebra(LP).passed)
+    rep.add("limit-duality",
+            f"{name}: dual(lie(vee(poisson-side))) == poisson extraction",
+            lie_bialgebra_equal(dual_lie_bialgebra(extract_lie_bialgebra(R)),
+                                LP))
+    return rep.rows, L, LP
+
+
+def limit_duality(cfg: RunConfig) -> list[CheckRow]:
+    rows = []
     for name in ("abelian2", "borel2", "heisenberg3"):
         b = builtin(name, cfg.h_order, cfg.degree_cap)
-        L = extract_lie_bialgebra(b.quea)
-        Q = prime_presentation(b.quea, cfg.degree_cap)
-        LP = extract_poisson_structure(Q)
-        rep.add("limit-duality", f"{name}: poisson(prime) == dual(lie)",
-                lie_bialgebra_equal(LP, dual_lie_bialgebra(L)))
-        rep.add("limit-duality", f"{name}: poisson(prime) == expected dual",
-                lie_bialgebra_equal(LP, b.expected_dual))
-        R = vee_presentation(Q)
-        rep.add("limit-duality", f"{name}: lie(vee(prime)) == lie",
-                lie_bialgebra_equal(extract_lie_bialgebra(R), L))
-        rep.add("limit-duality", f"{name}: extracted structures validate",
-                validate_lie_bialgebra(L).passed
-                and validate_lie_bialgebra(LP).passed)
-        rep.add("limit-duality",
-                f"{name}: dual(lie(vee(poisson-side))) == poisson extraction",
-                lie_bialgebra_equal(dual_lie_bialgebra(extract_lie_bialgebra(R)),
-                                    LP))
-    return rep.rows
+        rows += limit_duality_rows(b, cfg.degree_cap)[0]
+    return rows
 
 
 # -- criterion 3: round trips ----------------------------------------------------------

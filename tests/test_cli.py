@@ -5,6 +5,7 @@ import pytest
 
 from qdp import cli
 from qdp.cli import run
+from qdp.selftest import RunConfig, limit_duality
 
 MANIFEST_DIR = Path(__file__).resolve().parents[1] / "src/qdp/manifests"
 
@@ -125,6 +126,13 @@ def test_dual_check(capsys):
     assert run(["dual-check", "borel2"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    # one duality pipeline: dual-check reports the selftest's rows
+    assert run(["dual-check", "borel2", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    want = [r.to_jsonable() for r in limit_duality(RunConfig())
+            if r.subject.startswith("borel2:")]
+    assert len(want) == 5
+    assert [c for c in checks if c["check"] == "limit-duality"] == want
 
 
 def test_limit_series_input(tmp_path, capsys):
@@ -222,3 +230,52 @@ def test_manifest_order_conflict_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert run(["limit", str(prime_path), "--degree", "6"]) == 2
     assert "--degree 6 differs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("h_order",), 4.7, "h_order must be an integer"),
+    (("degree_cap",), 2.5, "degree_cap must be an integer"),
+    (("relations", 0, "i"), 0.6, "relation i must be an integer"),
+    (("antipode", "y", 0, "monomial"), [0, 1.5],
+     "monomial exponent must be an integer"),
+    (("antipode", "y", 0, "monomial"), [-1, 2], "negative exponent"),
+], ids=["h_order", "degree_cap", "relation-index", "fractional-exponent",
+        "negative-exponent"])
+def test_manifest_integers_are_never_truncated(tmp_path, capsys, path, value,
+                                               message):
+    # int() read 4.7 as 4, 0.6 as 0 and [0, 1.5] as [0, 1], each a PASS
+    data = _borel2_manifest()
+    *inner, last = path
+    target = data
+    for key in inner:
+        target = target[key]
+    target[last] = value
+    mangled = tmp_path / "mangled.json"
+    mangled.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["check-hopf", str(mangled), "--bound", "1"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("degree, element", [
+    ("1", "x*y"), ("2", "y*x*y"), ("0", "x")])
+def test_member_vacuous_window_is_usage_error(capsys, degree, element):
+    # a candidate above the degree cap has no reliable pairing value: every
+    # valuation read null and the verdict a member, although at D=8 both
+    # x*y and y*x*y are NotMember
+    assert run(["member", "borel2", "--via", "pairing", "--degree", degree,
+                f"--element={element}"]) == 2
+    err = capsys.readouterr().err
+    assert "degree cap" in err and "Traceback" not in err
+
+
+def test_series_manifest_degree_cap_zero_is_usage_error(tmp_path, capsys):
+    prime_path = tmp_path / "prime.json"
+    assert run(["prime", "borel2", "--degree", "4", "-o",
+                str(prime_path)]) == 0
+    capsys.readouterr()
+    data = json.loads(prime_path.read_text(encoding="utf-8"))
+    data["degree_cap"] = 0
+    prime_path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["check-hopf", str(prime_path), "--bound", "1"]) == 2
+    assert "degree cap must be >= 1" in capsys.readouterr().err

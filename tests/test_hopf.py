@@ -14,7 +14,7 @@ from qdp.errors import (FuelExceeded, NotTopologicallyNilpotent,
                         PresentationError)
 from qdp.exprs import parse_element
 from qdp.freealg import Element, Monomial, TensorElement, add_into
-from qdp.hopf import (POLY, Presentation, antipode, big_delta_E,
+from qdp.hopf import (POLY, SERIES, Presentation, antipode, big_delta_E,
                       check_diamond, check_hopf_axioms, coproduct, counit,
                       delta_E, delta_n, element_exp, embed_slots,
                       iterated_coproduct, multiply, normal_form)
@@ -42,6 +42,85 @@ def mono_elem(P, *exps):
                                  HSeries.one(P.h_order))
 
 
+BUILTINS = ["abelian1", "abelian2", "abelian3", "borel2", "heisenberg3"]
+
+
+def _primitive_maps(name, gens, N):
+    """Coproducts, counits and antipodes of primitive generators."""
+    one = HSeries.one(N)
+    idm = Monomial.identity(len(gens))
+    cop, eps, ant = {}, {}, {}
+    for i, g in enumerate(gens):
+        gm = Monomial.generator(i, len(gens))
+        cop[g] = TensorElement(name, 2, {(gm, idm): one, (idm, gm): one})
+        eps[g] = HSeries.zero(N)
+        ant[g] = Element.from_monomial(name, gm, HSeries.const(-1, N))
+    return cop, eps, ant
+
+
+def _broken3():
+    """b*a = a*b + c, c*a = a*c + a, c*b = b*c: a Jacobi defect, so not
+    confluent."""
+    name = "broken3"
+    one = HSeries.one(6)
+    relations = {
+        (0, 1): Element.from_monomial(name, Monomial((0, 0, 1)), one),
+        (0, 2): Element.from_monomial(name, Monomial((1, 0, 0)), one),
+    }
+    gens = ["a", "b", "c"]
+    return Presentation(name, POLY, gens, 6, None, relations,
+                        *_primitive_maps(name, gens, 6))
+
+
+def _quadratic3(model):
+    """Three generators whose relations carry admissible degree-2
+    corrections h*(monomial below x_i x_j) besides linear terms."""
+    name = f"quadratic3-{model}"
+    N = 5
+    h = HSeries.h_power(1, N)
+    rel = {   # keyed (i, j): exponents -> coefficient
+        (0, 1): {(0, 2, 0): h, (0, 0, 1): HSeries.const(2, N)},
+        (0, 2): {(0, 1, 1): HSeries.h_power(2, N),
+                 (1, 0, 0): HSeries.const(-1, N)},
+        (1, 2): {(0, 0, 2): HSeries.h_power(1, N, Fraction(1, 3)),
+                 (0, 1, 0): HSeries.one(N)},
+    }
+    relations = {k: Element(name, {Monomial(e): c for e, c in r.items()})
+                 for k, r in rel.items()}
+    gens = ["a", "b", "c"]
+    return Presentation(name, model, gens, N, None if model == POLY else 4,
+                        relations, *_primitive_maps(name, gens, N))
+
+
+def ref_normal_form(word, P):
+    """The word rewriter normal_form replaced: a to-do stack of words, the
+    leftmost inversion of each rewritten first, and words longer than D
+    dropped."""
+    acc = {}
+    todo = [(HSeries.one(P.h_order), tuple(word))]
+    while todo:
+        coeff, w = todo.pop()
+        if coeff.is_zero():
+            continue
+        if P.degree_cap is not None and len(w) > P.degree_cap:
+            continue
+        t = next((t for t in range(len(w) - 1) if w[t] > w[t + 1]), None)
+        if t is None:
+            add_into(acc, Monomial.from_word(w, P.ngens), coeff)
+            continue
+        todo.extend((coeff * c, b) for c, b in hopf._rewrite_at(P, w, t))
+    return Element(P.name, acc).truncate(P.h_order, P.degree_cap)
+
+
+def _assert_matches_ref_normal_form(P, seed, longest, words=60):
+    """normal_form agrees with ref_normal_form, coefficient orders included,
+    on seeded random words of length 0..longest."""
+    rng = random.Random(seed)
+    for _ in range(words):
+        w = [rng.randrange(P.ngens) for _ in range(rng.randint(0, longest))]
+        assert _exact(normal_form(w, P)) == _exact(ref_normal_form(w, P)), w
+
+
 class TestNormalForm:
     def test_borel2_single_swap(self, borel2):
         got = normal_form((1, 0), borel2)
@@ -62,16 +141,39 @@ class TestNormalForm:
         rng = random.Random(3)
         for a in random_elements(borel2, rng, 8):
             again = sum(
-                (normal_form(m.word(), borel2, c) for m, c in a.terms.items()),
+                (normal_form(m.word(), borel2).scaled(c)
+                 for m, c in a.terms.items()),
                 borel2.zero())
             assert again == a
 
     def test_fuel_guard(self, borel2, monkeypatch):
-        monkeypatch.setattr(hopf, "_fuel_bound", lambda P, n: 0)
-        borel2._nf_cache.clear()
-        with pytest.raises(FuelExceeded):
-            normal_form((1, 0), borel2)
-        borel2._nf_cache.clear()
+        # a rule that hands back its own word never terminates; the
+        # re-entry guard turns that into FuelExceeded, and leaves no
+        # in-progress state behind once the rule is restored
+        P = _fresh(borel2)
+        with monkeypatch.context() as mp:
+            mp.setattr(hopf, "_rewrite_at",
+                       lambda P, word, t: [(HSeries.one(P.h_order), word)])
+            with pytest.raises(FuelExceeded):
+                normal_form((1, 0), P)
+        assert not P._nf_building
+        want = mono_elem(P, 1, 1) - mono_elem(P, 0, 1)
+        assert normal_form((1, 0), P) == want
+
+    @pytest.mark.parametrize("N,D", [(3, 3), (5, 4), (8, 8)])
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_matches_word_rewriter(self, name, N, D):
+        P = builtin(name, N, D).quea
+        for Q in (_fresh(P), prime_presentation(P, D)):
+            _assert_matches_ref_normal_form(Q, 100 + N, D + 1)
+
+    @pytest.mark.parametrize("model", [POLY, SERIES])
+    def test_degree_two_corrections_match_word_rewriter(self, model):
+        _assert_matches_ref_normal_form(_quadratic3(model), 7, 5, words=120)
+
+    def test_non_confluent_matches_word_rewriter(self):
+        # leftmost inversion first, as the word rewriter resolves them
+        _assert_matches_ref_normal_form(_broken3(), 11, 7, words=200)
 
 
 class TestMultiply:
@@ -307,28 +409,7 @@ class TestDiamond:
         assert check_diamond(P).passed
 
     def test_jacobi_defect_detected(self):
-        name = "broken3"
-        gens = ["a", "b", "c"]
-        one = HSeries.one(6)
-        c_mono = Monomial((0, 0, 1))
-        a_mono = Monomial((1, 0, 0))
-        relations = {
-            # b*a = a*b + c,  c*a = a*c + a,  c*b = b*c
-            (0, 1): Element.from_monomial(name, c_mono, one),
-            (0, 2): Element.from_monomial(name, a_mono, one),
-        }
-        cop = {}
-        eps = {}
-        ant = {}
-        for i, g in enumerate(gens):
-            gm = Monomial.generator(i, 3)
-            idm = Monomial.identity(3)
-            cop[g] = TensorElement(name, 2, {(gm, idm): one, (idm, gm): one})
-            eps[g] = HSeries.zero(6)
-            ant[g] = Element.from_monomial(name, gm, HSeries.const(-1, 6))
-        P = Presentation(name, POLY, gens, 6, None, relations, cop, eps, ant)
-        rep = check_diamond(P)
-        assert not rep.passed
+        assert not check_diamond(_broken3()).passed
 
 
 class TestElementExp:
@@ -355,26 +436,13 @@ class TestPresentationValidation:
             Presentation(name, POLY, ["x"], 4, None, {}, cop,
                          {"x": HSeries.one(4)}, ant)
 
-    @staticmethod
-    def _primitive_pair(name):
-        """Coproducts, counits and antipodes of two primitive generators."""
-        one = HSeries.one(4)
-        cop, eps, ant = {}, {}, {}
-        for i, g in enumerate(("a", "b")):
-            gm = Monomial.generator(i, 2)
-            idm = Monomial.identity(2)
-            cop[g] = TensorElement(name, 2, {(gm, idm): one, (idm, gm): one})
-            eps[g] = HSeries.zero(4)
-            ant[g] = Element.from_monomial(name, gm, HSeries.const(-1, 4))
-        return cop, eps, ant
-
     def test_inadmissible_relation_rejected(self):
         name = "badrel"
         # degree-3 correction is out of the admissible shape
         bad = Element.from_monomial(name, Monomial((3, 0)), HSeries.one(4))
         with pytest.raises(PresentationError, match="inadmissible"):
             Presentation(name, POLY, ["a", "b"], 4, None, {(0, 1): bad},
-                         *self._primitive_pair(name))
+                         *_primitive_maps(name, ["a", "b"], 4))
 
     @pytest.mark.parametrize("key", [(1, 0), (0, 7), (1, 1), (-1, 1)])
     def test_relation_key_out_of_range_rejected(self, key):
@@ -383,7 +451,7 @@ class TestPresentationValidation:
         r = Element.from_monomial(name, Monomial((0, 1)), HSeries.one(4))
         with pytest.raises(PresentationError, match="relation key"):
             Presentation(name, POLY, ["a", "b"], 4, None, {key: r},
-                         *self._primitive_pair(name))
+                         *_primitive_maps(name, ["a", "b"], 4))
 
     @pytest.mark.parametrize("where", ["relation", "coproduct", "antipode"])
     def test_laurent_coefficient_rejected(self, where):
