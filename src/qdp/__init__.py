@@ -16,10 +16,9 @@ from .drinfeld import (GaugeMap, MembershipCertificate, PRIME_THEN_VEE,
                        VEE_THEN_PRIME, gauge_preservation_check,
                        prime_membership, prime_presentation, roundtrip_check,
                        vee_presentation)
-from .classical import (ClassicalElement, LieBialgebra, dual_lie_bialgebra,
+from .classical import (LieBialgebra, dual_lie_bialgebra,
                         extract_lie_bialgebra, extract_poisson_structure,
-                        lie_bialgebra_equal, specialise,
-                        validate_lie_bialgebra)
+                        lie_bialgebra_equal, validate_lie_bialgebra)
 from .pairing import (PairingSeed, orthogonal_membership, pair,
                       pairing_axioms_check)
 from .bundles import BUILTIN_NAMES, ExampleBundle, builtin, bundle_selfcheck

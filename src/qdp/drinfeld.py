@@ -286,8 +286,7 @@ class GaugeMap:
     def of_tensor(self, t: TensorElement, P: Presentation) -> TensorElement:
         acc: dict = {}
         for key, c in t.terms.items():
-            slots = [self.of_monomial(P, m) for m in key]
-            _expand_into(acc, [(e, e.h_valuation()) for e in slots], c,
+            _expand_into(acc, [self.of_monomial(P, m) for m in key], c,
                          P.h_order)
         return TensorElement(P.name, t.rank, acc)
 

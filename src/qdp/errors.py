@@ -72,10 +72,6 @@ class NotCommutativeModH(MathematicalFailure):
     """A degree-capped presentation is not commutative mod h."""
 
 
-class NegativeValuation(MathematicalFailure):
-    """Specialisation at h = 0 applied to a Laurent-type element."""
-
-
 class DimensionMismatch(InputError):
     """Two structure-constant tables of different dimension compared."""
 

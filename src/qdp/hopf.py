@@ -48,8 +48,10 @@ class Presentation:
 
     A deformation is defined over k[[h]], so a relation, coproduct or
     antipode coefficient of negative h-valuation is rejected: every
-    coefficient the engine forms has valuation >= 0, which the pruning
-    bounds and truncation windows below rely on.
+    coefficient the engine forms has valuation >= 0.  The product loops
+    rely on that alone: a product of coefficients whose valuations already
+    sum above N can only gain valuation from further factors, so it is
+    dropped before it is formed, and each kept product is cut at N.
     """
 
     def __init__(self, name: str, model: str, generators: Sequence[str],
@@ -132,9 +134,8 @@ class Presentation:
         # caches, keyed by immutable values; shared across all operations
         self._nf_cache: dict[tuple[Monomial, int], Element] = {}
         self._nf_building: set[tuple[Monomial, int]] = set()
-        # product table: (ma, mb) -> (normal form of ma*mb, its h-valuation)
-        self._product_cache: dict[tuple[Monomial, Monomial],
-                                  tuple[Element, int | float]] = {}
+        # product table: (ma, mb) -> normal form of ma*mb; see _product
+        self._product_cache: dict[tuple[Monomial, Monomial], Element] = {}
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._antipode_cache: dict[Monomial, Element] = {}
         self._iterated_cache: dict[tuple[Monomial, int], TensorElement] = {}
@@ -274,34 +275,29 @@ def _resolve_at(P: Presentation, word: tuple[int, ...], t: int) -> Element:
     return out.truncate(P.h_order, P.degree_cap)
 
 
-def _product(P: Presentation, ma: Monomial,
-             mb: Monomial) -> tuple[Element, int | float]:
-    """Fill the product-table entry of (ma, mb): the normal form of ma*mb
-    and its h-valuation.  Callers look in P._product_cache first."""
-    nf = normal_form(ma.word() + mb.word(), P)
-    entry = P._product_cache[(ma, mb)] = (nf, nf.h_valuation())
-    return entry
+def _product(P: Presentation, ma: Monomial, mb: Monomial) -> Element:
+    """The product-table entry of (ma, mb): the normal form of ma*mb, filled
+    on a miss."""
+    nf = P._product_cache.get((ma, mb))
+    if nf is None:
+        nf = P._product_cache[(ma, mb)] = normal_form(ma.word() + mb.word(), P)
+    return nf
 
 
 def multiply(a: Element, b: Element, P: Presentation) -> Element:
-    """Bilinear extension of word concatenation + normal_form.
-
-    Truncation-aware: with c_m a coefficient of nf(m_a m_b), the product
-    term c_a c_b c_m has valuation v(c_a) + v(c_b) + v(c_m).  A pair is
-    skipped when that sum with the least v(c_m) exceeds N, and a term when
-    its own sum does: either lands wholly above h^N, which truncation at N
-    discards.  Stored coefficients are nonzero, so v_min is their
-    valuation.
-    """
+    """Bilinear extension of word concatenation + normal_form, pruned as
+    the Presentation docstring states: a pair with v(c_a) + v(c_b) > N is
+    skipped before its normal form is looked up."""
     _check_owner(P, a, b)
     N = P.h_order
-    table = P._product_cache
     acc: dict = {}
     for ma, ca in a.terms.items():
         va = ca.v_min
         for mb, cb in b.terms.items():
-            nf, v = table.get((ma, mb)) or _product(P, ma, mb)
-            if va + cb.v_min + v > N:
+            if va + cb.v_min > N:
+                continue
+            nf = _product(P, ma, mb)
+            if not nf.terms:
                 continue
             c = ca * cb
             vc = c.v_min
@@ -346,52 +342,41 @@ def _check_owner(P: Presentation, *values):
 
 def tensor_multiply(s: TensorElement, t: TensorElement,
                     P: Presentation) -> TensorElement:
-    """Product in the rank-n tensor algebra over P, slot by slot.
-
-    Truncation-aware like multiply: a pair of terms is skipped when
-    v(c_a) + v(c_b) plus the least valuation of each slot's normal form
-    exceeds N.
-    """
+    """Product in the rank-n tensor algebra over P, slot by slot, pruned
+    like multiply; a pair with a zero slot product is skipped as well."""
     if s.rank != t.rank:
         raise MixedPresentations("tensor ranks differ")
     N = P.h_order
-    table = P._product_cache
     acc: dict = {}
     for ka, ca in s.terms.items():
         va = ca.v_min
         for kb, cb in t.terms.items():
-            slots = [table.get(pair) or _product(P, *pair)
-                     for pair in zip(ka, kb)]
-            if va + cb.v_min + sum(v for _, v in slots) > N:
+            if va + cb.v_min > N:
                 continue
-            _expand_into(acc, slots, ca * cb, N)
+            slots = []
+            for ma, mb in zip(ka, kb):
+                nf = _product(P, ma, mb)
+                if not nf.terms:
+                    break
+                slots.append(nf)
+            else:
+                _expand_into(acc, slots, ca * cb, N)
     return TensorElement(P.name, s.rank, acc)
 
 
-def _expand_into(acc: dict, slots: Sequence[tuple[Element, int | float]],
-                 coeff: HSeries, h_order: int) -> None:
+def _expand_into(acc: dict, slots: Sequence[Element], coeff: HSeries,
+                 h_order: int) -> None:
     """Merge coeff * (e_1 (x) ... (x) e_k) into monomial-tuple terms of acc,
-    each cut at h_order; `slots` pairs each e_i, truncated to the
-    presentation, with its h-valuation.
-
-    Truncation-aware: a partial product coeff * c_1 ... c_i is dropped as
-    soon as its valuation plus the least valuations of e_(i+1) .. e_k
-    exceeds h_order, because every term it would grow into lands above
-    h^h_order.
-    """
-    lowest = sum(v for _, v in slots)
-    if coeff.valuation() + lowest > h_order:   # also when a slot is zero
-        return
-    bound = h_order - lowest
+    each cut at h_order.  A partial product coeff * c_1 ... c_i is dropped
+    once its own valuation exceeds h_order."""
     keys = [()]
     coeffs = [coeff]
-    for e, v in slots:
-        bound += v      # h_order minus the least valuations still to come
+    for e in slots:
         nkeys, ncoeffs = [], []
         for key, c in zip(keys, coeffs):
             vc = c.v_min
             for m, cm in e.terms.items():
-                if vc + cm.v_min > bound:
+                if vc + cm.v_min > h_order:
                     continue
                 nkeys.append(key + (m,))
                 ncoeffs.append(c * cm)
@@ -420,10 +405,8 @@ def _extend(a: Element, P: Presentation, zero, image, *args,
     over a, truncated to P; `zero` fixes the type and rank of the result.
 
     Every image is already truncated to P (h-order and degree cap), so the
-    result is built in one pass: a term c_m * c whose valuation exceeds N
-    is skipped before it is multiplied, and each kept product is cut at N.
-    The test is exact, since the valuation of a product of nonzero series
-    is the sum.  A windowed image is asked only for the h-order its
+    result is built in one pass, pruned as the Presentation docstring
+    states.  A windowed image is asked only for the h-order its
     coefficient can reach, image(P, m, *args, w=N - v(c_m)): its terms
     above that land above h^N.
     """
@@ -474,8 +457,8 @@ def _tensor_coproduct_slot(t: TensorElement, slot: int,
                            P: Presentation) -> TensorElement:
     """Apply the coproduct to one slot of a tensor, raising its rank by 1.
 
-    t is truncated to P.  A product c * c2 whose valuation exceeds N is
-    skipped before it is multiplied; each kept one is cut at N.
+    t is truncated to P; products are pruned as the Presentation
+    docstring states.
     """
     N = P.h_order
     acc: dict[tuple, HSeries] = {}

@@ -34,6 +34,8 @@ def series_from_jsonable(data, order: int) -> HSeries:
     if isinstance(data, (int, float)):
         return HSeries.const(_exact_int(data, "a numeric coefficient"), order)
     try:
+        for key in ("v_min", "order"):
+            _exact_int(data[key], f"series {key}")
         return HSeries.from_jsonable(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad series value {data!r}: {exc}") from exc

@@ -165,11 +165,17 @@ def _reliable_order(seed: PairingSeed, absorbable_degree: int) -> int:
 def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
     """All pairing compatibility rules on monomial pairs up to the degree
     bound, compared through the truncation-reliable window; a full pass
-    marks the seed validated."""
+    marks the seed validated.  A degree bound above the right side's
+    degree cap leaves no reliable window, so it is an input error."""
     L, R = seed.left, seed.right
     rep = HopfReport()
     memo: dict = {}
     cmp_order = _reliable_order(seed, degree_bound)
+    if cmp_order < 0:
+        raise InputError(
+            f"the pairing axiom suite runs to degree {degree_bound}, above "
+            f"the right side's degree cap {R.degree_cap}: no pairing value "
+            "is reliable at any h-order")
     one = HSeries.one(seed.order)
 
     def same(a: HSeries, b: HSeries) -> bool:

@@ -31,7 +31,7 @@ from .drinfeld import (GaugeMap, PRIME_THEN_VEE, VEE_THEN_PRIME,
 from .errors import NotAHopfMap
 from .freealg import Element, TensorElement, add_into
 from .hopf import (Presentation, big_delta_E, coproduct, delta_E, delta_n,
-                   embed_slots, multiply, normal_form, tensor_multiply)
+                   multiply, normal_form, tensor_multiply)
 from .pairing import orthogonal_membership, pair, pairing_axioms_check
 from .report import CheckRow, HopfReport, run_tasks
 from .series import HSeries
@@ -179,12 +179,9 @@ def product_expansion(cfg: RunConfig) -> list[CheckRow]:
             for a, b in pairs:
                 ab = multiply(a, b, P)
                 ba = multiply(b, a, P)
-                # delta_s as a rank-n tensor, via the cached deviations
-                da = {s: embed_slots(delta_n(a, len(s), P), s, n, P)
-                      for k in range(n + 1)
+                da = {s: delta_E(a, s, n, P) for k in range(n + 1)
                       for s in itertools.combinations(phi, k)}
-                db = {s: embed_slots(delta_n(b, len(s), P), s, n, P)
-                      for k in range(n + 1)
+                db = {s: delta_E(b, s, n, P) for k in range(n + 1)
                       for s in itertools.combinations(phi, k)}
                 want_parts = []
                 comm_parts = []

@@ -1,44 +1,19 @@
-from fractions import Fraction
-
 import pytest
 
 from qdp.bundles import builtin
 from qdp.classical import (LieBialgebra, dual_lie_bialgebra,
                            extract_lie_bialgebra, extract_poisson_structure,
-                           lie_bialgebra_equal, specialise,
-                           validate_lie_bialgebra)
+                           lie_bialgebra_equal, validate_lie_bialgebra)
 from qdp.drinfeld import prime_presentation
-from qdp.errors import (DimensionMismatch, NegativeValuation,
-                        NotCommutativeModH, NotLieType)
+from qdp.errors import DimensionMismatch, NotCommutativeModH, NotLieType
 from qdp.freealg import Element, Monomial, TensorElement
-from qdp.hopf import POLY, SERIES, Presentation, element_exp
+from qdp.hopf import POLY, SERIES, Presentation
 from qdp.series import HSeries
 
 
 @pytest.fixture(scope="module")
 def borel2():
     return builtin("borel2", 8, 8).quea
-
-
-class TestSpecialise:
-    def test_drops_h(self, borel2):
-        a = borel2.gen("x") + borel2.gen("y").scaled(HSeries.h_power(1, 8))
-        got = specialise(a, borel2)
-        assert got.terms == {Monomial((1, 0)): Fraction(1)}
-
-    def test_pure_h_term_vanishes(self, borel2):
-        a = borel2.gen("x").scaled(HSeries.h_power(1, 8))
-        assert specialise(a, borel2).is_zero()
-
-    def test_exponential_specialises_to_one(self, borel2):
-        e = element_exp(borel2.gen("x").scaled(HSeries.h_power(1, 8)), borel2)
-        got = specialise(e, borel2)
-        assert got.terms == {Monomial.identity(2): Fraction(1)}
-
-    def test_laurent_rejected(self, borel2):
-        a = borel2.gen("x").scaled(HSeries.h_power(-1, 8))
-        with pytest.raises(NegativeValuation):
-            specialise(a, borel2)
 
 
 class TestExtractLie:

@@ -239,11 +239,16 @@ def test_manifest_order_conflict_is_usage_error(tmp_path, capsys):
     (("antipode", "y", 0, "monomial"), [0, 1.5],
      "monomial exponent must be an integer"),
     (("antipode", "y", 0, "monomial"), [-1, 2], "negative exponent"),
+    (("antipode", "x", 0, "coeff", "order"), 4.7,
+     "series order must be an integer"),
+    (("antipode", "x", 0, "coeff", "v_min"), 0.5,
+     "series v_min must be an integer"),
 ], ids=["h_order", "degree_cap", "relation-index", "fractional-exponent",
-        "negative-exponent"])
+        "negative-exponent", "series-order", "series-v_min"])
 def test_manifest_integers_are_never_truncated(tmp_path, capsys, path, value,
                                                message):
-    # int() read 4.7 as 4, 0.6 as 0 and [0, 1.5] as [0, 1], each a PASS
+    # int() read 4.7 as 4, 0.6 as 0, [0, 1.5] as [0, 1] and a series
+    # order 4.7 as 4, each a PASS
     data = _borel2_manifest()
     *inner, last = path
     target = data
@@ -258,11 +263,12 @@ def test_manifest_integers_are_never_truncated(tmp_path, capsys, path, value,
 
 
 @pytest.mark.parametrize("degree, element", [
-    ("1", "x*y"), ("2", "y*x*y"), ("0", "x")])
+    ("1", "x*y"), ("2", "y*x*y"), ("0", "x"), ("1", "h*x"), ("1", "h*y")])
 def test_member_vacuous_window_is_usage_error(capsys, degree, element):
     # a candidate above the degree cap has no reliable pairing value: every
     # valuation read null and the verdict a member, although at D=8 both
-    # x*y and y*x*y are NotMember
+    # x*y and y*x*y are NotMember; at D=1 the seed's degree-2 axiom suite
+    # compared empty series, so h*x and h*y passed on a vacuous seed
     assert run(["member", "borel2", "--via", "pairing", "--degree", degree,
                 f"--element={element}"]) == 2
     err = capsys.readouterr().err

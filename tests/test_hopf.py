@@ -725,6 +725,23 @@ class TestTruncationAwareProducts:
             want = TensorElement(P.name, 2, acc).truncate(5, None)
             assert _exact(phi.of_tensor(t, P)) == _exact(want)
 
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_product_table_holds_the_ordered_monomial(self, name):
+        # the kernel prunes on coefficient valuations alone; the table's
+        # entries carry no valuation because nf(ma*mb) holds ma*mb with
+        # coefficient exactly 1, or is 0 past the degree cap
+        P = _fresh(builtin(name, 4, 4).quea)
+        for Q in (P, prime_presentation(P, 3)):
+            check_hopf_axioms(Q, 3)
+            assert Q._product_cache
+            for (ma, mb), nf in Q._product_cache.items():
+                if nf.is_zero():
+                    assert Q.degree_cap is not None
+                    assert ma.degree + mb.degree > Q.degree_cap
+                    continue
+                c = nf.coeff(ma.merged(mb))
+                assert _exact(c) == _exact(HSeries.one(Q.h_order))
+
     @pytest.mark.parametrize("N", [5, 6])
     @pytest.mark.parametrize("src", ["h^3*x*y^2", "y*x*y"])
     def test_certificates_match_reference(self, monkeypatch, src, N):
