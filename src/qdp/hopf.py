@@ -368,7 +368,12 @@ def _expand_into(acc: dict, slots: Sequence[Element], coeff: HSeries,
                  h_order: int) -> None:
     """Merge coeff * (e_1 (x) ... (x) e_k) into monomial-tuple terms of acc,
     each cut at h_order.  A partial product coeff * c_1 ... c_i is dropped
-    once its own valuation exceeds h_order."""
+    once its own valuation exceeds h_order.
+
+    Most slot coefficients are exactly 1 (an identity slot, or m*x_j with
+    no inversion).  When c_i is the constant 1 known at least as far as
+    c * c_i would be, c * c_i is c itself, order and content field for
+    field, so c is kept instead of multiplied."""
     keys = [()]
     coeffs = [coeff]
     for e in slots:
@@ -376,10 +381,15 @@ def _expand_into(acc: dict, slots: Sequence[Element], coeff: HSeries,
         for key, c in zip(keys, coeffs):
             vc = c.v_min
             for m, cm in e.terms.items():
-                if vc + cm.v_min > h_order:
+                vm = cm.v_min
+                if vc + vm > h_order:
                     continue
                 nkeys.append(key + (m,))
-                ncoeffs.append(c * cm)
+                if (vm == 0 and cm.coeffs == (1,) and cm.den == 1
+                        and cm.order + vc >= c.order):
+                    ncoeffs.append(c)
+                else:
+                    ncoeffs.append(c * cm)
         keys, coeffs = nkeys, ncoeffs
     for key, c in zip(keys, coeffs):
         add_into(acc, key, c.truncate(h_order))
@@ -389,13 +399,29 @@ def _expand_into(acc: dict, slots: Sequence[Element], coeff: HSeries,
 
 
 def coproduct_monomial(P: Presentation, m: Monomial) -> TensorElement:
-    cached = P._coproduct_cache.get(m)
-    if cached is not None:
-        return cached
+    """Delta(m) = 1 * Delta(x_w1) * ... * Delta(x_wd) over the ordered word
+    w of m, folded left to right.
+
+    Every prefix of an ordered word is an ordered monomial, so the fold
+    keeps each prefix's coproduct in P._coproduct_cache and resumes from
+    the cached ones: a cached prefix was built by this same fold, so the
+    result is the full fold's, coefficient orders included, at one
+    tensor_multiply per prefix not yet seen."""
+    cache = P._coproduct_cache
+    acc = cache.get(m)
+    if acc is not None:
+        return acc
     acc = TensorElement.unit(P.name, 2, P.ngens, P.h_order)
+    prefix = [0] * P.ngens
     for letter in m.word():
-        acc = tensor_multiply(acc, P.coproduct_on_gens[P.generators[letter]], P)
-    P._coproduct_cache[m] = acc
+        prefix[letter] += 1
+        p = Monomial(prefix)
+        t = cache.get(p)
+        if t is None:
+            t = cache[p] = tensor_multiply(
+                acc, P.coproduct_on_gens[P.generators[letter]], P)
+        acc = t
+    cache[m] = acc  # the identity has no letter, so no prefix stored it
     return acc
 
 

@@ -271,7 +271,10 @@ def orthogonal_membership(a: Element, seed: PairingSeed,
 
     Values are read through the truncation-reliable window (see
     _reliable_order); divisibility beyond that window is unobservable, so
-    positive verdicts are, as always, relative to truncation.
+    positive verdicts are, as always, relative to truncation.  A candidate
+    of degree d with an h^(d-1) coefficient fails at n = d with a value of
+    valuation d - 1, so a degree cap whose window ends below h^(d-1) could
+    certify a non-member: it is an input error.
     """
     if not seed.validated:
         raise InputError("seed must pass pairing_axioms_check before "
@@ -281,12 +284,13 @@ def orthogonal_membership(a: Element, seed: PairingSeed,
     if seed.left.model != POLY:
         raise PresentationError("membership oracle needs a POLY left side")
     a_degree = max((m.degree for m in a.terms), default=0)
-    window = _reliable_order(seed, a_degree)
-    if window < 0:
+    cap = seed.right.degree_cap
+    if cap - a_degree < a_degree - 1:
         raise InputError(
-            f"the candidate has degree {a_degree}, above the right side's "
-            f"degree cap {seed.right.degree_cap}: no pairing value is "
-            "reliable at any h-order")
+            f"the candidate has degree {a_degree}: a witness can need "
+            f"pairing values through h^{a_degree - 1}, which needs the right "
+            f"side's degree cap to be at least {2 * a_degree - 1}, not {cap}")
+    window = _reliable_order(seed, a_degree)
     memo: dict = {}
 
     def worst_valuation(n: int):

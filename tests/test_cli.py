@@ -263,12 +263,15 @@ def test_manifest_integers_are_never_truncated(tmp_path, capsys, path, value,
 
 
 @pytest.mark.parametrize("degree, element", [
-    ("1", "x*y"), ("2", "y*x*y"), ("0", "x"), ("1", "h*x"), ("1", "h*y")])
+    ("1", "x*y"), ("2", "y*x*y"), ("0", "x"), ("1", "h*x"), ("1", "h*y"),
+    ("2", "h*x*y"), ("3", "h*x*y^2"), ("4", "h^2*x*y^2")])
 def test_member_vacuous_window_is_usage_error(capsys, degree, element):
     # a candidate above the degree cap has no reliable pairing value: every
     # valuation read null and the verdict a member, although at D=8 both
     # x*y and y*x*y are NotMember; at D=1 the seed's degree-2 axiom suite
-    # compared empty series, so h*x and h*y passed on a vacuous seed
+    # compared empty series, so h*x and h*y passed on a vacuous seed.  A
+    # window below h^(d-1) for a degree-d candidate hides the witness of
+    # h^(d-1) times a monomial: the last three were members, at D=8 not
     assert run(["member", "borel2", "--via", "pairing", "--degree", degree,
                 f"--element={element}"]) == 2
     err = capsys.readouterr().err

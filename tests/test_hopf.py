@@ -548,6 +548,19 @@ def ref_expand_into(acc, slot_elems, coeff):
         add_into(acc, key, c)
 
 
+def ref_coproduct_monomial(P, m):
+    # the fold from the unit over the whole word, caching m alone
+    cached = P._coproduct_cache.get(m)
+    if cached is not None:
+        return cached
+    acc = TensorElement.unit(P.name, 2, P.ngens, P.h_order)
+    for letter in m.word():
+        acc = hopf.tensor_multiply(
+            acc, P.coproduct_on_gens[P.generators[letter]], P)
+    P._coproduct_cache[m] = acc
+    return acc
+
+
 def ref_extend(a, P, zero, image, *args, windowed=False):
     hopf._check_owner(P, a)
     acc = {}
@@ -599,6 +612,7 @@ def ref_delta_monomial(P, m, n):
 
 
 REFERENCE = {"multiply": ref_multiply, "tensor_multiply": ref_tensor_multiply,
+             "coproduct_monomial": ref_coproduct_monomial,
              "_extend": ref_extend,
              "_tensor_coproduct_slot": ref_tensor_coproduct_slot,
              "_delta_monomial": ref_delta_monomial}
@@ -687,7 +701,11 @@ def _matches_reference(monkeypatch, make, seed):
         monkeypatch, lambda: _structure_maps(make(), seed))
     got, got_caches, Q = _structure_maps(make(), seed)
     assert got == want
-    assert got_caches == want_caches
+    # the engine also caches the coproduct of every prefix it folds through
+    (got_cop, *got_rest), (want_cop, *want_rest) = got_caches, want_caches
+    assert got_cop.keys() >= want_cop.keys()
+    assert {m: got_cop[m] for m in want_cop} == want_cop
+    assert got_rest == want_rest
     _assert_windowed_deltas(Q, R._delta_cache)
 
 
@@ -709,6 +727,33 @@ class TestTruncationAwareProducts:
         # the SERIES-model image of borel2: every product is also cut at D
         Q = prime_presentation(builtin("borel2", N, N).quea, 3)
         _matches_reference(monkeypatch, lambda: _fresh(Q), N)
+
+    def test_prefix_built_coproducts_match_the_fold(self):
+        # every monomial the pairing route asks for, highest degree first,
+        # so that each one after the first resumes from cached prefixes
+        Q = prime_presentation(builtin("borel2", 8, 8).quea, 8)
+        P, R = _fresh(Q), _fresh(Q)
+        monos = P.monomials_up_to(8)
+        assert len(monos) == 45
+        for m in reversed(monos):
+            got = hopf.coproduct_monomial(P, m)
+            assert _exact(got) == _exact(ref_coproduct_monomial(R, m)), m
+        assert P._coproduct_cache.keys() == R._coproduct_cache.keys()
+
+    @pytest.mark.parametrize("coeff", [HSeries(1, 6, [1, 2]),
+                                       HSeries(1, 6, [Fraction(1, 3), 2])])
+    @pytest.mark.parametrize("one_order", [2, 4, 5, 8])
+    def test_expand_into_unit_slot_keeps_the_product_order(self, coeff,
+                                                            one_order):
+        # a slot coefficient exactly 1 but known only to a low order cuts
+        # c * 1 below c's own order, and the kept c must not hide that
+        x = Monomial.generator(0, 1)
+        one = HSeries.one(one_order)
+        acc = {}
+        hopf._expand_into(acc, [Element("p", {x: one})], coeff, 8)
+        want = coeff * one
+        assert _exact(acc[(x,)]) == _exact(want)
+        assert want.order == min(6, one_order + 1)
 
     def test_gauge_of_tensor_matches_reference(self):
         # GaugeMap.of_tensor expands through _expand_into as well

@@ -7,6 +7,7 @@ import pytest
 
 from qdp.bundles import builtin
 from qdp.errors import InputError
+from qdp.exprs import parse_element
 from qdp.hopf import antipode, counit, multiply, multiply_all, normal_form
 from qdp.pairing import (PairingSeed, _ideal_spanning_products,
                          orthogonal_membership, pair, pairing_axioms_check)
@@ -143,3 +144,34 @@ class TestOrthogonalMembership:
         for a in batch:
             assert (prime_membership(a, P).is_member
                     == orthogonal_membership(a, seed).is_member)
+
+
+def _pairing_certificate(src, D):
+    seed = builtin("borel2", 8, D).pairing_seed
+    if not seed.validated:
+        pairing_axioms_check(seed, 2)
+    return orthogonal_membership(parse_element(src, seed.left), seed)
+
+
+class TestTruncationStability:
+    def test_pairing_verdicts_stable_from_degree_3_to_8(self):
+        # an "up to truncation" verdict must not change when D is raised;
+        # nine of these were members at D=3 and D=4 (three more at D=2) on
+        # a reliable window too narrow to see their witness, and are input
+        # errors now
+        monos = ["x", "y", "x*y", "y^2", "x^2", "x*y^2", "x^2*y", "y^3"]
+        elements = [f"h^{k}*{m}" for k in range(4) for m in monos]
+        want = {src: _pairing_certificate(src, 8) for src in elements}
+        refused = 0
+        for D in range(3, 8):
+            for src in elements:
+                try:
+                    c = _pairing_certificate(src, D)
+                except InputError as e:
+                    assert "degree cap" in str(e)
+                    refused += 1
+                    continue
+                assert (c.verdict, c.witness) == (want[src].verdict,
+                                                  want[src].witness), (src, D)
+        # degree 3 needs D >= 5: 12 elements at D=3 and D=4
+        assert refused == 24
