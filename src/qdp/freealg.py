@@ -12,7 +12,7 @@ import math
 from typing import Mapping, Sequence
 
 from .errors import MixedPresentations
-from .series import HSeries
+from .series import HSeries, hsum
 
 INF = math.inf
 
@@ -88,14 +88,35 @@ class Monomial:
         return f"Monomial{self.exponents}"
 
 
-def _clean_terms(terms: Mapping) -> dict:
-    return {k: v for k, v in terms.items() if not v.is_zero()}
-
-
 def add_into(acc: dict, key, c) -> None:
-    """Accumulate key -> coefficient into a plain dict (hot path)."""
+    """Accumulate key -> coefficient into a plain dict, deferring the sum.
+
+    The first coefficient of a key is stored as it is; later ones are
+    collected with it in a list, in arrival order.  Each list is summed
+    once, by hsum, when settle() runs or an Element or TensorElement is
+    built from the dict; hsum equals the left fold of +, so the result is
+    the eager sum's, and every key keeps its first-insertion position.
+    """
     prev = acc.get(key)
-    acc[key] = c if prev is None else prev + c
+    if prev is None:
+        acc[key] = c
+    elif type(prev) is list:
+        prev.append(c)
+    else:
+        acc[key] = [prev, c]
+
+
+def settle(acc: dict) -> dict:
+    """Sum, in place, the coefficients add_into collected; keeps zeros."""
+    for k, v in acc.items():
+        if type(v) is list:
+            acc[k] = hsum(v)
+    return acc
+
+
+def _clean_terms(terms: Mapping) -> dict:
+    """The terms, settled in place, without the zero coefficients."""
+    return {k: v for k, v in settle(terms).items() if v.coeffs}
 
 
 class _LinearTerms:
@@ -123,7 +144,7 @@ class _LinearTerms:
                 f"{self._space()!r} vs {other._space()!r}")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
+            add_into(out, k, c)
         return self._new(out)
 
     def __neg__(self):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FuelExceeded, MixedPresentations, PresentationError
-from .freealg import Element, Monomial, TensorElement, add_into
+from .freealg import Element, Monomial, TensorElement, add_into, settle
 from .report import HopfReport
 from .series import HSeries
 
@@ -223,7 +223,8 @@ def normal_form(word: Sequence[int], P: Presentation) -> Element:
     to the presentation's (N, D); a word longer than D is 0.
 
     Folds the letters left to right through nf(m*x_j), so the ordered
-    prefix only ever meets its leftmost inversion at the junction.
+    prefix only ever meets its leftmost inversion at the junction; the
+    coefficients collected for a monomial are summed when a letter is done.
     """
     N, D = P.h_order, P.degree_cap
     if D is not None and len(word) > D:
@@ -240,7 +241,7 @@ def normal_form(word: Sequence[int], P: Presentation) -> Element:
             for m2, c2 in _times_generator(P, m, j).terms.items():
                 if vc + c2.v_min <= N:
                     add_into(nxt, m2, (c * c2).truncate(N))
-        acc = nxt
+        acc = settle(nxt)
     return Element(P.name, acc)
 
 
@@ -343,10 +344,20 @@ def _check_owner(P: Presentation, *values):
 def tensor_multiply(s: TensorElement, t: TensorElement,
                     P: Presentation) -> TensorElement:
     """Product in the rank-n tensor algebra over P, slot by slot, pruned
-    like multiply; a pair with a zero slot product is skipped as well."""
+    like multiply; a pair with a zero slot product is skipped as well.
+
+    A slot product that is one monomial with coefficient exactly 1 known
+    to h^N (an identity slot, or an ma*mb that rewrites to one monomial)
+    goes straight into the key; _expand_into takes only the other slots.
+    Such a 1 leaves a coefficient c unchanged when c is known no further
+    than h^(N + v(c)).  Every partial product of c = ca * cb keeps that
+    property once c has it, so c is checked once; without it, every slot
+    is expanded.
+    """
     if s.rank != t.rank:
         raise MixedPresentations("tensor ranks differ")
-    N = P.h_order
+    N, D = P.h_order, P.degree_cap
+    ident = P.identity_monomial()
     acc: dict = {}
     for ka, ca in s.terms.items():
         va = ca.v_min
@@ -354,42 +365,58 @@ def tensor_multiply(s: TensorElement, t: TensorElement,
             if va + cb.v_min > N:
                 continue
             slots = []
+            expand = False
             for ma, mb in zip(ka, kb):
+                if D is not None and ma.degree + mb.degree > D:
+                    break  # normal_form's own test for a zero product
+                if ma is ident or mb is ident:
+                    slots.append(mb if ma is ident else ma)
+                    continue
                 nf = _product(P, ma, mb)
-                if not nf.terms:
+                terms = nf.terms
+                if len(terms) == 1:
+                    ((m, cm),) = terms.items()
+                    if cm.is_exact_one() and cm.order >= N:
+                        slots.append(m)
+                        continue
+                elif not terms:
                     break
                 slots.append(nf)
+                expand = True
             else:
-                _expand_into(acc, slots, ca * cb, N)
+                c = ca * cb
+                if N + c.v_min < c.order:
+                    slots = [_product(P, ma, mb) for ma, mb in zip(ka, kb)]
+                    expand = True
+                if expand:
+                    _expand_into(acc, slots, c, N)
+                else:
+                    add_into(acc, tuple(slots), c.truncate(N))
     return TensorElement(P.name, s.rank, acc)
 
 
-def _expand_into(acc: dict, slots: Sequence[Element], coeff: HSeries,
+def _expand_into(acc: dict, slots: Sequence, coeff: HSeries,
                  h_order: int) -> None:
     """Merge coeff * (e_1 (x) ... (x) e_k) into monomial-tuple terms of acc,
     each cut at h_order.  A partial product coeff * c_1 ... c_i is dropped
-    once its own valuation exceeds h_order.
-
-    Most slot coefficients are exactly 1 (an identity slot, or m*x_j with
-    no inversion).  When c_i is the constant 1 known at least as far as
-    c * c_i would be, c * c_i is c itself, order and content field for
-    field, so c is kept instead of multiplied."""
+    once its own valuation exceeds h_order.  A slot given as a Monomial
+    goes into every key as it is, with no product: the caller vouches that
+    it stands for a coefficient 1 that would leave each partial product
+    unchanged."""
     keys = [()]
     coeffs = [coeff]
     for e in slots:
+        if type(e) is Monomial:
+            keys = [key + (e,) for key in keys]
+            continue
         nkeys, ncoeffs = [], []
         for key, c in zip(keys, coeffs):
             vc = c.v_min
             for m, cm in e.terms.items():
-                vm = cm.v_min
-                if vc + vm > h_order:
+                if vc + cm.v_min > h_order:
                     continue
                 nkeys.append(key + (m,))
-                if (vm == 0 and cm.coeffs == (1,) and cm.den == 1
-                        and cm.order + vc >= c.order):
-                    ncoeffs.append(c)
-                else:
-                    ncoeffs.append(c * cm)
+                ncoeffs.append(c * cm)
         keys, coeffs = nkeys, ncoeffs
     for key, c in zip(keys, coeffs):
         add_into(acc, key, c.truncate(h_order))
@@ -493,9 +520,8 @@ def _tensor_coproduct_slot(t: TensorElement, slot: int,
         for (m1, m2), c2 in coproduct_monomial(P, key[slot]).terms.items():
             if vc + c2.v_min > N:
                 continue
-            nk = key[:slot] + (m1, m2) + key[slot + 1:]
-            nc = (c * c2).truncate(N)
-            acc[nk] = acc[nk] + nc if nk in acc else nc
+            add_into(acc, key[:slot] + (m1, m2) + key[slot + 1:],
+                     (c * c2).truncate(N))
     return TensorElement(P.name, t.rank + 1, acc)
 
 
@@ -573,9 +599,7 @@ def _delta_monomial(P: Presentation, m: Monomial, n: int, *,
             for pkey, pc in terms.items():
                 if vc + pc.v_min > w:
                     continue
-                nk = pkey + (m2,)
-                nc = (pc * c).truncate(w)
-                acc[nk] = acc[nk] + nc if nk in acc else nc
+                add_into(acc, pkey + (m2,), (pc * c).truncate(w))
         out = TensorElement(P.name, n, acc)
     P._delta_cache[key] = out
     P._delta_windows[key] = w
@@ -607,8 +631,7 @@ def embed_slots(t: TensorElement, slots: Sequence[int], n: int,
         padded = [ident] * n
         for pos, m in zip(slots, key):
             padded[pos - 1] = m
-        nk = tuple(padded)
-        out[nk] = out[nk] + c if nk in out else c
+        add_into(out, tuple(padded), c)
     return TensorElement(P.name, n, out)
 
 
@@ -648,8 +671,7 @@ def _tensor_counit_slot(t: TensorElement, slot: int,
     for key, c in t.terms.items():
         if not key[slot].is_identity():
             continue
-        nk = key[:slot] + key[slot + 1:]
-        acc[nk] = acc[nk] + c if nk in acc else c
+        add_into(acc, key[:slot] + key[slot + 1:], c)
     return TensorElement(P.name, t.rank - 1, acc)
 
 

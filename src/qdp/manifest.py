@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .errors import InputError
-from .freealg import Element, Monomial, TensorElement
+from .freealg import Element, Monomial, TensorElement, add_into
 from .hopf import Presentation
 from .pairing import PairingSeed
 from .series import HSeries
@@ -61,7 +61,7 @@ def element_from_jsonable(data, pres: str, ngens: int, order: int) -> Element:
             raise InputError(
                 f"monomial {item['monomial']} has wrong arity (want {ngens})")
         c = series_from_jsonable(item["coeff"], order)
-        terms[m] = terms[m] + c if m in terms else c
+        add_into(terms, m, c)
     return Element(pres, terms)
 
 
@@ -79,7 +79,7 @@ def tensor_from_jsonable(data, pres: str, rank: int, ngens: int,
         if len(key) != rank or any(len(m.exponents) != ngens for m in key):
             raise InputError(f"bad tensor key {item['monomials']}")
         c = series_from_jsonable(item["coeff"], order)
-        terms[key] = terms[key] + c if key in terms else c
+        add_into(terms, key, c)
     return TensorElement(pres, rank, terms)
 
 

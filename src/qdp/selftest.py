@@ -65,7 +65,7 @@ def random_elements(P: Presentation, rng: random.Random, count: int,
             den = rng.randint(1, 3)
             c = HSeries.h_power(rng.randint(0, max_h), P.h_order,
                                 Fraction(num, den))
-            terms[m] = terms[m] + c if m in terms else c
+            add_into(terms, m, c)
         e = Element(P.name, terms)
         out.append(e if not e.is_zero() else P.gen(0))
     return out

@@ -3,8 +3,9 @@
 Coefficients are exact rationals stored as Python-int numerators over one
 common denominator per series, the representation of FLINT's fmpq_poly:
 each sum or product is one pass of int arithmetic followed by one gcd,
-instead of a normalised fractions.Fraction per coefficient.  The public
-surface speaks Fraction (coeff_at, items, str, to_jsonable).
+instead of a normalised fractions.Fraction per coefficient; hsum adds a
+whole list of series in one such pass.  The public surface speaks Fraction
+(coeff_at, items, str, to_jsonable).
 
 Every value carries a truncation order N: exponents above N are unknown and
 never stored.  Arithmetic propagates the order pessimistically (minimum
@@ -70,6 +71,62 @@ def _make(v_min: int, order: int, cs: list, den: int) -> "HSeries":
     return obj
 
 
+def _single(v: int, order: int, p: int, den: int) -> "HSeries":
+    """The canonical series (p / den) h^v known to h^order, for an int
+    p != 0, a positive int den and v <= order: what _make(v, order, [p], den)
+    builds, without the list."""
+    if den != 1:
+        g = math.gcd(p, den)
+        if g != 1:
+            p //= g
+            den //= g
+    obj = object.__new__(HSeries)
+    obj.v_min = v
+    obj.order = order
+    obj.coeffs = (p,)
+    obj.den = den
+    return obj
+
+
+def hsum(terms: list) -> "HSeries":
+    """The sum of a nonempty list of series in one pass (HSeries.__add__ is
+    the sum of two): the order is the least order, and the exact sum is cut
+    there and put in canonical form once, so the result equals the left
+    fold terms[0] + terms[1] + ... field for field.  A term that starts
+    above that order adds nothing."""
+    order = min([t.order for t in terms])
+    live = []
+    den = 1
+    lo = top = None
+    for t in terms:
+        cs = t.coeffs
+        v = t.v_min
+        if cs and v <= order:
+            live.append(t)
+            if t.den != den:
+                den = math.lcm(den, t.den)
+            e = v + len(cs) - 1
+            if lo is None:
+                lo, top = v, e
+            else:
+                if v < lo:
+                    lo = v
+                if e > top:
+                    top = e
+    if lo is None:
+        return _make(order + 1, order, [], 1)
+    top = min(top, order)
+    acc = [0] * (top - lo + 1)
+    for t in live:
+        # v_min <= top here, so the slice bound is positive
+        i = t.v_min - lo
+        f = den // t.den
+        for c in t.coeffs[:top - t.v_min + 1]:
+            acc[i] += c * f
+            i += 1
+    return _make(lo, order, acc, den)
+
+
 class HSeries:
     """A truncated series  sum_{k=v_min}^{order} (coeffs[k - v_min] / den) h^k.
 
@@ -126,6 +183,10 @@ class HSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def is_exact_one(self) -> bool:
+        """True for the constant 1, whatever order it is known to."""
+        return self.v_min == 0 and self.coeffs == (1,) and self.den == 1
+
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -149,30 +210,7 @@ class HSeries:
     def __add__(self, other: "HSeries") -> "HSeries":
         if not isinstance(other, HSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        if not a:
-            return other.truncate(order)
-        if not b:
-            return self.truncate(order)
-        da, db = self.den, other.den
-        if da == db:
-            den = da
-        else:
-            # bring both over lcm(da, db)
-            g = math.gcd(da, db)
-            fa, fb = db // g, da // g
-            den = da * fa
-            a = [c * fa for c in a]
-            b = [c * fb for c in b]
-        va, vb = self.v_min, other.v_min
-        lo = min(va, vb)
-        cs = [0] * (va - lo)
-        cs += a
-        cs += [0] * (vb + len(b) - lo - len(cs))
-        for i, c in enumerate(b, vb - lo):
-            cs[i] += c
-        return _make(lo, order, cs, den)
+        return hsum([self, other])
 
     def __neg__(self) -> "HSeries":
         out = object.__new__(HSeries)
@@ -189,14 +227,24 @@ class HSeries:
         if isinstance(other, HSeries):
             # The unknown tail of one factor pollutes the product from
             # order + partner's lowest stored exponent onward.
-            order = min(self.order + other.v_min, other.order + self.v_min)
+            va, vb = self.v_min, other.v_min
+            order = min(self.order + vb, other.order + va)
             a, b = self.coeffs, other.coeffs
             if not a or not b:
                 return _make(order + 1, order, [], 1)
-            v = self.v_min + other.v_min
+            # A factor that is exactly 1 leaves the other one cut at the
+            # product's order: the other factor itself when the 1 is known
+            # at least as far as the product.
+            if self.is_exact_one():
+                return other.truncate(order)
+            if other.is_exact_one():
+                return self.truncate(order)
+            v = va + vb
             den = self.den * other.den
             if len(a) == 1:
                 x = a[0]
+                if len(b) == 1:
+                    return _single(v, order, x * b[0], den)
                 return _make(v, order, [x * y for y in b], den)
             if len(b) == 1:
                 y = b[0]
@@ -225,10 +273,9 @@ class HSeries:
 
     def truncate(self, order: int) -> "HSeries":
         """Forget everything above `order` (never extends knowledge)."""
-        order = min(order, self.order)
+        if order >= self.order:
+            return self
         if self.v_min + len(self.coeffs) - 1 <= order:
-            if order == self.order:
-                return self
             out = object.__new__(HSeries)
             out.v_min = self.v_min if self.coeffs else order + 1
             out.order = order

@@ -6,7 +6,7 @@ import pytest
 
 from qdp.bundles import builtin
 from qdp.errors import MixedPresentations
-from qdp.freealg import Element, Monomial, TensorElement
+from qdp.freealg import Element, Monomial, TensorElement, add_into, settle
 from qdp.hopf import multiply
 from qdp.manifest import element_from_jsonable, element_to_jsonable
 from qdp.selftest import random_elements
@@ -88,6 +88,31 @@ class TestCombine:
         with pytest.raises(MixedPresentations):
             t1 - t2
         assert t1 != t2 and t1 != borel2.unit()
+
+    def test_add_into_defers_the_sum(self):
+        # colliding coefficients are collected in arrival order and summed
+        # once, to the eager left fold field for field; every key keeps its
+        # first-insertion position, and a sum that cancels is a zero whose
+        # order settle() keeps and an Element drops
+        a, b, c = Monomial((1, 0)), Monomial((0, 1)), Monomial((1, 1))
+        s0 = HSeries(0, 5, [1, 2])
+        s1 = HSeries(1, 4, [Fraction(1, 3)])
+        s2 = HSeries(-1, 6, [Fraction(1, 2), 0, -1, -2])
+        acc = {}
+        for key, coeff in ((a, s0), (b, s1), (a, s1), (c, s0), (a, s2),
+                           (c, -s0)):
+            add_into(acc, key, coeff)
+        assert acc[a] == [s0, s1, s2] and acc[b] is s1
+        elem = Element("p", acc)
+        assert list(elem.terms) == [a, b]
+        fold = (s0 + s1) + s2
+        got = elem.terms[a]
+        assert (got.v_min, got.order, got.coeffs, got.den) == \
+            (fold.v_min, fold.order, fold.coeffs, fold.den)
+        settled = settle(acc)
+        assert settled is acc and list(acc) == [a, b, c]
+        assert acc[c].is_zero() and acc[c].order == 5
+        assert (acc[a].v_min, acc[a].coeffs) == (fold.v_min, fold.coeffs)
 
 
 class TestValuations:

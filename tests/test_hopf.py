@@ -13,13 +13,13 @@ from qdp.drinfeld import (GaugeMap, prime_membership, prime_presentation,
 from qdp.errors import (FuelExceeded, NotTopologicallyNilpotent,
                         PresentationError)
 from qdp.exprs import parse_element
-from qdp.freealg import Element, Monomial, TensorElement, add_into
+from qdp.freealg import Element, Monomial, TensorElement
 from qdp.hopf import (POLY, SERIES, Presentation, antipode, big_delta_E,
                       check_diamond, check_hopf_axioms, coproduct, counit,
                       delta_E, delta_n, element_exp, embed_slots,
                       iterated_coproduct, multiply, normal_form)
 from qdp.selftest import random_elements
-from qdp.series import HSeries
+from qdp.series import HSeries, _make
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,13 @@ def _quadratic3(model):
                         relations, *_primitive_maps(name, gens, N))
 
 
+def ref_add(acc, key, c):
+    """Eager accumulation, kept apart from the engine's qdp.freealg.add_into
+    so that the reference loops stay an independent computation."""
+    prev = acc.get(key)
+    acc[key] = c if prev is None else prev + c
+
+
 def ref_normal_form(word, P):
     """The word rewriter normal_form replaced: a to-do stack of words, the
     leftmost inversion of each rewritten first, and words longer than D
@@ -106,7 +113,7 @@ def ref_normal_form(word, P):
             continue
         t = next((t for t in range(len(w) - 1) if w[t] > w[t + 1]), None)
         if t is None:
-            add_into(acc, Monomial.from_word(w, P.ngens), coeff)
+            ref_add(acc, Monomial.from_word(w, P.ngens), coeff)
             continue
         todo.extend((coeff * c, b) for c, b in hopf._rewrite_at(P, w, t))
     return Element(P.name, acc).truncate(P.h_order, P.degree_cap)
@@ -513,7 +520,7 @@ def ref_multiply(a, b, P):
             if c.is_zero():
                 continue
             for m, cm in normal_form(wa + mb.word(), P).terms.items():
-                add_into(acc, m, cm * c)
+                ref_add(acc, m, cm * c)
     return Element(P.name, acc).truncate(P.h_order, P.degree_cap)
 
 
@@ -545,7 +552,7 @@ def ref_expand_into(acc, slot_elems, coeff):
                 ncoeffs.append(nc)
         keys, coeffs = nkeys, ncoeffs
     for key, c in zip(keys, coeffs):
-        add_into(acc, key, c)
+        ref_add(acc, key, c)
 
 
 def ref_coproduct_monomial(P, m):
@@ -566,7 +573,7 @@ def ref_extend(a, P, zero, image, *args, windowed=False):
     acc = {}
     for m, c in a.terms.items():
         for key, cm in image(P, m, *args).terms.items():
-            add_into(acc, key, cm * c)
+            ref_add(acc, key, cm * c)
     return zero._new(acc).truncate(P.h_order, P.degree_cap)
 
 
@@ -579,7 +586,7 @@ def ref_tensor_coproduct_slot(t, slot, P):
             nc = c * c2
             if nc.is_zero():
                 continue
-            acc[nk] = acc[nk] + nc if nk in acc else nc
+            ref_add(acc, nk, nc)
     return TensorElement(P.name, t.rank + 1, acc).truncate(
         P.h_order, P.degree_cap)
 
@@ -604,7 +611,7 @@ def ref_delta_monomial(P, m, n):
                 nc = pc * c
                 if nc.is_zero():
                     continue
-                acc[nk] = acc[nk] + nc if nk in acc else nc
+                ref_add(acc, nk, nc)
         out = TensorElement(P.name, n, acc)
     out = out.truncate(P.h_order, P.degree_cap)
     P._delta_cache[key] = out
@@ -751,9 +758,46 @@ class TestTruncationAwareProducts:
         one = HSeries.one(one_order)
         acc = {}
         hopf._expand_into(acc, [Element("p", {x: one})], coeff, 8)
-        want = coeff * one
+        # the full convolution, canonicalised by _make, not HSeries.__mul__
+        order = min(coeff.order + one.v_min, one.order + coeff.v_min)
+        conv = [0] * (len(coeff.coeffs) + len(one.coeffs) - 1)
+        for i, a in enumerate(coeff.coeffs):
+            for j, b in enumerate(one.coeffs):
+                conv[i + j] += a * b
+        want = _make(coeff.v_min + one.v_min, order, conv,
+                     coeff.den * one.den)
         assert _exact(acc[(x,)]) == _exact(want)
         assert want.order == min(6, one_order + 1)
+
+    @pytest.mark.parametrize("v, extra", [(0, 0), (0, 2), (-1, 0), (-1, 1),
+                                          (-2, 3)])
+    def test_direct_slots_match_full_expansion(self, v, extra):
+        # tensor_multiply puts a slot product that is one monomial with
+        # coefficient exactly 1 straight into the key; with coefficients of
+        # negative valuation known past h^N, a unit slot would cut the
+        # product, and every slot must then be expanded as before
+        P = _fresh(builtin("borel2", 4, 4).quea)
+        N = P.h_order
+        rng = random.Random(v * 10 + extra)
+        elems = random_elements(P, rng, 4, max_degree=2, max_h=2)
+        tensors = []
+        for a in elems:
+            q = Fraction(rng.randint(1, 5), 3)
+            tensors.append(TensorElement(P.name, 2, {
+                k: HSeries(cm.v_min + v, N + extra, [1, q])
+                for k, cm in coproduct(a, P).terms.items()}))
+        for s, t in zip(tensors, tensors[1:]):
+            acc = {}
+            for ka, ca in s.terms.items():
+                for kb, cb in t.terms.items():
+                    if ca.v_min + cb.v_min > N:
+                        continue
+                    slots = [hopf._product(P, ma, mb)
+                             for ma, mb in zip(ka, kb)]
+                    if all(e.terms for e in slots):
+                        hopf._expand_into(acc, slots, ca * cb, N)
+            want = TensorElement(P.name, 2, acc)
+            assert _exact(hopf.tensor_multiply(s, t, P)) == _exact(want)
 
     def test_gauge_of_tensor_matches_reference(self):
         # GaugeMap.of_tensor expands through _expand_into as well

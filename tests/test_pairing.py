@@ -8,9 +8,11 @@ import pytest
 from qdp.bundles import builtin
 from qdp.errors import InputError
 from qdp.exprs import parse_element
+from qdp.freealg import Element
 from qdp.hopf import antipode, counit, multiply, multiply_all, normal_form
 from qdp.pairing import (PairingSeed, _ideal_spanning_products,
-                         orthogonal_membership, pair, pairing_axioms_check)
+                         _reliable_order, orthogonal_membership, pair,
+                         pairing_axioms_check)
 from qdp.drinfeld import prime_membership, prime_presentation
 from qdp.series import HSeries
 
@@ -175,3 +177,25 @@ class TestTruncationStability:
                                                   want[src].witness), (src, D)
         # degree 3 needs D >= 5: 12 elements at D=3 and D=4
         assert refused == 24
+
+    def test_pairing_values_agree_inside_the_reliable_window(self):
+        # <u, v> read through _reliable_order must not move when the right
+        # side's degree cap is raised from 8 to 10
+        low = builtin("borel2", 8, 8).pairing_seed
+        high = builtin("borel2", 8, 10).pairing_seed
+        memo_low, memo_high = {}, {}
+        pairs = nonzero = 0
+        for u in low.left.monomials_up_to(3):
+            w = _reliable_order(low, u.degree)
+            assert w == min(8, 8 - u.degree)
+            a_low = Element.from_monomial(low.left.name, u, HSeries.one(8))
+            a_high = Element.from_monomial(high.left.name, u, HSeries.one(8))
+            for v in low.right.monomials_up_to(8):
+                got = pair(a_low, Element.from_monomial(
+                    low.right.name, v, HSeries.one(8)), low, memo_low)
+                want = pair(a_high, Element.from_monomial(
+                    high.right.name, v, HSeries.one(8)), high, memo_high)
+                assert got.truncate(w) == want.truncate(w), (u, v)
+                pairs += 1
+                nonzero += not got.truncate(w).is_zero()
+        assert (pairs, nonzero) == (450, 48)

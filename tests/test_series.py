@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qdp.errors import NotDivisible, NotTopologicallyNilpotent
 from qdp.exprs import parse_scalar
 from qdp.hopf import POLY, Presentation, counit, element_exp
-from qdp.series import HSeries, div_h
+from qdp.series import HSeries, _make, div_h, hsum
 
 
 def H(terms, order=8):
@@ -360,3 +360,117 @@ def test_equal_values_hash_equal(a, b, c, x):
     longer = HSeries(s.v_min, s.order + 3,
                      [s.coeff_at(k) for k in range(s.v_min, s.order + 1)])
     assert longer == s and hash(longer) == hash(s)
+
+
+# -- fast paths of the coefficient kernel -------------------------------------
+#
+# __mul__ builds single-numerator results and exact-1 products without the
+# generic _make path, and hsum (which __add__ calls with two summands) sums
+# a list in one pass.  Each must give what the generic path gives, field
+# for field.
+
+def fields(s):
+    return (s.v_min, s.order, s.coeffs, s.den)
+
+
+def generic_mul(a, b):
+    """The full convolution, canonicalised by _make."""
+    order = min(a.order + b.v_min, b.order + a.v_min)
+    if not a.coeffs or not b.coeffs:
+        return _make(order + 1, order, [], 1)
+    acc = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            acc[i + j] += x * y
+    return _make(a.v_min + b.v_min, order, acc, a.den * b.den)
+
+
+def generic_add(a, b):
+    """Both summands over den_a * den_b, added and canonicalised by _make."""
+    order = min(a.order, b.order)
+    live = [s for s in (a, b) if s.coeffs]
+    if not live:
+        return _make(order + 1, order, [], 1)
+    lo = min(s.v_min for s in live)
+    acc = [0] * (max(s.v_min + len(s.coeffs) for s in live) - lo)
+    den = a.den * b.den
+    for s in live:
+        for i, c in enumerate(s.coeffs, s.v_min - lo):
+            acc[i] += c * (den // s.den)
+    return _make(lo, order, acc, den)
+
+
+@st.composite
+def kernel_series(draw):
+    """Series that reach every fast path: exact 1s known to low and high
+    orders, single numerators over mixed denominators, Laurent windows
+    and zeros."""
+    kind = draw(st.sampled_from(["one", "single", "window", "zero"]))
+    order = draw(st.integers(-2, 9))
+    if kind == "one":
+        return HSeries.one(order)
+    if kind == "zero":
+        return HSeries.zero(order)
+    v = draw(st.integers(-3, 6))
+    if kind == "single":
+        q = draw(rationals.filter(bool))
+        return HSeries.h_power(v, max(order, v), q)
+    coeffs = draw(st.lists(rationals, max_size=6))
+    return HSeries(v, draw(st.integers(v - 2, v + 8)), coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_series(), kernel_series())
+def test_fast_paths_match_the_generic_path(a, b):
+    for got, want in ((a * b, generic_mul(a, b)), (b * a, generic_mul(b, a)),
+                      (a + b, generic_add(a, b)), (b + a, generic_add(b, a)),
+                      (a - b, generic_add(a, -b))):
+        assert_canonical(got)
+        assert fields(got) == fields(want)
+
+
+def test_exact_one_returns_the_other_factor():
+    a = HSeries(1, 6, [Fraction(1, 3), 2])
+    # 1 known through h^5 or further: the product is a, order 6 included
+    for one in (HSeries.one(5), HSeries.one(8)):
+        assert a * one is a and one * a is a
+    # 1 known only through h^4: the product stops at h^5
+    cut = a * HSeries.one(4)
+    assert cut.order == 5
+    assert fields(cut) == fields(generic_mul(a, HSeries.one(4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(kernel_series(), min_size=1, max_size=8))
+def test_hsum_is_the_left_fold(terms):
+    fold = terms[0]
+    for t in terms[1:]:
+        fold = generic_add(fold, t)
+    got = hsum(terms)
+    assert_canonical(got)
+    assert fields(got) == fields(fold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(kernel_series(), min_size=1, max_size=5), st.randoms())
+def test_hsum_cancelling_to_zero(terms, rnd):
+    both = terms + [-t for t in terms]
+    rnd.shuffle(both)
+    got = hsum(both)
+    assert got.is_zero() and got.v_min == got.order + 1
+    assert got.order == min(t.order for t in terms)
+    fold = both[0]
+    for t in both[1:]:
+        fold = generic_add(fold, t)
+    assert fields(got) == fields(fold)
+
+
+def test_hsum_summand_above_the_cut():
+    # the second summand starts at h^5, above the sum's order 2, and adds
+    # nothing; a slice of it bounded by the cut would have a negative bound
+    terms = [HSeries(0, 2, [1, 1]), HSeries(5, 8, [1, 2, 3]),
+             HSeries(1, 9, [Fraction(1, 2)])]
+    fold = generic_add(generic_add(terms[0], terms[1]), terms[2])
+    assert fields(hsum(terms)) == fields(fold) == (0, 2, (2, 3), 2)
+    # alone above the cut, it leaves the zero at the cut
+    assert fields(hsum([terms[1], HSeries.zero(3)])) == (4, 3, (), 1)
