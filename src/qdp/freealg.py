@@ -81,9 +81,6 @@ class Monomial:
     def deglex_key(self):
         return (self.degree, self.exponents)
 
-    def __lt__(self, other: "Monomial"):
-        return self.deglex_key() < other.deglex_key()
-
     def __repr__(self):
         return f"Monomial{self.exponents}"
 
@@ -115,8 +112,14 @@ def settle(acc: dict) -> dict:
 
 
 def _clean_terms(terms: Mapping) -> dict:
-    """The terms, settled in place, without the zero coefficients."""
-    return {k: v for k, v in settle(terms).items() if v.coeffs}
+    """A new dict of the terms, lists summed by hsum, zeros dropped."""
+    out = {}
+    for k, v in terms.items():
+        if type(v) is list:
+            v = hsum(v)
+        if v.coeffs:
+            out[k] = v
+    return out
 
 
 class _LinearTerms:
@@ -195,11 +198,6 @@ class Element(_LinearTerms):
 
     def __bool__(self):
         return bool(self.terms)
-
-    def i_degree(self):
-        """Min over terms of (coefficient valuation + monomial degree)."""
-        return min((c.valuation() + m.degree for m, c in self.terms.items()),
-                   default=INF)
 
     def truncate(self, h_order: int, degree_cap: int | None = None) -> "Element":
         out = {}

@@ -25,12 +25,13 @@ from typing import Iterable, Mapping, Sequence
 from .errors import FuelExceeded, MixedPresentations, PresentationError
 from .freealg import Element, Monomial, TensorElement, add_into, settle
 from .report import HopfReport
-from .series import HSeries
+from .series import HSeries, mul
 
 POLY = "POLY"
 SERIES = "SERIES"
 
 _RESERVED_NAMES = {"h", "exp"}
+_MISS = object()  # a key not in P._slot_table yet
 
 
 class Presentation:
@@ -51,7 +52,8 @@ class Presentation:
     coefficient the engine forms has valuation >= 0.  The product loops
     rely on that alone: a product of coefficients whose valuations already
     sum above N can only gain valuation from further factors, so it is
-    dropped before it is formed, and each kept product is cut at N.
+    dropped before it is formed, and each kept product is cut at N as it
+    is formed (series.mul); _product_cache and _slot_table cache nf(ma*mb).
     """
 
     def __init__(self, name: str, model: str, generators: Sequence[str],
@@ -136,6 +138,8 @@ class Presentation:
         self._nf_building: set[tuple[Monomial, int]] = set()
         # product table: (ma, mb) -> normal form of ma*mb; see _product
         self._product_cache: dict[tuple[Monomial, Monomial], Element] = {}
+        # (ma, mb) -> tensor_multiply's view of that product; see _slot
+        self._slot_table: dict[tuple[Monomial, Monomial], object] = {}
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._antipode_cache: dict[Monomial, Element] = {}
         self._iterated_cache: dict[tuple[Monomial, int], TensorElement] = {}
@@ -240,7 +244,7 @@ def normal_form(word: Sequence[int], P: Presentation) -> Element:
             vc = c.v_min
             for m2, c2 in _times_generator(P, m, j).terms.items():
                 if vc + c2.v_min <= N:
-                    add_into(nxt, m2, (c * c2).truncate(N))
+                    add_into(nxt, m2, mul(c, c2, N))
         acc = settle(nxt)
     return Element(P.name, acc)
 
@@ -300,11 +304,11 @@ def multiply(a: Element, b: Element, P: Presentation) -> Element:
             nf = _product(P, ma, mb)
             if not nf.terms:
                 continue
-            c = ca * cb
+            c = mul(ca, cb, N)
             vc = c.v_min
             for m, cm in nf.terms.items():
                 if vc + cm.v_min <= N:
-                    add_into(acc, m, (cm * c).truncate(N))
+                    add_into(acc, m, mul(cm, c, N))
     return Element(P.name, acc)
 
 
@@ -344,82 +348,98 @@ def _check_owner(P: Presentation, *values):
 def tensor_multiply(s: TensorElement, t: TensorElement,
                     P: Presentation) -> TensorElement:
     """Product in the rank-n tensor algebra over P, slot by slot, pruned
-    like multiply; a pair with a zero slot product is skipped as well.
+    like multiply: a key of s meets only the keys of t with v(c_b) <= N -
+    v(c_a), in t's order, each slot is one lookup in P._slot_table (see
+    _slot), and a pair with a zero slot product is skipped.
 
-    A slot product that is one monomial with coefficient exactly 1 known
-    to h^N (an identity slot, or an ma*mb that rewrites to one monomial)
-    goes straight into the key; _expand_into takes only the other slots.
-    Such a 1 leaves a coefficient c unchanged when c is known no further
-    than h^(N + v(c)).  Every partial product of c = ca * cb keeps that
-    property once c has it, so c is checked once; without it, every slot
-    is expanded.
+    A key whose slots are all monomials goes straight into the result;
+    otherwise _expand_into takes the slots.  A unit slot leaves c = ca * cb
+    unchanged unless both factors are known past h^(N + v) (Laurent slack,
+    reachable only with coefficients of negative valuation); then every
+    slot is expanded from its full normal form, with the uncut ca * cb.
     """
     if s.rank != t.rank:
         raise MixedPresentations("tensor ranks differ")
-    N, D = P.h_order, P.degree_cap
-    ident = P.identity_monomial()
+    N = P.h_order
+    get = P._slot_table.get
+    partners: dict[int, list] = {}
     acc: dict = {}
     for ka, ca in s.terms.items():
         va = ca.v_min
-        for kb, cb in t.terms.items():
-            if va + cb.v_min > N:
-                continue
+        bound = N - va
+        kbs = partners.get(bound)
+        if kbs is None:
+            kbs = partners[bound] = [(kb, cb) for kb, cb in t.terms.items()
+                                     if cb.v_min <= bound]
+        slack_a = N + va < ca.order
+        for kb, cb in kbs:
             slots = []
             expand = False
-            for ma, mb in zip(ka, kb):
-                if D is not None and ma.degree + mb.degree > D:
-                    break  # normal_form's own test for a zero product
-                if ma is ident or mb is ident:
-                    slots.append(mb if ma is ident else ma)
-                    continue
-                nf = _product(P, ma, mb)
-                terms = nf.terms
-                if len(terms) == 1:
-                    ((m, cm),) = terms.items()
-                    if cm.is_exact_one() and cm.order >= N:
-                        slots.append(m)
-                        continue
-                elif not terms:
+            for key in zip(ka, kb):
+                e = get(key, _MISS)
+                if e is _MISS:
+                    e = _slot(P, key)
+                if e is None:
                     break
-                slots.append(nf)
-                expand = True
-            else:
-                c = ca * cb
-                if N + c.v_min < c.order:
-                    slots = [_product(P, ma, mb) for ma, mb in zip(ka, kb)]
+                if type(e) is list:
                     expand = True
-                if expand:
-                    _expand_into(acc, slots, c, N)
+                slots.append(e)
+            else:
+                if slack_a and N + cb.v_min < cb.order:
+                    _expand_into(acc, [_product(P, ma, mb)
+                                       for ma, mb in zip(ka, kb)],
+                                 ca * cb, N)
+                elif expand:
+                    _expand_into(acc, slots, mul(ca, cb, N), N)
                 else:
-                    add_into(acc, tuple(slots), c.truncate(N))
+                    add_into(acc, tuple(slots), mul(ca, cb, N))
     return TensorElement(P.name, s.rank, acc)
+
+
+def _slot(P: Presentation, key: tuple[Monomial, Monomial]):
+    """The slot-table entry of key = (ma, mb), filled on a miss: None when
+    nf(ma*mb) is 0; the monomial itself when nf(ma*mb) is one monomial with
+    coefficient exactly 1 known to at least h^N; otherwise nf(ma*mb)'s list
+    of (m, c) terms, where c is None for such a 1."""
+    e = [(m, None if c.is_exact_one() and c.order >= P.h_order else c)
+         for m, c in _product(P, *key).terms.items()]
+    if len(e) == 1 and e[0][1] is None:
+        e = e[0][0]
+    P._slot_table[key] = e = e or None
+    return e
 
 
 def _expand_into(acc: dict, slots: Sequence, coeff: HSeries,
                  h_order: int) -> None:
     """Merge coeff * (e_1 (x) ... (x) e_k) into monomial-tuple terms of acc,
-    each cut at h_order.  A partial product coeff * c_1 ... c_i is dropped
-    once its own valuation exceeds h_order.  A slot given as a Monomial
-    goes into every key as it is, with no product: the caller vouches that
-    it stands for a coefficient 1 that would leave each partial product
-    unchanged."""
+    each cut at h_order; a slot is an Element, a Monomial or a _slot list.
+
+    Every slot coefficient comes from a Presentation (a normal form or a
+    gauge image), so its valuation is >= 0 and a partial product's part
+    above h_order never reaches a term at or below it: each one is cut at
+    h_order as it is formed, and dropped once its valuation exceeds
+    h_order.  A Monomial slot or a None coefficient stands for a 1 that the
+    caller vouches leaves each partial product unchanged: no product."""
     keys = [()]
-    coeffs = [coeff]
+    coeffs = [coeff.truncate(h_order)]
     for e in slots:
         if type(e) is Monomial:
             keys = [key + (e,) for key in keys]
             continue
+        terms = e if type(e) is list else e.terms.items()
         nkeys, ncoeffs = [], []
         for key, c in zip(keys, coeffs):
             vc = c.v_min
-            for m, cm in e.terms.items():
-                if vc + cm.v_min > h_order:
-                    continue
-                nkeys.append(key + (m,))
-                ncoeffs.append(c * cm)
+            for m, cm in terms:
+                if cm is None:
+                    nkeys.append(key + (m,))
+                    ncoeffs.append(c)
+                elif vc + cm.v_min <= h_order:
+                    nkeys.append(key + (m,))
+                    ncoeffs.append(mul(c, cm, h_order))
         keys, coeffs = nkeys, ncoeffs
     for key, c in zip(keys, coeffs):
-        add_into(acc, key, c.truncate(h_order))
+        add_into(acc, key, c)
 
 
 # -- structure maps --------------------------------------------------------------
@@ -471,7 +491,7 @@ def _extend(a: Element, P: Presentation, zero, image, *args,
         t = image(P, m, *args, w=N - vc) if windowed else image(P, m, *args)
         for key, cm in t.terms.items():
             if vc + cm.v_min <= N:
-                add_into(acc, key, (cm * c).truncate(N))
+                add_into(acc, key, mul(cm, c, N))
     return zero._new(acc)
 
 
@@ -521,7 +541,7 @@ def _tensor_coproduct_slot(t: TensorElement, slot: int,
             if vc + c2.v_min > N:
                 continue
             add_into(acc, key[:slot] + (m1, m2) + key[slot + 1:],
-                     (c * c2).truncate(N))
+                     mul(c, c2, N))
     return TensorElement(P.name, t.rank + 1, acc)
 
 
@@ -599,7 +619,7 @@ def _delta_monomial(P: Presentation, m: Monomial, n: int, *,
             for pkey, pc in terms.items():
                 if vc + pc.v_min > w:
                     continue
-                add_into(acc, pkey + (m2,), (pc * c).truncate(w))
+                add_into(acc, pkey + (m2,), mul(pc, c, w))
         out = TensorElement(P.name, n, acc)
     P._delta_cache[key] = out
     P._delta_windows[key] = w
@@ -678,17 +698,12 @@ def _tensor_counit_slot(t: TensorElement, slot: int,
 def _convolve_antipode(t: TensorElement, P: Presentation,
                        antipode_slot: int) -> Element:
     """m o (S (x) id) o Delta (slot 0) or m o (id (x) S) o Delta (slot 1)."""
+    one = HSeries.one(P.h_order)
     acc = P.zero()
-    for (m1, m2), c in t.terms.items():
-        if antipode_slot == 0:
-            prod = multiply(antipode_monomial(P, m1),
-                            Element.from_monomial(P.name, m2,
-                                                  HSeries.one(P.h_order)), P)
-        else:
-            prod = multiply(Element.from_monomial(P.name, m1,
-                                                  HSeries.one(P.h_order)),
-                            antipode_monomial(P, m2), P)
-        acc = acc + prod.scaled(c)
+    for key, c in t.terms.items():
+        f = [Element.from_monomial(P.name, m, one) for m in key]
+        f[antipode_slot] = antipode_monomial(P, key[antipode_slot])
+        acc = acc + multiply(f[0], f[1], P).scaled(c)
     return acc.truncate(P.h_order, P.degree_cap)
 
 

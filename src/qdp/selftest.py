@@ -173,36 +173,43 @@ def product_expansion(cfg: RunConfig) -> list[CheckRow]:
         P = builtin(name, BATTERY_ORDER, BATTERY_ORDER).quea
         pairs = list(zip(random_elements(P, rng, 50, max_terms=2),
                          random_elements(P, rng, 50, max_terms=2)))
-        for n in (1, 2, 3):
-            phi = tuple(range(1, n + 1))
-            bad_prod = bad_comm = 0
-            for a, b in pairs:
-                ab = multiply(a, b, P)
-                ba = multiply(b, a, P)
-                da = {s: delta_E(a, s, n, P) for k in range(n + 1)
-                      for s in itertools.combinations(phi, k)}
-                db = {s: delta_E(b, s, n, P) for k in range(n + 1)
-                      for s in itertools.combinations(phi, k)}
-                want_parts = []
-                comm_parts = []
-                for lam, y in _covering_pairs(phi):
-                    prod = tensor_multiply(da[lam], db[y], P)
-                    want_parts.append((1, prod))
-                    if set(lam) & set(y):
-                        comm_parts.append((1, prod))
-                        comm_parts.append(
-                            (-1, tensor_multiply(db[y], da[lam], P)))
-                if delta_n(ab, n, P) != _tensor_sum(want_parts, P, n):
-                    bad_prod += 1
-                if delta_n(ab - ba, n, P) != _tensor_sum(comm_parts, P, n):
-                    bad_comm += 1
-            rep.add("deviation-of-product",
-                    f"{name}: delta_{n}(a*b) expansion on 50 pairs",
-                    bad_prod == 0, f"{bad_prod} failures")
-            rep.add("deviation-of-commutator",
-                    f"{name}: delta_{n}(ab-ba) expansion on 50 pairs",
-                    bad_comm == 0, f"{bad_comm} failures")
+        product_expansion_rows(rep, P, pairs)
     return rep.rows
+
+
+def product_expansion_rows(rep: HopfReport, P: Presentation,
+                           pairs: list[tuple[Element, Element]]) -> None:
+    """Add to rep, for n = 1, 2, 3, the rows checking delta_n(ab) = sum over
+    lam | y = {1..n} of delta_lam(a) delta_y(b), and delta_n(ab - ba)."""
+    for n in (1, 2, 3):
+        phi = tuple(range(1, n + 1))
+        subsets = [s for k in range(n + 1)
+                   for s in itertools.combinations(phi, k)]
+        bad_prod = bad_comm = 0
+        for a, b in pairs:
+            ab = multiply(a, b, P)
+            ba = multiply(b, a, P)
+            da = {s: delta_E(a, s, n, P) for s in subsets}
+            db = {s: delta_E(b, s, n, P) for s in subsets}
+            want_parts = []
+            comm_parts = []
+            for lam, y in _covering_pairs(phi):
+                prod = tensor_multiply(da[lam], db[y], P)
+                want_parts.append((1, prod))
+                if set(lam) & set(y):
+                    comm_parts.append((1, prod))
+                    comm_parts.append(
+                        (-1, tensor_multiply(db[y], da[lam], P)))
+            if delta_n(ab, n, P) != _tensor_sum(want_parts, P, n):
+                bad_prod += 1
+            if delta_n(ab - ba, n, P) != _tensor_sum(comm_parts, P, n):
+                bad_comm += 1
+        rep.add("deviation-of-product",
+                f"{P.name}: delta_{n}(a*b) expansion on {len(pairs)} pairs",
+                bad_prod == 0, f"{bad_prod} failures")
+        rep.add("deviation-of-commutator",
+                f"{P.name}: delta_{n}(ab-ba) expansion on {len(pairs)} pairs",
+                bad_comm == 0, f"{bad_comm} failures")
 
 
 # -- criterion 5: inclusion-exclusion inversion -----------------------------------------

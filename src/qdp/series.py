@@ -71,23 +71,6 @@ def _make(v_min: int, order: int, cs: list, den: int) -> "HSeries":
     return obj
 
 
-def _single(v: int, order: int, p: int, den: int) -> "HSeries":
-    """The canonical series (p / den) h^v known to h^order, for an int
-    p != 0, a positive int den and v <= order: what _make(v, order, [p], den)
-    builds, without the list."""
-    if den != 1:
-        g = math.gcd(p, den)
-        if g != 1:
-            p //= g
-            den //= g
-    obj = object.__new__(HSeries)
-    obj.v_min = v
-    obj.order = order
-    obj.coeffs = (p,)
-    obj.den = den
-    return obj
-
-
 def hsum(terms: list) -> "HSeries":
     """The sum of a nonempty list of series in one pass (HSeries.__add__ is
     the sum of two): the order is the least order, and the exact sum is cut
@@ -169,15 +152,6 @@ class HSeries:
         q = _rational(value)
         return _make(k, order, [q.numerator], q.denominator)
 
-    @classmethod
-    def from_map(cls, terms: Mapping[int, Scalar], order: int) -> "HSeries":
-        if not terms:
-            return cls.zero(order)
-        lo = min(terms)
-        hi = max(terms)
-        cs = [terms.get(k, 0) for k in range(lo, hi + 1)]
-        return cls(lo, order, cs)
-
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -225,41 +199,7 @@ class HSeries:
 
     def __mul__(self, other) -> "HSeries":
         if isinstance(other, HSeries):
-            # The unknown tail of one factor pollutes the product from
-            # order + partner's lowest stored exponent onward.
-            va, vb = self.v_min, other.v_min
-            order = min(self.order + vb, other.order + va)
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return _make(order + 1, order, [], 1)
-            # A factor that is exactly 1 leaves the other one cut at the
-            # product's order: the other factor itself when the 1 is known
-            # at least as far as the product.
-            if self.is_exact_one():
-                return other.truncate(order)
-            if other.is_exact_one():
-                return self.truncate(order)
-            v = va + vb
-            den = self.den * other.den
-            if len(a) == 1:
-                x = a[0]
-                if len(b) == 1:
-                    return _single(v, order, x * b[0], den)
-                return _make(v, order, [x * y for y in b], den)
-            if len(b) == 1:
-                y = b[0]
-                return _make(v, order, [x * y for x in a], den)
-            width = order - v + 1
-            if width <= 0:
-                return _make(order + 1, order, [], 1)
-            acc = [0] * width
-            nb = len(b)
-            for i, x in enumerate(a):
-                if not x:
-                    continue
-                for j in range(min(nb, width - i)):
-                    acc[i + j] += x * b[j]
-            return _make(v, order, acc, den)
+            return mul(self, other)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _make(self.order + 1, self.order, [], 1)
@@ -343,6 +283,45 @@ class HSeries:
     def from_jsonable(cls, data: Mapping) -> "HSeries":
         return cls(int(data["v_min"]), int(data["order"]),
                    [Fraction(c) for c in data["coeffs"]])
+
+
+def mul(a: HSeries, b: HSeries, cut=INF) -> HSeries:
+    """(a * b).truncate(cut), field for field, without building the uncut
+    product; HSeries.__mul__ is the cut = inf case.  The unknown tail of a
+    factor pollutes the product from its order plus the partner's lowest
+    stored exponent on, and a factor exactly 1 leaves the other one cut
+    there (the other factor itself when the 1 is known as far)."""
+    va, vb = a.v_min, b.v_min
+    order = min(a.order + vb, b.order + va, cut)
+    x, y = a.coeffs, b.coeffs
+    v = va + vb
+    if not x or not y or v > order:
+        return _make(order + 1, order, [], 1)
+    if a.is_exact_one():
+        return b.truncate(order)
+    if b.is_exact_one():
+        return a.truncate(order)
+    den = a.den * b.den
+    width = order - v + 1
+    if len(x) == 1 or len(y) == 1:
+        if len(x) == len(y):
+            # one numerator: what _make builds, without the list
+            p = x[0] * y[0]
+            g = math.gcd(p, den)
+            out = object.__new__(HSeries)
+            out.v_min, out.order = v, order
+            out.coeffs, out.den = (p // g,), den // g
+            return out
+        p, z = (x[0], y) if len(x) == 1 else (y[0], x)
+        return _make(v, order, [p * q for q in z[:width]], den)
+    acc = [0] * width
+    ny = len(y)
+    for i, p in enumerate(x[:width]):
+        if not p:
+            continue
+        for j in range(min(ny, width - i)):
+            acc[i + j] += p * y[j]
+    return _make(v, order, acc, den)
 
 
 def div_h(a: HSeries, k: int) -> HSeries:

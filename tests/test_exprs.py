@@ -14,6 +14,8 @@ from qdp.hopf import element_exp, multiply, normal_form
 from qdp.selftest import random_elements
 from qdp.series import HSeries
 
+from support import series_from_map
+
 
 @pytest.fixture(scope="module")
 def borel2():
@@ -69,7 +71,7 @@ class TestParseElement:
 class TestParseScalar:
     def test_exp_shorthand(self):
         got = parse_scalar("exp(3*h)", 4)
-        want = HSeries.from_map(
+        want = series_from_map(
             {k: Fraction(3 ** k, math.factorial(k)) for k in range(5)}, 4)
         assert got == want
 
@@ -83,7 +85,7 @@ class TestParseScalar:
 
 class TestPrinting:
     def test_scalar_fixed_point(self):
-        s = HSeries.from_map({0: 1, 2: Fraction(-1, 2)}, 8)
+        s = series_from_map({0: 1, 2: Fraction(-1, 2)}, 8)
         assert parse_scalar(scalar_to_expr(s), 8) == s
 
     def test_element_fixed_point(self, borel2):

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 import qdp.hopf as hopf
+import qdp.selftest as selftest
 from qdp.bundles import builtin
 from qdp.drinfeld import (GaugeMap, prime_membership, prime_presentation,
                           vee_presentation)
@@ -18,8 +19,11 @@ from qdp.hopf import (POLY, SERIES, Presentation, antipode, big_delta_E,
                       check_diamond, check_hopf_axioms, coproduct, counit,
                       delta_E, delta_n, element_exp, embed_slots,
                       iterated_coproduct, multiply, normal_form)
+from qdp.report import HopfReport
 from qdp.selftest import random_elements
 from qdp.series import HSeries, _make
+
+from support import series_from_map
 
 
 @pytest.fixture(scope="module")
@@ -387,7 +391,7 @@ class TestAxiomChecks:
         # Delta(y) scaled by (1 + h): coassociativity and both counit laws
         # fail on every monomial containing y
         P = builtin("borel2", 4, 4).quea
-        one_plus_h = HSeries.from_map({0: 1, 1: 1}, 4)
+        one_plus_h = series_from_map({0: 1, 1: 1}, 4)
         Q = Presentation(P.name, P.model, P.generators, 4, P.degree_cap,
                          P.relations,
                          {"x": P.coproduct_on_gens["x"],
@@ -879,3 +883,212 @@ class TestTruncationAwareProducts:
         assert cert.verdict == "NotMember"
         assert cert.witness == 1
         assert cert.valuations == [math.inf, 0, 0, 0, 1, 2, 3, 4, 5]
+
+
+# -- slot-table tensor kernel ---------------------------------------------------
+#
+# tensor_multiply and _expand_into as they were before the slot table, the
+# valuation-filtered partners and the products that take their cut: every
+# pair of keys is visited, every slot product is looked up in the product
+# table, and each partial product is formed uncut and cut at N at the end.
+
+def pre_slot_table_tensor_multiply(s, t, P):
+    N, D = P.h_order, P.degree_cap
+    ident = P.identity_monomial()
+    acc = {}
+    for ka, ca in s.terms.items():
+        va = ca.v_min
+        for kb, cb in t.terms.items():
+            if va + cb.v_min > N:
+                continue
+            slots = []
+            expand = False
+            for ma, mb in zip(ka, kb):
+                if D is not None and ma.degree + mb.degree > D:
+                    break
+                if ma is ident or mb is ident:
+                    slots.append(mb if ma is ident else ma)
+                    continue
+                nf = hopf._product(P, ma, mb)
+                terms = nf.terms
+                if len(terms) == 1:
+                    ((m, cm),) = terms.items()
+                    if cm.is_exact_one() and cm.order >= N:
+                        slots.append(m)
+                        continue
+                elif not terms:
+                    break
+                slots.append(nf)
+                expand = True
+            else:
+                c = ca * cb
+                if N + c.v_min < c.order:
+                    slots = [hopf._product(P, ma, mb)
+                             for ma, mb in zip(ka, kb)]
+                    expand = True
+                if expand:
+                    pre_slot_table_expand_into(acc, slots, c, N)
+                else:
+                    hopf.add_into(acc, tuple(slots), c.truncate(N))
+    return TensorElement(P.name, s.rank, acc)
+
+
+def pre_slot_table_expand_into(acc, slots, coeff, h_order):
+    keys = [()]
+    coeffs = [coeff]
+    for e in slots:
+        if type(e) is Monomial:
+            keys = [key + (e,) for key in keys]
+            continue
+        nkeys, ncoeffs = [], []
+        for key, c in zip(keys, coeffs):
+            vc = c.v_min
+            for m, cm in e.terms.items():
+                if vc + cm.v_min > h_order:
+                    continue
+                nkeys.append(key + (m,))
+                ncoeffs.append(c * cm)
+        keys, coeffs = nkeys, ncoeffs
+    for key, c in zip(keys, coeffs):
+        hopf.add_into(acc, key, c.truncate(h_order))
+
+
+def _deviation_products(P, seed, shift=None):
+    """(da[lam], db[y]) for every covering pair lam | y = {1..n}, n = 1..3,
+    of a few random pairs, as the deviation-product criterion builds them;
+    with shift = (v, extra), every coefficient is also moved to valuation
+    v(c) + v and known extra orders past N."""
+    rng = random.Random(seed)
+    pairs = list(zip(random_elements(P, rng, 3, max_terms=2),
+                     random_elements(P, rng, 3, max_terms=2)))
+    out = []
+    for n in (1, 2, 3):
+        phi = tuple(range(1, n + 1))
+        for a, b in pairs:
+            da = {s: delta_E(a, s, n, P) for k in range(n + 1)
+                  for s in itertools.combinations(phi, k)}
+            db = {s: delta_E(b, s, n, P) for k in range(n + 1)
+                  for s in itertools.combinations(phi, k)}
+            for lam, y in selftest._covering_pairs(phi):
+                out.append((da[lam], db[y]))
+                out.append((db[y], da[lam]))
+    if shift is None:
+        return out
+    v, extra = shift
+
+    def moved(t):
+        return TensorElement(P.name, t.rank, {
+            k: HSeries(c.v_min + v, P.h_order + extra, [1, *c.coeffs])
+            for k, c in t.terms.items()})
+    return [(moved(s), moved(t)) for s, t in out]
+
+
+class TestSlotTableKernel:
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_matches_the_pre_slot_table_loop(self, name, prime):
+        P = builtin(name, 4, 4).quea
+        if prime:
+            P = prime_presentation(P, 4)
+        Q, R = _fresh(P), _fresh(P)
+        for s, t in _deviation_products(P, 11):
+            got = hopf.tensor_multiply(s, t, Q)
+            want = pre_slot_table_tensor_multiply(s, t, R)
+            assert _exact(got) == _exact(want)
+            assert list(got.terms) == list(want.terms)
+        assert Q._slot_table
+
+    @pytest.mark.parametrize("shift", [(-1, 2), (-2, 3), (0, 2), (1, 0)])
+    def test_laurent_slack_matches_the_pre_slot_table_loop(self, shift):
+        # coefficients known past h^(N + v): a unit slot would cut them, so
+        # both kernels expand every slot from its full normal form
+        P = builtin("borel2", 4, 4).quea
+        Q, R = _fresh(P), _fresh(P)
+        for s, t in _deviation_products(P, 12, shift)[:60]:
+            got = hopf.tensor_multiply(s, t, Q)
+            want = pre_slot_table_tensor_multiply(s, t, R)
+            assert _exact(got) == _exact(want)
+            assert list(got.terms) == list(want.terms)
+
+    def test_unit_known_to_a_low_order_is_a_coefficient(self):
+        # y*x = x*y + r with r's coefficient exactly 1 but known only to
+        # h^2: that 1 cuts each product it meets, so it is no unit marker
+        P = builtin("borel2", 4, 4).quea
+        x, y = Monomial((1, 0)), Monomial((0, 1))
+        low_one = Element(P.name, {y: HSeries.one(2)})
+        Q, R = (Presentation(P.name, P.model, P.generators, 4, None,
+                             {(0, 1): low_one}, P.coproduct_on_gens,
+                             P.counit_on_gens, P.antipode_on_gens)
+                for _ in range(2))
+        rng = random.Random(14)
+        elems = random_elements(Q, rng, 6, max_degree=2, max_h=2)
+        for a, b in zip(elems, elems[1:]):
+            s, t = coproduct(b, Q), coproduct(a, Q)
+            got = hopf.tensor_multiply(s, t, Q)
+            want = pre_slot_table_tensor_multiply(s, t, R)
+            assert _exact(got) == _exact(want)
+            assert list(got.terms) == list(want.terms)
+        yx = Q._slot_table[(y, x)]
+        assert [(m, c) for m, c in yx if m is y] == [(y, HSeries.one(2))]
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_slot_table_entries(self, name):
+        # None for a zero product, the monomial for a single exact 1 known
+        # to h^N, and otherwise the terms with each such 1 marked None
+        P = _fresh(prime_presentation(builtin(name, 4, 4).quea, 3))
+        for s, t in _deviation_products(P, 13)[:40]:
+            hopf.tensor_multiply(s, t, P)
+        assert P._slot_table
+        N = P.h_order
+        for (ma, mb), e in P._slot_table.items():
+            nf = P._product_cache[(ma, mb)]
+            if e is None:
+                assert nf.is_zero()
+            elif type(e) is Monomial:
+                assert _exact(nf) == _exact(Element(P.name, {
+                    e: HSeries.one(N)}))
+            else:
+                assert len(e) == len(nf.terms)
+                assert len(e) > 1 or e[0][1] is not None
+                for (m, c), (m2, c2) in zip(e, nf.terms.items()):
+                    assert m is m2
+                    if c is None:
+                        assert c2.is_exact_one() and c2.order >= N
+                    else:
+                        assert c is c2 and not (c2.is_exact_one()
+                                                and c2.order >= N)
+
+
+class TestDeviationProductMutant:
+    def _rows(self, cop):
+        P = builtin("borel2", 4, 4).quea
+        Q = Presentation(P.name, P.model, P.generators, P.h_order,
+                         P.degree_cap, P.relations, cop, P.counit_on_gens,
+                         P.antipode_on_gens)
+        rng = random.Random(4)
+        pairs = list(zip(random_elements(Q, rng, 6, max_terms=2),
+                         random_elements(Q, rng, 6, max_terms=2)))
+        rep = HopfReport()
+        selftest.product_expansion_rows(rep, Q, pairs)
+        return rep.rows
+
+    def test_perturbed_coproduct_fails_the_rows(self):
+        # Delta(x) + h y (x) y no longer respects y*x = x*y - y, so
+        # Delta(ab) != Delta(a) Delta(b) and the expansion of delta_n(ab)
+        # fails from n = 2 on; delta_1 = id - eps is multiplicative anyway
+        P = builtin("borel2", 4, 4).quea
+        y = Monomial((0, 1))
+        bump = TensorElement(P.name, 2, {(y, y): HSeries.h_power(1, 4)})
+        rows = self._rows({"x": P.coproduct_on_gens["x"] + bump,
+                           "y": P.coproduct_on_gens["y"]})
+        assert len(rows) == 6
+        failed = [r for r in rows if not r.passed]
+        assert {r.subject.split(": ")[1][:7] for r in failed} == {
+            "delta_2", "delta_3"}
+        assert len(failed) == 4
+        assert all(r.detail != "0 failures" for r in failed)
+
+    def test_unperturbed_coproduct_passes_the_rows(self):
+        P = builtin("borel2", 4, 4).quea
+        rows = self._rows(dict(P.coproduct_on_gens))
+        assert len(rows) == 6 and all(r.passed for r in rows)

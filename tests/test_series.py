@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from qdp.errors import NotDivisible, NotTopologicallyNilpotent
 from qdp.exprs import parse_scalar
 from qdp.hopf import POLY, Presentation, counit, element_exp
-from qdp.series import HSeries, _make, div_h, hsum
+from qdp.series import HSeries, _make, div_h, hsum, mul
+
+from support import series_from_map
 
 
 def H(terms, order=8):
-    return HSeries.from_map(terms, order)
+    return series_from_map(terms, order)
 
 
 class TestAdd:
@@ -118,7 +120,7 @@ def series(draw, order=6, laurent=False):
     lo = -2 if laurent else 0
     terms = draw(st.dictionaries(st.integers(lo, order), small_fractions,
                                  max_size=5))
-    return HSeries.from_map(terms, order)
+    return series_from_map(terms, order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,6 +440,17 @@ def test_exact_one_returns_the_other_factor():
     cut = a * HSeries.one(4)
     assert cut.order == 5
     assert fields(cut) == fields(generic_mul(a, HSeries.one(4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_series(), kernel_series(),
+       st.integers(-6, 16) | st.just(math.inf))
+def test_mul_takes_its_cut(a, b, cut):
+    # cuts below, between and above both factors' orders, and none at all
+    got = mul(a, b, cut)
+    assert_canonical(got)
+    assert fields(got) == fields((a * b).truncate(cut))
+    assert fields(got) == fields(generic_mul(a, b).truncate(cut))
 
 
 @settings(max_examples=200, deadline=None)
