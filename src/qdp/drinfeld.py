@@ -101,20 +101,13 @@ def prime_membership(a: Element, P: Presentation,
 # -- the rescaling transforms ---------------------------------------------------
 
 
-def _rescale_series(c: HSeries, power: int) -> HSeries:
-    """c * h^power with exact divisibility checking for power < 0."""
-    if power >= 0:
-        return c.shift(power)
-    return div_h(c, -power)
-
-
 def _rescale_element(e: Element, target: str, s: int, source_degree: int,
                      what: str) -> Element:
     out = {}
     for m, c in e.terms.items():
         power = s * (source_degree - m.degree)
         try:
-            nc = _rescale_series(c, power)
+            nc = div_h(c, -power)
         except NotDivisible as exc:
             raise NotDivisible(
                 f"{what}: term with monomial {m.exponents} has coefficient "
@@ -131,7 +124,7 @@ def _rescale_tensor(t: TensorElement, target: str, s: int,
         deg = sum(m.degree for m in key)
         power = s * (source_degree - deg)
         try:
-            nc = _rescale_series(c, power)
+            nc = div_h(c, -power)
         except NotDivisible as exc:
             raise NotDivisible(
                 f"{what}: tensor term of degree {deg} has coefficient {c}, "

@@ -174,8 +174,6 @@ def scalar_to_expr(s: HSeries) -> str:
         return "0"
     parts = []
     for k, c in s.items():
-        if k < 0:
-            raise ValueError("cannot print Laurent series as an expression")
         bits = []
         if c != 1 or k == 0:
             bits.append(str(c))

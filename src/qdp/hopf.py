@@ -22,7 +22,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FuelExceeded, MixedPresentations, PresentationError
+from .errors import (FuelExceeded, InputError, MixedPresentations,
+                     PresentationError)
 from .freealg import Element, Monomial, TensorElement, add_into, settle
 from .report import HopfReport
 from .series import HSeries, mul
@@ -47,13 +48,13 @@ class Presentation:
     epsilon(x) = c != 0 is rejected with a pointer to the substitution
     x -> x - c that removes the offset.
 
-    A deformation is defined over k[[h]], so a relation, coproduct or
-    antipode coefficient of negative h-valuation is rejected: every
-    coefficient the engine forms has valuation >= 0.  The product loops
-    rely on that alone: a product of coefficients whose valuations already
-    sum above N can only gain valuation from further factors, so it is
-    dropped before it is formed, and each kept product is cut at N as it
-    is formed (series.mul); _product_cache and _slot_table cache nf(ma*mb).
+    A deformation is defined over k[[h]], and HSeries holds no negative
+    power of h, so every coefficient the engine forms has valuation >= 0.
+    The product loops rely on that bound alone: a product of coefficients
+    whose valuations already sum above N can only gain valuation from
+    further factors, so it is dropped before it is formed, and each kept
+    product is cut at N as it is formed (series.mul); _slot_table caches
+    nf(ma*mb) for multiply and tensor_multiply.
     """
 
     def __init__(self, name: str, model: str, generators: Sequence[str],
@@ -98,8 +99,6 @@ class Presentation:
             if r is None:
                 r = Element.zero(name)
             self._check_relation(i, j, r)
-            _check_power_series(
-                f"relation ({self.generators[i]},{self.generators[j]})", r)
             self.relations[(i, j)] = r.truncate(h_order, degree_cap)
 
         for what, given in (("coproduct", coproduct_on_gens),
@@ -124,21 +123,17 @@ class Presentation:
             if cop is None or cop.rank != 2:
                 raise PresentationError(f"generator {g!r} needs a rank-2 "
                                         "coproduct entry")
-            _check_power_series(f"coproduct of {g!r}", cop)
             self.coproduct_on_gens[g] = cop.truncate(h_order, degree_cap)
             ant = antipode_on_gens.get(g)
             if ant is None:
                 raise PresentationError(f"generator {g!r} needs an antipode "
                                         "entry")
-            _check_power_series(f"antipode of {g!r}", ant)
             self.antipode_on_gens[g] = ant.truncate(h_order, degree_cap)
 
         # caches, keyed by immutable values; shared across all operations
         self._nf_cache: dict[tuple[Monomial, int], Element] = {}
         self._nf_building: set[tuple[Monomial, int]] = set()
-        # product table: (ma, mb) -> normal form of ma*mb; see _product
-        self._product_cache: dict[tuple[Monomial, Monomial], Element] = {}
-        # (ma, mb) -> tensor_multiply's view of that product; see _slot
+        # product table: (ma, mb) -> normal form of ma*mb; see _slot
         self._slot_table: dict[tuple[Monomial, Monomial], object] = {}
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._antipode_cache: dict[Monomial, Element] = {}
@@ -198,14 +193,6 @@ class Presentation:
         return (f"Presentation({self.name!r}, {self.model}, "
                 f"gens={self.generators}, N={self.h_order}, "
                 f"D={self.degree_cap})")
-
-
-def _check_power_series(what: str, value) -> None:
-    v = value.h_valuation()
-    if v < 0:
-        raise PresentationError(
-            f"{what} has a coefficient of h-valuation {v}; a deformation "
-            "over k[[h]] has no negative powers of h")
 
 
 # -- rewriting ----------------------------------------------------------------
@@ -280,34 +267,33 @@ def _resolve_at(P: Presentation, word: tuple[int, ...], t: int) -> Element:
     return out.truncate(P.h_order, P.degree_cap)
 
 
-def _product(P: Presentation, ma: Monomial, mb: Monomial) -> Element:
-    """The product-table entry of (ma, mb): the normal form of ma*mb, filled
-    on a miss."""
-    nf = P._product_cache.get((ma, mb))
-    if nf is None:
-        nf = P._product_cache[(ma, mb)] = normal_form(ma.word() + mb.word(), P)
-    return nf
-
-
 def multiply(a: Element, b: Element, P: Presentation) -> Element:
     """Bilinear extension of word concatenation + normal_form, pruned as
     the Presentation docstring states: a pair with v(c_a) + v(c_b) > N is
-    skipped before its normal form is looked up."""
+    skipped before its slot-table entry (see _slot) is looked up."""
     _check_owner(P, a, b)
     N = P.h_order
+    get = P._slot_table.get
     acc: dict = {}
     for ma, ca in a.terms.items():
         va = ca.v_min
         for mb, cb in b.terms.items():
             if va + cb.v_min > N:
                 continue
-            nf = _product(P, ma, mb)
-            if not nf.terms:
+            e = get((ma, mb), _MISS)
+            if e is _MISS:
+                e = _slot(P, (ma, mb))
+            if e is None:
                 continue
             c = mul(ca, cb, N)
+            if type(e) is Monomial:
+                add_into(acc, e, c)
+                continue
             vc = c.v_min
-            for m, cm in nf.terms.items():
-                if vc + cm.v_min <= N:
+            for m, cm in e:
+                if cm is None:
+                    add_into(acc, m, c)
+                elif vc + cm.v_min <= N:
                     add_into(acc, m, mul(cm, c, N))
     return Element(P.name, acc)
 
@@ -353,10 +339,9 @@ def tensor_multiply(s: TensorElement, t: TensorElement,
     _slot), and a pair with a zero slot product is skipped.
 
     A key whose slots are all monomials goes straight into the result;
-    otherwise _expand_into takes the slots.  A unit slot leaves c = ca * cb
-    unchanged unless both factors are known past h^(N + v) (Laurent slack,
-    reachable only with coefficients of negative valuation); then every
-    slot is expanded from its full normal form, with the uncut ca * cb.
+    otherwise _expand_into takes the slots.  HSeries holds no negative
+    power of h, so c = mul(ca, cb, N) has valuation >= 0 and a 1 known to
+    h^N, a unit slot, leaves it unchanged.
     """
     if s.rank != t.rank:
         raise MixedPresentations("tensor ranks differ")
@@ -371,7 +356,6 @@ def tensor_multiply(s: TensorElement, t: TensorElement,
         if kbs is None:
             kbs = partners[bound] = [(kb, cb) for kb, cb in t.terms.items()
                                      if cb.v_min <= bound]
-        slack_a = N + va < ca.order
         for kb, cb in kbs:
             slots = []
             expand = False
@@ -385,11 +369,7 @@ def tensor_multiply(s: TensorElement, t: TensorElement,
                     expand = True
                 slots.append(e)
             else:
-                if slack_a and N + cb.v_min < cb.order:
-                    _expand_into(acc, [_product(P, ma, mb)
-                                       for ma, mb in zip(ka, kb)],
-                                 ca * cb, N)
-                elif expand:
+                if expand:
                     _expand_into(acc, slots, mul(ca, cb, N), N)
                 else:
                     add_into(acc, tuple(slots), mul(ca, cb, N))
@@ -401,8 +381,9 @@ def _slot(P: Presentation, key: tuple[Monomial, Monomial]):
     nf(ma*mb) is 0; the monomial itself when nf(ma*mb) is one monomial with
     coefficient exactly 1 known to at least h^N; otherwise nf(ma*mb)'s list
     of (m, c) terms, where c is None for such a 1."""
+    ma, mb = key
     e = [(m, None if c.is_exact_one() and c.order >= P.h_order else c)
-         for m, c in _product(P, *key).terms.items()]
+         for m, c in normal_form(ma.word() + mb.word(), P).terms.items()]
     if len(e) == 1 and e[0][1] is None:
         e = e[0][0]
     P._slot_table[key] = e = e or None
@@ -414,12 +395,12 @@ def _expand_into(acc: dict, slots: Sequence, coeff: HSeries,
     """Merge coeff * (e_1 (x) ... (x) e_k) into monomial-tuple terms of acc,
     each cut at h_order; a slot is an Element, a Monomial or a _slot list.
 
-    Every slot coefficient comes from a Presentation (a normal form or a
-    gauge image), so its valuation is >= 0 and a partial product's part
-    above h_order never reaches a term at or below it: each one is cut at
-    h_order as it is formed, and dropped once its valuation exceeds
-    h_order.  A Monomial slot or a None coefficient stands for a 1 that the
-    caller vouches leaves each partial product unchanged: no product."""
+    HSeries holds no negative power of h, so every valuation is >= 0 and a
+    partial product's part above h_order never reaches a term at or below
+    it: each one is cut at h_order as it is formed, and dropped once its
+    valuation exceeds h_order.  A Monomial slot or a None coefficient
+    stands for a 1 that the caller vouches leaves each partial product
+    unchanged: no product."""
     keys = [()]
     coeffs = [coeff.truncate(h_order)]
     for e in slots:
@@ -710,9 +691,10 @@ def _convolve_antipode(t: TensorElement, P: Presentation,
 def check_hopf_axioms(P: Presentation, degree_bound: int) -> HopfReport:
     """Verify the Hopf axioms on all monomials up to the degree bound, and
     that the structure maps respect every relation."""
+    if degree_bound < 0:
+        raise InputError(f"degree bound {degree_bound} is negative")
     rep = HopfReport()
-    monos = [m for m in P.monomials_up_to(degree_bound)]
-    for m in monos:
+    for m in P.monomials_up_to(degree_bound):
         label = _mono_label(P, m)
         elem = Element.from_monomial(P.name, m, HSeries.one(P.h_order))
         cop = coproduct(elem, P)

@@ -137,20 +137,30 @@ def presentation_from_manifest(data: dict) -> Presentation:
 
 def seed_from_manifest(data: dict, left: Presentation,
                        right: Presentation) -> PairingSeed:
+    if not isinstance(data, dict):
+        raise InputError("a seed manifest is a JSON object, not "
+                         f"{type(data).__name__}")
     if data.get("left") != left.name or data.get("right") != right.name:
         raise InputError(
             f"seed pairs {data.get('left')!r} with {data.get('right')!r}, "
             f"got presentations {left.name!r} and {right.name!r}")
     order = min(left.h_order, right.h_order)
     values = {}
-    for item in data.get("values", ()):
-        lg, rg = item["lgen"], item["rgen"]
-        if lg not in left.gen_index:
-            raise InputError(f"seed references unknown left generator {lg!r}")
-        if rg not in right.gen_index:
-            raise InputError(f"seed references unknown right generator {rg!r}")
-        values[(left.gen_index[lg], right.gen_index[rg])] = \
-            series_from_jsonable(item["value"], order)
+    try:
+        for item in data.get("values", ()):
+            lg, rg = item["lgen"], item["rgen"]
+            if lg not in left.gen_index:
+                raise InputError(
+                    f"seed references unknown left generator {lg!r}")
+            if rg not in right.gen_index:
+                raise InputError(
+                    f"seed references unknown right generator {rg!r}")
+            key = (left.gen_index[lg], right.gen_index[rg])
+            if key in values:
+                raise InputError(f"seed value <{lg}, {rg}> is given twice")
+            values[key] = series_from_jsonable(item["value"], order)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed seed manifest: {exc}") from exc
     return PairingSeed(left, right, values)
 
 

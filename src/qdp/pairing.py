@@ -165,8 +165,11 @@ def _reliable_order(seed: PairingSeed, absorbable_degree: int) -> int:
 def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
     """All pairing compatibility rules on monomial pairs up to the degree
     bound, compared through the truncation-reliable window; a full pass
-    marks the seed validated.  A degree bound above the right side's
-    degree cap leaves no reliable window, so it is an input error."""
+    marks the seed validated.  A negative degree bound checks no monomial,
+    and one above the right side's degree cap leaves no reliable window, so
+    either is an input error."""
+    if degree_bound < 0:
+        raise InputError(f"degree bound {degree_bound} is negative")
     L, R = seed.left, seed.right
     rep = HopfReport()
     memo: dict = {}

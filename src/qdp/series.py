@@ -1,4 +1,4 @@
-"""Truncated power/Laurent series in the deformation parameter h.
+"""Truncated power series in the deformation parameter h.
 
 Coefficients are exact rationals stored as Python-int numerators over one
 common denominator per series, the representation of FLINT's fmpq_poly:
@@ -11,6 +11,11 @@ Every value carries a truncation order N: exponents above N are unknown and
 never stored.  Arithmetic propagates the order pessimistically (minimum
 through sums, valuation-adjusted minimum through products) so precision
 loss is always explicit.
+
+The deformations live over k[[h]]: the public constructors (HSeries(...),
+from_jsonable, h_power, const and shift) raise ValueError on a nonzero
+coefficient below h^0.  _make, mul and hsum stay unchecked, since
+non-negative inputs cannot produce one.
 
 Equality compares stored content only: two series that agree
 coefficient-by-coefficient are equal even if they were computed at
@@ -35,8 +40,6 @@ INF = math.inf
 def _rational(x) -> Scalar:
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -69,6 +72,15 @@ def _make(v_min: int, order: int, cs: list, den: int) -> "HSeries":
     obj.coeffs = tuple(cs)
     obj.den = den
     return obj
+
+
+def _power_series(s: "HSeries") -> "HSeries":
+    """s itself, which a public constructor built: a nonzero coefficient
+    below h^0 raises ValueError."""
+    if s.coeffs and s.v_min < 0:
+        raise ValueError(f"a coefficient at h-valuation {s.v_min}: a series "
+                         "over k[[h]] has no negative powers of h")
+    return s
 
 
 def hsum(terms: list) -> "HSeries":
@@ -116,11 +128,9 @@ class HSeries:
     `coeffs` is a tuple of int numerators and `den` a positive int.  The
     form is canonical: gcd(den, *coeffs) == 1, the first and last numerators
     are nonzero, and the zero series has coeffs == (), den == 1 and
-    v_min == order + 1.  v_min may be negative (Laurent storage); contexts
-    that model plain power-series modules must check the valuation
-    themselves.
+    v_min == order + 1.  A nonzero series has v_min >= 0.
 
-    The constructor accepts int, Fraction and str coefficients.
+    The constructor accepts int and Fraction coefficients.
     """
 
     __slots__ = ("v_min", "order", "coeffs", "den")
@@ -128,8 +138,8 @@ class HSeries:
     def __init__(self, v_min: int, order: int, coeffs: Iterable[Scalar]):
         qs = [_rational(c) for c in coeffs]
         den = math.lcm(*[q.denominator for q in qs])
-        s = _make(v_min, order,
-                  [q.numerator * (den // q.denominator) for q in qs], den)
+        cs = [q.numerator * (den // q.denominator) for q in qs]
+        s = _power_series(_make(v_min, order, cs, den))
         self.v_min, self.order, self.coeffs, self.den = \
             s.v_min, s.order, s.coeffs, s.den
 
@@ -150,7 +160,7 @@ class HSeries:
     @classmethod
     def h_power(cls, k: int, order: int, value: Scalar = 1) -> "HSeries":
         q = _rational(value)
-        return _make(k, order, [q.numerator], q.denominator)
+        return _power_series(_make(k, order, [q.numerator], q.denominator))
 
     # -- inspection --------------------------------------------------------
 
@@ -225,13 +235,13 @@ class HSeries:
         return _make(self.v_min, order, list(self.coeffs), self.den)
 
     def shift(self, k: int) -> "HSeries":
-        """Multiply by h^k (k may be negative); shifts the window."""
+        """Multiply by h^k; shifts the window, never below h^0."""
         out = object.__new__(HSeries)
         out.v_min = self.v_min + k
         out.order = self.order + k
         out.coeffs = self.coeffs
         out.den = self.den
-        return out
+        return _power_series(out)
 
     # -- equality (content-based, structural on the canonical form) ----------
 
@@ -325,15 +335,13 @@ def mul(a: HSeries, b: HSeries, cut=INF) -> HSeries:
 
 
 def div_h(a: HSeries, k: int) -> HSeries:
-    """Divide by h^k.
+    """Divide by h^k (multiply by h^-k for k <= 0).
 
-    The result must stay a plain power series, which requires
-    valuation(a) >= k; a violation raises NotDivisible.  Callers treat
-    that error as a finding: the element does not lie in h^k times the
-    module it was claimed to.
+    The result must stay a power series, which requires valuation(a) >= k;
+    a violation raises NotDivisible.  Callers treat that error as a
+    finding: the element does not lie in h^k times the module it was
+    claimed to.
     """
-    if k < 0:
-        return a.shift(-k)
     if a.coeffs and a.v_min < k:
         raise NotDivisible(
             f"series {a} has valuation {a.valuation()} < {k}",

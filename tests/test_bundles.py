@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from qdp.classical import extract_lie_bialgebra, lie_bialgebra_equal
 from qdp.errors import UnknownExample
 from qdp.manifest import (manifest_text, presentation_from_manifest,
                           presentation_to_manifest)
+from qdp.selftest import limit_duality_rows
 
 MANIFEST_DIR = Path(__file__).resolve().parents[1] / "src/qdp/manifests"
 
@@ -83,3 +85,16 @@ def test_borel2_is_self_dual_in_canonical_basis():
 def test_heisenberg_is_not_self_dual():
     b = builtin("heisenberg3", 8, 8)
     assert not lie_bialgebra_equal(b.lie, b.expected_dual)
+
+
+def test_wrong_expected_dual_fails_one_limit_duality_row():
+    # heisenberg3 is not self-dual, so a bundle that records its own Lie
+    # bialgebra as the expected dual must fail exactly the row that reads
+    # the record, and the four rows computed from the presentation pass
+    b = builtin("heisenberg3", 6, 6)
+    mutant = dataclasses.replace(b, expected_dual=b.lie)
+    rows, _, _ = limit_duality_rows(mutant, 6)
+    assert len(rows) == 5
+    assert [r.subject for r in rows if not r.passed] == [
+        "heisenberg3: poisson(prime) == expected dual"]
+    assert all(r.passed for r in limit_duality_rows(b, 6)[0])

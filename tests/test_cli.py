@@ -161,6 +161,49 @@ def test_pair_command(tmp_path, capsys):
     assert "= h" in capsys.readouterr().out
 
 
+def _borel2_seed(tmp_path, capsys, seed) -> list[str]:
+    """The pair command's arguments for borel2 against its prime image,
+    with `seed` written as the seed file."""
+    prime_path = tmp_path / "prime.json"
+    assert run(["prime", "borel2", "-o", str(prime_path)]) == 0
+    capsys.readouterr()
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(json.dumps(seed), encoding="utf-8")
+    return ["pair", "borel2", str(prime_path), "--seed-file", str(seed_path)]
+
+
+def _seed_values(*values) -> dict:
+    return {"left": "borel2", "right": "borel2_prime", "values": list(values)}
+
+
+@pytest.mark.parametrize("seed, message", [
+    (_seed_values({"lgen": "x", "value": "1"}), "'rgen'"),
+    (_seed_values(["x", "x", "1"]), "malformed seed manifest"),
+    ([_seed_values()], "not list"),
+    (_seed_values({"lgen": "x", "rgen": "x", "value": "1"},
+                  {"lgen": "x", "rgen": "x", "value": "2"}),
+     "<x, x> is given twice"),
+    (_seed_values({"lgen": "x", "rgen": "x",
+                   "value": {"v_min": -1, "order": 8, "coeffs": ["1"]}}),
+     "h-valuation -1"),
+], ids=["no-rgen", "list-item", "top-level-list", "duplicate", "laurent"])
+def test_malformed_seed_is_usage_error(tmp_path, capsys, seed, message):
+    # the first three were internal errors (exit 3); the duplicate kept the
+    # later value and the h^-1 value paired x^3 with x^3 to 6*h^-3, exit 0
+    argv = _borel2_seed(tmp_path, capsys, seed)
+    assert run([*argv, "--left-elem", "x^3", "--right-elem", "x^3"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_check_hopf_negative_bound_is_usage_error(capsys):
+    # --bound -1 printed PASS over zero monomial rows
+    assert run(["check-hopf", "abelian1", "--bound", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "degree bound -1" in captured.err and "PASS" not in captured.out
+
+
 def test_env_default_order(capsys, monkeypatch):
     monkeypatch.setenv("QDP_DEFAULT_ORDER", "5")
     assert run(["show", "borel2", "--manifest"]) == 0

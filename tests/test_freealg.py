@@ -107,7 +107,7 @@ class TestCombine:
         a, b, c = Monomial((1, 0)), Monomial((0, 1)), Monomial((1, 1))
         s0 = HSeries(0, 5, [1, 2])
         s1 = HSeries(1, 4, [Fraction(1, 3)])
-        s2 = HSeries(-1, 6, [Fraction(1, 2), 0, -1, -2])
+        s2 = HSeries(0, 6, [Fraction(1, 2), 0, -1, -2])
         acc = {}
         for key, coeff in ((a, s0), (b, s1), (a, s1), (c, s0), (a, s2),
                            (c, -s0)):

@@ -104,6 +104,15 @@ class TestAxioms:
         assert not rep.passed
         assert not seed.validated
 
+    def test_negative_degree_bound_is_input_error(self):
+        # a bound of -1 checked zero monomial rows and validated the seed
+        b = builtin("borel2", 6, 6)
+        seed = PairingSeed(b.quea, prime_presentation(b.quea, 6),
+                           {(0, 0): HSeries.one(6), (1, 1): HSeries.one(6)})
+        with pytest.raises(InputError, match="degree bound -1"):
+            pairing_axioms_check(seed, -1)
+        assert not seed.validated
+
 
 class TestOrthogonalMembership:
     def test_spanning_products_match_multiply_all(self):

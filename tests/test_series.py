@@ -43,9 +43,12 @@ class TestMul:
         assert a * b == H({0: 1, 2: -1}, order=2)
 
     def test_laurent_inverse(self):
-        h = HSeries.h_power(1, 4)
-        hinv = HSeries.h_power(-1, 4)
-        assert h * hinv == HSeries.one(4)
+        # h has no inverse over k[[h]]: h^-1 is refused, and 1 / h is no
+        # power series
+        with pytest.raises(ValueError, match="h-valuation -1"):
+            HSeries.h_power(-1, 4)
+        with pytest.raises(NotDivisible):
+            div_h(HSeries.one(4), 1)
 
     def test_exp_square_is_exp_two_h(self):
         # oracle: direct convolution of factorial coefficients
@@ -78,6 +81,15 @@ class TestDivH:
     def test_order_drops_with_shift(self):
         assert div_h(HSeries.h_power(2, 8), 2).order == 6
 
+    def test_past_the_valuation_is_not_divisible(self):
+        # a division that would leave h^-1 is a finding, not a bad input
+        with pytest.raises(NotDivisible):
+            div_h(HSeries.h_power(2, 8), 3)
+
+    def test_non_positive_k_multiplies(self):
+        assert div_h(HSeries.h_power(1, 8), -2) == HSeries.h_power(3, 10)
+        assert div_h(HSeries.zero(4), -1) == HSeries.zero(5)
+
 
 class TestValuation:
     def test_plain(self):
@@ -87,7 +99,42 @@ class TestValuation:
         assert HSeries.zero(8).valuation() == math.inf
 
     def test_laurent(self):
-        assert H({-1: 1, 0: 1}).valuation() == -1
+        # no series has a negative valuation
+        with pytest.raises(ValueError, match="h-valuation -1"):
+            H({-1: 1, 0: 1})
+
+
+class TestPowerSeriesOnly:
+    """Every public constructor refuses a nonzero coefficient below h^0."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: HSeries(-1, 4, [1]),
+        lambda: HSeries.h_power(-1, 4),
+        lambda: HSeries.h_power(-1, 4, Fraction(-2, 3)),
+        lambda: HSeries.one(4).shift(-1),
+        lambda: HSeries.from_jsonable(
+            {"v_min": -1, "order": 4, "coeffs": ["1", "2"]}),
+    ], ids=["constructor", "h_power", "h_power-value", "shift",
+            "from_jsonable"])
+    def test_negative_power_raises(self, build):
+        with pytest.raises(ValueError, match="h-valuation -1"):
+            build()
+
+    def test_deeper_power_is_named(self):
+        with pytest.raises(ValueError, match="h-valuation -3"):
+            HSeries(-3, 4, [1, 0, 0, 1])
+
+    def test_canonical_result_is_checked(self):
+        # zeros below h^0 are no coefficient, and an h^-1 cut away by the
+        # order leaves the zero series
+        assert HSeries(-2, 4, [0, 0, 1]) == HSeries.one(4)
+        assert HSeries.h_power(-1, -2).is_zero()
+        assert HSeries.zero(4).shift(-6).is_zero()
+        assert HSeries.h_power(2, 8).shift(-2) == HSeries.one(6)
+
+    def test_str_coefficient_is_refused(self):
+        with pytest.raises(TypeError):
+            HSeries(0, 4, ["1/2"])
 
 
 class TestExp:
@@ -116,9 +163,8 @@ small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 @st.composite
-def series(draw, order=6, laurent=False):
-    lo = -2 if laurent else 0
-    terms = draw(st.dictionaries(st.integers(lo, order), small_fractions,
+def series(draw, order=6):
+    terms = draw(st.dictionaries(st.integers(0, order), small_fractions,
                                  max_size=5))
     return series_from_map(terms, order)
 
@@ -141,7 +187,7 @@ def test_mul_then_div_roundtrip(s, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(series(laurent=True), series(laurent=True))
+@given(series(), series())
 def test_valuation_additive(a, b):
     p = a * b
     if a.coeffs and b.coeffs and a.valuation() + b.valuation() <= p.order:
@@ -242,7 +288,7 @@ class RefSeries:
         return RefSeries(self.v_min + k, self.order + k, self.coeffs)
 
     def div_h(self, k):
-        if k >= 0 and self.coeffs and self.v_min < k:
+        if self.coeffs and self.v_min < k:
             raise NotDivisible("reference", series=self, needed=k)
         return self.shift(-k)
 
@@ -306,12 +352,10 @@ rationals = st.one_of(
 @st.composite
 def series_pair(draw):
     """The same random coefficient window as an HSeries and a RefSeries,
-    Laurent windows and zero ends included."""
-    v_min = draw(st.integers(-3, 5))
+    zero ends included."""
+    v_min = draw(st.integers(0, 5))
     order = draw(st.integers(v_min - 2, v_min + 8))
     coeffs = draw(st.lists(rationals, max_size=8))
-    if draw(st.booleans()):
-        coeffs = [str(Fraction(c)) for c in coeffs]
     return HSeries(v_min, order, coeffs), RefSeries(v_min, order, coeffs)
 
 
@@ -341,7 +385,12 @@ def test_scalar_product_matches_reference(x, k, q):
 def test_window_ops_match_reference(x, order, k):
     a, ra = x
     assert_matches(a.truncate(order), ra.truncate(order))
-    assert_matches(a.shift(k), ra.shift(k))
+    want = ra.shift(k)
+    if want.coeffs and want.v_min < 0:
+        with pytest.raises(ValueError, match=f"h-valuation {want.v_min}"):
+            a.shift(k)
+    else:
+        assert_matches(a.shift(k), want)
     try:
         want = ra.div_h(k)
     except NotDivisible:
@@ -405,15 +454,14 @@ def generic_add(a, b):
 @st.composite
 def kernel_series(draw):
     """Series that reach every fast path: exact 1s known to low and high
-    orders, single numerators over mixed denominators, Laurent windows
-    and zeros."""
+    orders, single numerators over mixed denominators, and zeros."""
     kind = draw(st.sampled_from(["one", "single", "window", "zero"]))
     order = draw(st.integers(-2, 9))
     if kind == "one":
         return HSeries.one(order)
     if kind == "zero":
         return HSeries.zero(order)
-    v = draw(st.integers(-3, 6))
+    v = draw(st.integers(0, 6))
     if kind == "single":
         q = draw(rationals.filter(bool))
         return HSeries.h_power(v, max(order, v), q)
