@@ -36,7 +36,7 @@ from .series import HSeries
 BUILTIN_NAMES = ("abelian1", "abelian2", "abelian3", "borel2", "heisenberg3")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExampleBundle:
     name: str
     quea: Presentation

@@ -111,8 +111,7 @@ def _rescale_element(e: Element, target: str, s: int, source_degree: int,
         except NotDivisible as exc:
             raise NotDivisible(
                 f"{what}: term with monomial {m.exponents} has coefficient "
-                f"{c}, which is not divisible by h^{-power}",
-                series=c, needed=-power) from exc
+                f"{c}, which is not divisible by h^{-power}") from exc
         out[m] = nc
     return Element(target, out)
 
@@ -128,8 +127,7 @@ def _rescale_tensor(t: TensorElement, target: str, s: int,
         except NotDivisible as exc:
             raise NotDivisible(
                 f"{what}: tensor term of degree {deg} has coefficient {c}, "
-                f"which is not divisible by h^{-power}",
-                series=c, needed=-power) from exc
+                f"which is not divisible by h^{-power}") from exc
         out[key] = nc
     return TensorElement(target, t.rank, out)
 
@@ -183,13 +181,6 @@ def vee_presentation(P: Presentation) -> Presentation:
 # -- round trips -------------------------------------------------------------------
 
 
-def _same_terms(x, y) -> bool:
-    """Structure equality ignoring the presentation tag."""
-    if isinstance(x, TensorElement):
-        return x.rank == y.rank and x.terms == y.terms
-    return x.terms == y.terms
-
-
 def compare_presentations(A: Presentation, B: Presentation, h_order: int,
                           degree_cap: int | None) -> HopfReport:
     """Generator-by-generator comparison of all structure data, after
@@ -204,17 +195,17 @@ def compare_presentations(A: Presentation, B: Presentation, h_order: int,
         ra = A.relations[(i, j)].truncate(h_order, degree_cap)
         rb = B.relations[(i, j)].truncate(h_order, degree_cap)
         rep.add("relation", f"{A.generators[j]}*{A.generators[i]}",
-                _same_terms(ra, rb))
+                ra.terms == rb.terms)
     for g in A.generators:
         ca = A.coproduct_on_gens[g].truncate(h_order, degree_cap)
         cb = B.coproduct_on_gens[g].truncate(h_order, degree_cap)
-        rep.add("coproduct", g, _same_terms(ca, cb))
+        rep.add("coproduct", g, ca.terms == cb.terms)
         rep.add("counit", g,
                 A.counit_on_gens[g].truncate(h_order)
                 == B.counit_on_gens[g].truncate(h_order))
         sa = A.antipode_on_gens[g].truncate(h_order, degree_cap)
         sb = B.antipode_on_gens[g].truncate(h_order, degree_cap)
-        rep.add("antipode", g, _same_terms(sa, sb))
+        rep.add("antipode", g, sa.terms == sb.terms)
     return rep
 
 

@@ -24,11 +24,6 @@ class InputError(QdpError):
 class NotDivisible(MathematicalFailure):
     """A series claimed to lie in h^k * (module) is not divisible by h^k."""
 
-    def __init__(self, message: str, *, series=None, needed: int | None = None):
-        super().__init__(message)
-        self.series = series
-        self.needed = needed
-
 
 class NotTopologicallyNilpotent(MathematicalFailure):
     """exp() applied to something with h-valuation <= 0."""

@@ -213,9 +213,6 @@ class Element(_LinearTerms):
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].deglex_key())
 
-    def __hash__(self):
-        return hash((self.pres, frozenset(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return "0"

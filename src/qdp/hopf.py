@@ -142,8 +142,6 @@ class Presentation:
         # window; see _delta_monomial
         self._delta_cache: dict[tuple[Monomial, int], TensorElement] = {}
         self._delta_windows: dict[tuple[Monomial, int], int] = {}
-        # pairing._ideal_spanning_products: [n] -> factor combination -> product
-        self._ideal_products: list[dict[tuple[int, ...], Element]] = []
 
     # -- construction helpers ------------------------------------------------
 
@@ -775,10 +773,7 @@ def _diff_note(got, want) -> str:
     a failing axiom can differ in thousands of terms."""
     if got == want:
         return ""
-    try:
-        diff = got - want
-    except MixedPresentations:
-        return f"got {got!r}, want {want!r}"
+    diff = got - want
     terms = diff.sorted_terms()
     note = f"discrepancy: {diff._new(dict(terms[:_NOTE_TERMS]))!r}"
     if len(terms) > _NOTE_TERMS:

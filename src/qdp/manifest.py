@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import InputError
 from .freealg import Element, Monomial, TensorElement, add_into
-from .hopf import Presentation
+from .hopf import POLY, Presentation
 from .pairing import PairingSeed
 from .series import HSeries
 
@@ -25,6 +25,13 @@ def _exact_int(value, what: str) -> int:
             or isinstance(value, float) and not value.is_integer()):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _no_unknown_keys(data: dict, known: tuple[str, ...], what: str):
+    """A misspelled top-level key must not drop its data silently."""
+    stray = sorted(set(data) - set(known))
+    if stray:
+        raise InputError(f"{what} has unknown keys {stray}; known: {known}")
 
 
 def series_from_jsonable(data, order: int) -> HSeries:
@@ -105,11 +112,17 @@ def presentation_to_manifest(P: Presentation) -> dict:
 
 def presentation_from_manifest(data: dict) -> Presentation:
     try:
+        _no_unknown_keys(data, ("name", "model", "h_order", "degree_cap",
+                                "generators", "relations", "coproduct",
+                                "counit", "antipode"),
+                         "a presentation manifest")
         name = data["name"]
         model = data["model"]
         order = _exact_int(data["h_order"], "h_order")
         cap = data.get("degree_cap")
         cap = None if cap is None else _exact_int(cap, "degree_cap")
+        if model == POLY and cap is not None:
+            raise InputError(f"a POLY manifest has no degree cap, got {cap}")
         gens = list(data["generators"])
         ngens = len(gens)
         relations = {}
@@ -140,6 +153,7 @@ def seed_from_manifest(data: dict, left: Presentation,
     if not isinstance(data, dict):
         raise InputError("a seed manifest is a JSON object, not "
                          f"{type(data).__name__}")
+    _no_unknown_keys(data, ("left", "right", "values"), "a seed manifest")
     if data.get("left") != left.name or data.get("right") != right.name:
         raise InputError(
             f"seed pairs {data.get('left')!r} with {data.get('right')!r}, "

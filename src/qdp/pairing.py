@@ -14,12 +14,14 @@ instead of a hang.
 The orthogonality route to membership pairs a candidate against spanning
 products of the right-hand augmentation-plus-h ideal and demands h^n
 divisibility of the values; it is the independent cross-check of the
-deviation-map route.
+deviation-map route.  It is sound only for a Hopf pairing, so it checks
+the seed itself on every call: a seed carries no verdict of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InputError, MixedPresentations, PresentationError
 from .freealg import Element, Monomial
@@ -33,18 +35,13 @@ import itertools
 import math
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairingSeed:
-    """Generator-pair values inducing a candidate Hopf pairing.
-
-    `validated` flips to True when pairing_axioms_check passes; the
-    membership oracle refuses unvalidated seeds.
-    """
+    """Generator-pair values inducing a candidate Hopf pairing."""
 
     left: Presentation
     right: Presentation
     values: dict  # (left gen index, right gen index) -> HSeries
-    validated: bool = False
 
     @property
     def order(self) -> int:
@@ -164,10 +161,9 @@ def _reliable_order(seed: PairingSeed, absorbable_degree: int) -> int:
 
 def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
     """All pairing compatibility rules on monomial pairs up to the degree
-    bound, compared through the truncation-reliable window; a full pass
-    marks the seed validated.  A negative degree bound checks no monomial,
-    and one above the right side's degree cap leaves no reliable window, so
-    either is an input error."""
+    bound, compared through the truncation-reliable window.  A negative
+    degree bound checks no monomial, and one above the right side's degree
+    cap leaves no reliable window, so either is an input error."""
     if degree_bound < 0:
         raise InputError(f"degree bound {degree_bound} is negative")
     L, R = seed.left, seed.right
@@ -232,23 +228,21 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
             got = pair(su, relem(v), seed, memo)
             want = pair(lelem(u), antipode(relem(v), R), seed, memo)
             rep.add("antipode-compat", f"<S({u!r}), {v!r}>", same(got, want))
-
-    if rep.passed:
-        seed.validated = True
     return rep
 
 
-def _ideal_spanning_products(R: Presentation, n: int) -> tuple[Element, ...]:
+def _ideal_spanning_products(R: Presentation, n: int,
+                             levels: list) -> tuple[Element, ...]:
     """Products of exactly n factors drawn from {h * 1} and the
     generators, capped at the degree bound; they span the n-th power of
     the augmentation-plus-h ideal up to higher truncation.
 
-    The products depend only on (R, n), so R keeps them per n, keyed by
-    their factor combination.  Each product for n is the one for its first
-    n - 1 factors times the last, the same multiplications multiply_all
-    makes, in combinations_with_replacement order.
+    The products depend only on (R, n), so `levels`, which the caller keeps
+    for one oracle call, holds them per n, keyed by their factor
+    combination.  Each product for n is the one for its first n - 1 factors
+    times the last, the same multiplications multiply_all makes, in
+    combinations_with_replacement order.
     """
-    levels = R._ideal_products
     if len(levels) <= n:
         if not levels:
             levels.append({(): R.unit()})
@@ -267,10 +261,13 @@ def _ideal_spanning_products(R: Presentation, n: int) -> tuple[Element, ...]:
     return tuple(levels[n].values())
 
 
-def orthogonal_membership(a: Element, seed: PairingSeed,
-                          n_max: int | None = None) -> MembershipCertificate:
-    """Membership via orthogonality: pair the candidate against spanning
-    sets of the n-th ideal power and require value valuation >= n.
+def orthogonal_membership(candidates: list[Element], seed: PairingSeed,
+                          n_max: int | None = None
+                          ) -> list[MembershipCertificate]:
+    """Membership certificates via orthogonality: pair each candidate
+    against spanning sets of the n-th ideal power and require value
+    valuation >= n.  The route is sound only for a Hopf pairing, so a seed
+    that fails its degree-2 compatibility suite is an input error.
 
     Values are read through the truncation-reliable window (see
     _reliable_order); divisibility beyond that window is unobservable, so
@@ -279,30 +276,35 @@ def orthogonal_membership(a: Element, seed: PairingSeed,
     valuation d - 1, so a degree cap whose window ends below h^(d-1) could
     certify a non-member: it is an input error.
     """
-    if not seed.validated:
-        raise InputError("seed must pass pairing_axioms_check before "
-                         "being used as a membership oracle")
     if seed.right.model != SERIES:
         raise PresentationError("membership oracle needs a SERIES right side")
     if seed.left.model != POLY:
         raise PresentationError("membership oracle needs a POLY left side")
-    a_degree = max((m.degree for m in a.terms), default=0)
     cap = seed.right.degree_cap
-    if cap - a_degree < a_degree - 1:
+    degrees = [max((m.degree for m in a.terms), default=0) for a in candidates]
+    d = max(degrees, default=0)
+    if cap - d < d - 1:
         raise InputError(
-            f"the candidate has degree {a_degree}: a witness can need "
-            f"pairing values through h^{a_degree - 1}, which needs the right "
-            f"side's degree cap to be at least {2 * a_degree - 1}, not {cap}")
-    window = _reliable_order(seed, a_degree)
+            f"a candidate has degree {d}: a witness can need pairing "
+            f"values through h^{d - 1}, which needs the right side's "
+            f"degree cap to be at least {2 * d - 1}, not {cap}")
+    check = pairing_axioms_check(seed, 2)
+    if not check.passed:
+        row = check.failures()[0]
+        raise InputError(f"the seed is not a Hopf pairing: {row.check} "
+                         f"fails at {row.subject}")
     memo: dict = {}
+    levels: list = []
 
-    def worst_valuation(n: int):
+    def worst_valuation(a: Element, window: int, n: int):
         worst = math.inf
-        for w in _ideal_spanning_products(seed.right, n):
+        for w in _ideal_spanning_products(seed.right, n, levels):
             v = pair(a, w, seed, memo).truncate(window).valuation()
             worst = min(worst, v)
             if worst < n:
                 break
         return worst
 
-    return certify(a, n_max, seed.left.h_order, worst_valuation)
+    return [certify(a, n_max, seed.left.h_order,
+                    partial(worst_valuation, a, _reliable_order(seed, d)))
+            for a, d in zip(candidates, degrees)]

@@ -344,6 +344,5 @@ def div_h(a: HSeries, k: int) -> HSeries:
     """
     if a.coeffs and a.v_min < k:
         raise NotDivisible(
-            f"series {a} has valuation {a.valuation()} < {k}",
-            series=a, needed=k)
+            f"series {a} has valuation {a.valuation()} < {k}")
     return a.shift(-k)

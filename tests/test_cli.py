@@ -94,6 +94,30 @@ def test_manifest_structure_maps_are_never_dropped(tmp_path, capsys, table):
     assert "'z', which is not a generator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mangle, message", [
+    (lambda data: data.update(relation=data.pop("relations")),
+     "unknown keys ['relation']"),
+    (lambda data: data.update(degree_cap=3),
+     "a POLY manifest has no degree cap, got 3"),
+], ids=["misspelled-key", "poly-degree-cap"])
+def test_manifest_data_is_never_dropped(tmp_path, capsys, mangle, message):
+    # "relation" for "relations" loaded the abelian algebra, and a POLY
+    # manifest's degree cap was ignored; both exited 0
+    data = _borel2_manifest()
+    mangle(data)
+    path = tmp_path / "mangled.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["check-hopf", str(path), "--bound", "1"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_diamond_takes_no_bound(capsys):
+    # diamond never read --bound, so --bound -5 printed PASS with exit 0
+    assert run(["diamond", "borel2", "--bound", "-5"]) == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
 def test_check_hopf_json_schema(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     assert run(["check-hopf", "borel2", "--bound", "2",
@@ -186,10 +210,15 @@ def _seed_values(*values) -> dict:
     (_seed_values({"lgen": "x", "rgen": "x",
                    "value": {"v_min": -1, "order": 8, "coeffs": ["1"]}}),
      "h-valuation -1"),
-], ids=["no-rgen", "list-item", "top-level-list", "duplicate", "laurent"])
+    ({"left": "borel2", "right": "borel2_prime",
+      "valuse": [{"lgen": "x", "rgen": "x", "value": "1"}]},
+     "unknown keys ['valuse']"),
+], ids=["no-rgen", "list-item", "top-level-list", "duplicate", "laurent",
+        "misspelled-key"])
 def test_malformed_seed_is_usage_error(tmp_path, capsys, seed, message):
     # the first three were internal errors (exit 3); the duplicate kept the
-    # later value and the h^-1 value paired x^3 with x^3 to 6*h^-3, exit 0
+    # later value and the h^-1 value paired x^3 with x^3 to 6*h^-3, exit 0;
+    # the misspelled "valuse" paired everything to 0, exit 0
     argv = _borel2_seed(tmp_path, capsys, seed)
     assert run([*argv, "--left-elem", "x^3", "--right-elem", "x^3"]) == 2
     captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -14,23 +15,18 @@ from qdp.pairing import (PairingSeed, _ideal_spanning_products,
                          _reliable_order, orthogonal_membership, pair,
                          pairing_axioms_check)
 from qdp.drinfeld import prime_membership, prime_presentation
+from qdp.selftest import RunConfig, oracle_agreement, pairing_duality
 from qdp.series import HSeries
 
 
 @pytest.fixture(scope="module")
 def borel2_bundle():
-    b = builtin("borel2", 8, 8)
-    if not b.pairing_seed.validated:
-        pairing_axioms_check(b.pairing_seed, 3)
-    return b
+    return builtin("borel2", 8, 8)
 
 
 @pytest.fixture(scope="module")
 def abelian1_bundle():
-    b = builtin("abelian1", 8, 8)
-    if not b.pairing_seed.validated:
-        pairing_axioms_check(b.pairing_seed, 3)
-    return b
+    return builtin("abelian1", 8, 8)
 
 
 class TestEvaluation:
@@ -86,32 +82,38 @@ class TestAxioms:
     def test_abelian1_passes(self, abelian1_bundle):
         rep = pairing_axioms_check(abelian1_bundle.pairing_seed, 3)
         assert rep.passed
-        assert abelian1_bundle.pairing_seed.validated
 
     def test_borel2_passes(self, borel2_bundle):
         rep = pairing_axioms_check(borel2_bundle.pairing_seed, 3)
         assert rep.passed
 
     def test_broken_seed_detected(self):
-        # a cross value <x, Y> = 1 is incompatible with the relation
-        b = builtin("borel2", 6, 6)
-        L = b.quea
-        R = prime_presentation(L, 6)
-        seed = PairingSeed(L, R, {(0, 0): HSeries.one(6),
-                                  (1, 1): HSeries.one(6),
-                                  (0, 1): HSeries.one(6)})
-        rep = pairing_axioms_check(seed, 2)
+        rep = pairing_axioms_check(_cross_valued_seed(), 2)
         assert not rep.passed
-        assert not seed.validated
 
     def test_negative_degree_bound_is_input_error(self):
-        # a bound of -1 checked zero monomial rows and validated the seed
+        # a bound of -1 checked zero monomial rows and passed
         b = builtin("borel2", 6, 6)
         seed = PairingSeed(b.quea, prime_presentation(b.quea, 6),
                            {(0, 0): HSeries.one(6), (1, 1): HSeries.one(6)})
         with pytest.raises(InputError, match="degree bound -1"):
             pairing_axioms_check(seed, -1)
-        assert not seed.validated
+
+    def test_shared_bundle_and_seed_are_frozen(self, borel2_bundle):
+        # builtin() shares its bundles, so no check may leave state on them
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            borel2_bundle.pairing_seed.values = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            borel2_bundle.pairing_seed = None
+
+
+def _cross_valued_seed() -> PairingSeed:
+    """borel2 against its prime image with a cross value <x, Y> = 1, which
+    is incompatible with the relation."""
+    L = builtin("borel2", 6, 6).quea
+    return PairingSeed(L, prime_presentation(L, 6),
+                       {(0, 0): HSeries.one(6), (1, 1): HSeries.one(6),
+                        (0, 1): HSeries.one(6)})
 
 
 class TestOrthogonalMembership:
@@ -121,27 +123,30 @@ class TestOrthogonalMembership:
         R = prime_presentation(builtin("borel2", 6, 6).quea, 3)
         h_unit = R.unit().scaled(HSeries.h_power(1, R.h_order))
         factors = [h_unit, R.gen("x"), R.gen("y")]
+        levels = []
         for n in (4, 0, 1, 2, 3):
             want = [multiply_all([factors[i] for i in combo], R)
                     for combo in itertools.combinations_with_replacement(
                         range(3), n)
                     if sum(1 for i in combo if i > 0) <= 3]
-            assert list(_ideal_spanning_products(R, n)) == want
+            assert list(_ideal_spanning_products(R, n, levels)) == want
 
-    def test_requires_validation(self):
-        b = builtin("borel2", 6, 6)
-        seed = PairingSeed(b.quea, prime_presentation(b.quea, 6),
-                           {(0, 0): HSeries.one(6), (1, 1): HSeries.one(6)})
-        with pytest.raises(InputError):
-            orthogonal_membership(b.quea.gen("x"), seed)
+    def test_refuses_a_seed_that_is_not_a_pairing(self):
+        # the oracle checks its seed itself: the cross-valued seed fails
+        # its compatibility suite, and the first failing row is named
+        seed = _cross_valued_seed()
+        first = pairing_axioms_check(seed, 2).failures()[0]
+        with pytest.raises(InputError, match="not a Hopf pairing") as err:
+            orthogonal_membership([seed.left.gen("x")], seed)
+        assert f"{first.check} fails at {first.subject}" in str(err.value)
 
     def test_examples(self, borel2_bundle):
         seed = borel2_bundle.pairing_seed
         P = seed.left
         h = HSeries.h_power(1, 8)
-        assert orthogonal_membership(P.gen("x").scaled(h), seed).is_member
-        assert not orthogonal_membership(P.gen("y"), seed).is_member
-        assert orthogonal_membership(P.unit(), seed).is_member
+        certs = orthogonal_membership([P.gen("x").scaled(h), P.gen("y"),
+                                       P.unit()], seed)
+        assert [c.is_member for c in certs] == [True, False, True]
 
     def test_agreement_with_deviation_route(self, borel2_bundle):
         seed = borel2_bundle.pairing_seed
@@ -152,16 +157,48 @@ class TestOrthogonalMembership:
                  multiply(P.gen("x"), P.gen("y"), P),
                  multiply(P.gen("x"), P.gen("y"), P).scaled(h).scaled(h),
                  P.gen("x") + P.gen("y").scaled(h)]
-        for a in batch:
-            assert (prime_membership(a, P).is_member
-                    == orthogonal_membership(a, seed).is_member)
+        certs = orthogonal_membership(batch, seed)
+        for a, c in zip(batch, certs):
+            assert prime_membership(a, P).is_member == c.is_member
 
 
-def _pairing_certificate(src, D):
+def test_oracle_agreement_does_not_depend_on_criterion_order():
+    # the oracle checked its seed only while no flag said a check had
+    # passed, and pairing-duality's degree-3 check set that flag on the
+    # shared bundle; the rows must not depend on what ran before
+    cfg = RunConfig()
+    builtin.cache_clear()
+    alone = oracle_agreement(cfg)
+    builtin.cache_clear()
+    pairing_duality(cfg)
+    after_duality = oracle_agreement(cfg)
+    assert alone == after_duality
+    assert all(r.passed for r in alone) and len(alone) == 33
+
+
+def test_oracle_refuses_a_seed_only_a_narrower_check_passes(monkeypatch):
+    # <x, X> = 1 + h^6 passes pairing-duality's degree-3 suite, read through
+    # the window D - 3, but fails the oracle's own degree-2 suite; once the
+    # degree-3 pass had marked the shared seed, the oracle trusted it
+    real = builtin("borel2", 8, 8)
+    values = dict(real.pairing_seed.values)
+    values[(0, 0)] = values[(0, 0)] + HSeries.h_power(6, 8)
+    bent = dataclasses.replace(real, pairing_seed=dataclasses.replace(
+        real.pairing_seed, values=values))
+    monkeypatch.setattr("qdp.selftest.builtin", lambda name, *orders: (
+        bent if name == "borel2" else builtin(name, *orders)))
+    cfg = RunConfig()
+    with pytest.raises(InputError, match="not a Hopf pairing"):
+        oracle_agreement(cfg)
+    assert pairing_duality(cfg)[-1].passed   # borel2's degree-3 suite
+    with pytest.raises(InputError, match="not a Hopf pairing"):
+        oracle_agreement(cfg)
+
+
+def _pairing_certificates(sources, D):
     seed = builtin("borel2", 8, D).pairing_seed
-    if not seed.validated:
-        pairing_axioms_check(seed, 2)
-    return orthogonal_membership(parse_element(src, seed.left), seed)
+    return orthogonal_membership(
+        [parse_element(src, seed.left) for src in sources], seed)
 
 
 class TestTruncationStability:
@@ -169,21 +206,25 @@ class TestTruncationStability:
         # an "up to truncation" verdict must not change when D is raised;
         # nine of these were members at D=3 and D=4 (three more at D=2) on
         # a reliable window too narrow to see their witness, and are input
-        # errors now
-        monos = ["x", "y", "x*y", "y^2", "x^2", "x*y^2", "x^2*y", "y^3"]
-        elements = [f"h^{k}*{m}" for k in range(4) for m in monos]
-        want = {src: _pairing_certificate(src, 8) for src in elements}
+        # errors now.  The degree cap's rule depends on the degree alone,
+        # so each oracle call takes the candidates of one degree.
+        by_degree = [[f"h^{k}*{m}" for k in range(4) for m in monos]
+                     for monos in (["x", "y"], ["x*y", "y^2", "x^2"],
+                                   ["x*y^2", "x^2*y", "y^3"])]
+        elements = [src for group in by_degree for src in group]
+        want = dict(zip(elements, _pairing_certificates(elements, 8)))
         refused = 0
         for D in range(3, 8):
-            for src in elements:
+            for group in by_degree:
                 try:
-                    c = _pairing_certificate(src, D)
+                    certs = _pairing_certificates(group, D)
                 except InputError as e:
                     assert "degree cap" in str(e)
-                    refused += 1
+                    refused += len(group)
                     continue
-                assert (c.verdict, c.witness) == (want[src].verdict,
-                                                  want[src].witness), (src, D)
+                for src, c in zip(group, certs):
+                    assert (c.verdict, c.witness) == (
+                        want[src].verdict, want[src].witness), (src, D)
         # degree 3 needs D >= 5: 12 elements at D=3 and D=4
         assert refused == 24
 

@@ -289,7 +289,7 @@ class RefSeries:
 
     def div_h(self, k):
         if self.coeffs and self.v_min < k:
-            raise NotDivisible("reference", series=self, needed=k)
+            raise NotDivisible("reference")
         return self.shift(-k)
 
     def __str__(self):
