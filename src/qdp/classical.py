@@ -20,10 +20,9 @@ from typing import Sequence
 
 from .errors import (CobracketNotInWedge, DimensionMismatch,
                      NotCocommutativeModH, NotCommutativeModH, NotLieType)
-from .freealg import Element, Monomial
-from .hopf import (POLY, SERIES, Presentation, coproduct, normal_form)
+# normal_form is not called here; bench/tracer.py wraps this binding
+from .hopf import POLY, SERIES, Presentation, coproduct, normal_form
 from .report import HopfReport
-from .series import HSeries
 
 
 def _zero_cube(n: int):
@@ -139,28 +138,25 @@ def _wedge_str(mat, names):
 # -- extraction -------------------------------------------------------------------
 
 
-def _commutator_h1_table(P: Presentation) -> list:
-    """p[i][j][k]: coefficient of x_k in the degree-1 part of the
-    h-linear coefficient of x_i x_j - x_j x_i.  Degree >= 2 parts are the
+def _relation_table(P: Presentation, at_h: int) -> list:
+    """t[i][j][k]: coefficient of x_k in the h^at_h coefficient of
+    [x_i, x_j], read off -r_ij for i < j.  Degree >= 2 parts are the
     mod-squares projection and are discarded; a constant part means the
     commutator ideal is broken and is an error."""
-    n = P.ngens
-    p = _zero_cube(n)
+    t = _zero_cube(P.ngens)
     for (i, j), r in P.relations.items():
-        comm = -r  # x_i x_j - x_j x_i
-        for m, c in comm.terms.items():
-            q1 = c.coeff_at(1)
-            if not q1:
+        for m, c in r.terms.items():
+            v = c.coeff_at(at_h)
+            if not v or m.degree > 1:
                 continue
             if m.degree == 0:
                 raise NotLieType(
-                    f"commutator of {P.generators[i]},{P.generators[j]} has "
-                    f"a constant h-linear part {q1}")
-            if m.degree == 1:
-                k = m.exponents.index(1)
-                p[i][j][k] += q1
-                p[j][i][k] -= q1
-    return p
+                    f"[{P.generators[i]},{P.generators[j]}] has a constant "
+                    f"h^{at_h} part {-v}")
+            k = m.exponents.index(1)
+            t[j][i][k] += v
+            t[i][j][k] -= v
+    return t
 
 
 def _coproduct_skew_table(P: Presentation, at_h: int,
@@ -197,29 +193,8 @@ def extract_lie_bialgebra(P: Presentation) -> LieBialgebra:
     Delta - Delta_op."""
     if P.model != POLY:
         raise NotLieType("bracket extraction expects a POLY presentation")
-    n = P.ngens
-    bracket = _zero_cube(n)
-    for (i, j), _ in P.relations.items():
-        lhs = normal_form((j, i), P)
-        rhs = Element.from_monomial(
-            P.name,
-            Monomial.generator(i, n).merged(Monomial.generator(j, n)),
-            HSeries.one(P.h_order))
-        # lhs - rhs = r_ij = [x_j, x_i]; admissibility gives its degree-2
-        # terms valuation >= 1, so mod h it has degree <= 1
-        for m, c in (lhs - rhs).terms.items():
-            v = c.coeff_at(0)
-            if not v:
-                continue
-            if m.degree == 0:
-                raise NotLieType(
-                    f"relation ({P.generators[i]},{P.generators[j]}) has a "
-                    f"constant term {v} mod h")
-            k = m.exponents.index(1)
-            bracket[j][i][k] += v
-            bracket[i][j][k] -= v
-    cobracket = _coproduct_skew_table(P, at_h=1, strict_wedge=True)
-    return LieBialgebra(n, list(P.generators), bracket, cobracket)
+    return LieBialgebra(P.ngens, list(P.generators), _relation_table(P, 0),
+                        _coproduct_skew_table(P, at_h=1, strict_wedge=True))
 
 
 def extract_poisson_structure(P: Presentation) -> LieBialgebra:
@@ -240,7 +215,7 @@ def extract_poisson_structure(P: Presentation) -> LieBialgebra:
             raise NotCommutativeModH(
                 f"generators {P.generators[i]},{P.generators[j]} do not "
                 "commute mod h")
-    cotangent = LieBialgebra(P.ngens, P.generators, _commutator_h1_table(P),
+    cotangent = LieBialgebra(P.ngens, P.generators, _relation_table(P, 1),
                              _coproduct_skew_table(P, at_h=0,
                                                    strict_wedge=False))
     return dual_lie_bialgebra(cotangent)

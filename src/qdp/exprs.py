@@ -21,9 +21,9 @@ import re
 from fractions import Fraction
 
 from .errors import ExpressionSyntaxError, UnknownGenerator
-from .freealg import Element, Monomial
-from .hopf import (POLY, Presentation, counit, element_exp, multiply,
-                   multiply_all)
+from .freealg import Element
+from .hopf import (POLY, Presentation, _mono_label, counit, element_exp,
+                   multiply, multiply_all)
 from .series import HSeries
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
@@ -185,24 +185,14 @@ def scalar_to_expr(s: HSeries) -> str:
     return " + ".join(parts)
 
 
-def _monomial_to_expr(m: Monomial, P: Presentation) -> str:
-    bits = []
-    for i, e in enumerate(m.exponents):
-        if e == 1:
-            bits.append(P.generators[i])
-        elif e > 1:
-            bits.append(f"{P.generators[i]}^{e}")
-    return "*".join(bits)
-
-
 def element_to_expr(a: Element, P: Presentation) -> str:
     if a.is_zero():
         return "0"
     parts = []
     for m, c in a.sorted_terms():
         cs = scalar_to_expr(c)
-        ms = _monomial_to_expr(m, P)
-        if not ms:
+        ms = _mono_label(P, m)
+        if m.is_identity():
             parts.append(f"({cs})" if ("+" in cs or "*" in cs) else cs)
         elif cs == "1":
             parts.append(ms)

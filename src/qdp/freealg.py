@@ -126,8 +126,9 @@ class _LinearTerms:
     """Arithmetic shared by Element and TensorElement: a finite map from
     keys (a Monomial, or a tuple of them) to HSeries coefficients.
 
-    A subclass names its space with _space() and builds a value of the same
-    space from a terms dict with _new(); everything else is written once.
+    A subclass names its space with _space(), builds a value of the same
+    space from a terms dict with _new() and lists a key's monomials with
+    _monomials(); everything else is written once.
     """
 
     __slots__ = ()
@@ -136,6 +137,10 @@ class _LinearTerms:
         return self.pres
 
     def _new(self, terms: Mapping):
+        raise NotImplementedError
+
+    @staticmethod
+    def _monomials(key) -> tuple:
         raise NotImplementedError
 
     def is_zero(self) -> bool:
@@ -170,6 +175,20 @@ class _LinearTerms:
             return NotImplemented
         return self._space() == other._space() and self.terms == other.terms
 
+    def truncate(self, h_order: int, degree_cap: int | None = None):
+        """Every coefficient cut at h_order; with a degree cap, the terms
+        with a monomial of degree above it dropped."""
+        mons = self._monomials
+        return self._new({k: c.truncate(h_order) for k, c in self.terms.items()
+                          if degree_cap is None
+                          or all(m.degree <= degree_cap for m in mons(k))})
+
+    def sorted_terms(self):
+        """The terms in deglex order of their monomials, slot by slot."""
+        mons = self._monomials
+        return sorted(self.terms.items(), key=lambda kv: tuple(
+            m.deglex_key() for m in mons(kv[0])))
+
 
 class Element(_LinearTerms):
     """Finite sum of ordered monomials with HSeries coefficients."""
@@ -182,6 +201,10 @@ class Element(_LinearTerms):
 
     def _new(self, terms: Mapping) -> "Element":
         return Element(self.pres, terms)
+
+    @staticmethod
+    def _monomials(key: Monomial) -> tuple:
+        return (key,)
 
     @classmethod
     def zero(cls, pres: str) -> "Element":
@@ -199,19 +222,8 @@ class Element(_LinearTerms):
     def __bool__(self):
         return bool(self.terms)
 
-    def truncate(self, h_order: int, degree_cap: int | None = None) -> "Element":
-        out = {}
-        for m, c in self.terms.items():
-            if degree_cap is not None and m.degree > degree_cap:
-                continue
-            out[m] = c.truncate(h_order)
-        return Element(self.pres, out)
-
     def coeff(self, mono: Monomial) -> HSeries | None:
         return self.terms.get(mono)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].deglex_key())
 
     def __repr__(self):
         if not self.terms:
@@ -246,6 +258,10 @@ class TensorElement(_LinearTerms):
     def _new(self, terms: Mapping) -> "TensorElement":
         return TensorElement(self.pres, self.rank, terms)
 
+    @staticmethod
+    def _monomials(key: tuple) -> tuple:
+        return key
+
     @classmethod
     def zero(cls, pres: str, rank: int) -> "TensorElement":
         return cls(pres, rank, {})
@@ -256,24 +272,10 @@ class TensorElement(_LinearTerms):
         key = (Monomial.identity(ngens),) * rank
         return cls(pres, rank, {key: HSeries.const(value, order)})
 
-    def truncate(self, h_order: int,
-                 degree_cap: int | None = None) -> "TensorElement":
-        out = {}
-        for key, c in self.terms.items():
-            if degree_cap is not None and any(m.degree > degree_cap
-                                              for m in key):
-                continue
-            out[key] = c.truncate(h_order)
-        return TensorElement(self.pres, self.rank, out)
-
     def swapped(self) -> "TensorElement":
         """Reverse the slot order (rank-2 opposite coproduct and friends)."""
         return self._new({tuple(reversed(k)): c
                           for k, c in self.terms.items()})
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: tuple(m.deglex_key() for m in kv[0]))
 
     def __repr__(self):
         if not self.terms:

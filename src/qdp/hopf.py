@@ -424,31 +424,40 @@ def _expand_into(acc: dict, slots: Sequence, coeff: HSeries,
 # -- structure maps --------------------------------------------------------------
 
 
-def coproduct_monomial(P: Presentation, m: Monomial) -> TensorElement:
-    """Delta(m) = 1 * Delta(x_w1) * ... * Delta(x_wd) over the ordered word
-    w of m, folded left to right.
+def _word_fold(P: Presentation, cache: dict, m: Monomial, unit, times,
+               factors: Mapping, reverse: bool = False):
+    """unit() * f(x_w1) * ... * f(x_wd) over the ordered word w of m
+    (reversed, for an anti-multiplicative map), folded left to right by
+    times(acc, f(x), P) with f(x) = factors[x].
 
-    Every prefix of an ordered word is an ordered monomial, so the fold
-    keeps each prefix's coproduct in P._coproduct_cache and resumes from
-    the cached ones: a cached prefix was built by this same fold, so the
-    result is the full fold's, coefficient orders included, at one
-    tensor_multiply per prefix not yet seen."""
-    cache = P._coproduct_cache
+    Every part the fold passes through, a prefix of w or with reverse a
+    suffix, is an ordered monomial, so the fold keeps each part's value in
+    cache and resumes from the cached ones: a cached part was built by
+    this same fold, so the result is the full fold's, coefficient orders
+    included, at one product per part not yet seen."""
     acc = cache.get(m)
     if acc is not None:
         return acc
-    acc = TensorElement.unit(P.name, 2, P.ngens, P.h_order)
-    prefix = [0] * P.ngens
-    for letter in m.word():
-        prefix[letter] += 1
-        p = Monomial(prefix)
+    acc = unit()
+    part = [0] * P.ngens
+    word = m.word()
+    for letter in reversed(word) if reverse else word:
+        part[letter] += 1
+        p = Monomial(part)
         t = cache.get(p)
         if t is None:
-            t = cache[p] = tensor_multiply(
-                acc, P.coproduct_on_gens[P.generators[letter]], P)
+            t = cache[p] = times(acc, factors[P.generators[letter]], P)
         acc = t
-    cache[m] = acc  # the identity has no letter, so no prefix stored it
+    cache[m] = acc  # the identity has no letter, so no part stored it
     return acc
+
+
+def coproduct_monomial(P: Presentation, m: Monomial) -> TensorElement:
+    """Delta(m), multiplicative on the word of m."""
+    return _word_fold(
+        P, P._coproduct_cache, m,
+        lambda: TensorElement.unit(P.name, 2, P.ngens, P.h_order),
+        tensor_multiply, P.coproduct_on_gens)
 
 
 def _extend(a: Element, P: Presentation, zero, image, *args,
@@ -487,14 +496,9 @@ def counit(a: Element, P: Presentation) -> HSeries:
 
 
 def antipode_monomial(P: Presentation, m: Monomial) -> Element:
-    cached = P._antipode_cache.get(m)
-    if cached is not None:
-        return cached
-    acc = P.unit()
-    for letter in reversed(m.word()):
-        acc = multiply(acc, P.antipode_on_gens[P.generators[letter]], P)
-    P._antipode_cache[m] = acc
-    return acc
+    """S(m), anti-multiplicative on the word of m."""
+    return _word_fold(P, P._antipode_cache, m, P.unit, multiply,
+                      P.antipode_on_gens, reverse=True)
 
 
 def antipode(a: Element, P: Presentation) -> Element:

@@ -51,18 +51,6 @@ class PairingSeed:
         got = self.values.get((li, ri))
         return got if got is not None else HSeries.zero(self.order)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "left": self.left.name,
-            "right": self.right.name,
-            "values": [
-                {"lgen": self.left.generators[li],
-                 "rgen": self.right.generators[ri],
-                 "value": v.to_jsonable()}
-                for (li, ri), v in sorted(self.values.items())
-            ],
-        }
-
 
 def _first_letter_split(m: Monomial) -> tuple[Monomial, Monomial]:
     """(first generator, remaining ordered monomial), whose product is m."""

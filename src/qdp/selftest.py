@@ -46,7 +46,6 @@ KERNEL_ORDER = 2       # h-order for the filtration-kernel sweep
 class RunConfig:
     h_order: int = 8
     degree_cap: int = 8
-    n_max: int | None = None
     seed: int = DEFAULT_SEED
     output_format: str = "text"
 
@@ -79,11 +78,11 @@ def membership_battery(cfg: RunConfig) -> list[CheckRow]:
     P = builtin("borel2", cfg.h_order, cfg.degree_cap).quea
     h = HSeries.h_power(1, P.h_order)
 
-    cert = prime_membership(P.gen("x").scaled(h), P, cfg.n_max)
+    cert = prime_membership(P.gen("x").scaled(h), P)
     rep.add("membership", "borel2: h*x", cert.is_member, cert.verdict)
-    cert = prime_membership(P.gen("y").scaled(h), P, cfg.n_max)
+    cert = prime_membership(P.gen("y").scaled(h), P)
     rep.add("membership", "borel2: h*y", cert.is_member, cert.verdict)
-    cert = prime_membership(P.gen("y"), P, cfg.n_max)
+    cert = prime_membership(P.gen("y"), P)
     rep.add("membership", "borel2: y is not a member", not cert.is_member,
             f"witness n={cert.witness}")
     rep.add("membership", "borel2: delta_2(y) has valuation exactly 1",
@@ -355,10 +354,9 @@ def oracle_agreement(cfg: RunConfig) -> list[CheckRow]:
     P = b.quea
     rng = random.Random(cfg.seed + 2)
     battery = _membership_battery_elements(P, rng)
-    certs = orthogonal_membership([a for _, a in battery], b.pairing_seed,
-                                  cfg.n_max)
+    certs = orthogonal_membership([a for _, a in battery], b.pairing_seed)
     for (label, a), c2 in zip(battery, certs):
-        c1 = prime_membership(a, P, cfg.n_max)
+        c1 = prime_membership(a, P)
         rep.add("oracle-agreement", f"borel2: {label}",
                 c1.is_member == c2.is_member,
                 f"deviation route {c1.verdict}, pairing route {c2.verdict}")
@@ -439,7 +437,7 @@ def run_selftest(cfg: RunConfig) -> dict:
         "command": "selftest",
         "h_order": cfg.h_order,
         "degree_cap": cfg.degree_cap,
-        "n_max": cfg.n_max,
+        "n_max": None,  # every certificate checks n up to the h-order
         "seed": cfg.seed,
         "checks": [r.to_jsonable() for r in rows],
         "passed": all(r.passed for r in rows),

@@ -16,6 +16,21 @@ def borel2():
     return builtin("borel2", 8, 8).quea
 
 
+def _primitive_pair(name, model, rel):
+    """Two primitive generators a, b with b*a = a*b + rel, at h-order 4
+    (degree cap 4 for a SERIES model)."""
+    one = HSeries.one(4)
+    cop, eps, ant = {}, {}, {}
+    for i, g in enumerate(["a", "b"]):
+        gm = Monomial.generator(i, 2)
+        idm = Monomial.identity(2)
+        cop[g] = TensorElement(name, 2, {(gm, idm): one, (idm, gm): one})
+        eps[g] = HSeries.zero(4)
+        ant[g] = Element.from_monomial(name, gm, HSeries.const(-1, 4))
+    return Presentation(name, model, ["a", "b"], 4, 4, {(0, 1): rel}, cop,
+                        eps, ant)
+
+
 class TestExtractLie:
     def test_abelian(self):
         P = builtin("abelian2", 8, 8).quea
@@ -39,29 +54,22 @@ class TestExtractLie:
 
     def test_nonlinear_relation_rejected(self):
         name = "nonlie"
-        one = HSeries.one(4)
-        gens = ["a", "b"]
-        cop, eps, ant = {}, {}, {}
-        for i, g in enumerate(gens):
-            gm = Monomial.generator(i, 2)
-            idm = Monomial.identity(2)
-            cop[g] = TensorElement(name, 2, {(gm, idm): one, (idm, gm): one})
-            eps[g] = HSeries.zero(4)
-            ant[g] = Element.from_monomial(name, gm, HSeries.const(-1, 4))
-        rel = Element.from_monomial(name, Monomial((2, 0)),
-                                    HSeries.one(4))  # b*a = a*b + a^2
         # admissible shape needs valuation >= 1 on degree-2 terms
         rel = Element.from_monomial(name, Monomial((2, 0)),
-                                    HSeries.h_power(0, 4))
+                                    HSeries.h_power(0, 4))  # b*a = a*b + a^2
         with pytest.raises(Exception):
-            Presentation(name, POLY, gens, 4, None, {(0, 1): rel}, cop, eps,
-                         ant)
-        # a constant term mod h is NotLieType at extraction
-        rel2 = Element.unit(name, 2, 4)
-        P = Presentation(name, POLY, gens, 4, None, {(0, 1): rel2}, cop, eps,
-                         ant)
-        with pytest.raises(NotLieType):
-            extract_lie_bialgebra(P)
+            _primitive_pair(name, POLY, rel)
+
+    @pytest.mark.parametrize("model, k, extract", [
+        (POLY, 0, extract_lie_bialgebra),
+        (SERIES, 1, extract_poisson_structure)])
+    def test_constant_commutator_part_rejected(self, model, k, extract):
+        # [a, b] = -r has a constant part at the h-order the structure is
+        # read at: h^0 for the bracket of U_h, h^1 for commutators over h
+        rel = Element.unit("nonlie", 2, 4).scaled(HSeries.h_power(k, 4))
+        with pytest.raises(NotLieType,
+                           match=rf"\[a,b\] has a constant h\^{k} part -1"):
+            extract(_primitive_pair("nonlie", model, rel))
 
 
 class TestExtractPoisson:
@@ -88,21 +96,10 @@ class TestExtractPoisson:
 
     def test_noncommutative_mod_h_rejected(self):
         name = "notqfsha"
-        one = HSeries.one(4)
-        gens = ["a", "b"]
-        cop, eps, ant = {}, {}, {}
-        for i, g in enumerate(gens):
-            gm = Monomial.generator(i, 2)
-            idm = Monomial.identity(2)
-            cop[g] = TensorElement(name, 2, {(gm, idm): one, (idm, gm): one})
-            eps[g] = HSeries.zero(4)
-            ant[g] = Element.from_monomial(name, gm, HSeries.const(-1, 4))
         rel = Element.from_monomial(name, Monomial((0, 1)),
                                     HSeries.const(-1, 4))  # b*a = a*b - b
-        P = Presentation(name, SERIES, gens, 4, 4, {(0, 1): rel}, cop, eps,
-                         ant)
         with pytest.raises(NotCommutativeModH):
-            extract_poisson_structure(P)
+            extract_poisson_structure(_primitive_pair(name, SERIES, rel))
 
     def test_poly_input_rejected(self, borel2):
         with pytest.raises(NotCommutativeModH):

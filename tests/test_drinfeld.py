@@ -150,7 +150,9 @@ class TestVeeTransform:
                                     HSeries.const(-1, 4))
         P = Presentation(name, SERIES, gens, 4, 4, {(0, 1): rel}, cop, eps,
                          ant)
-        with pytest.raises(NotDivisible):
+        # the report names what failed: the relation and its term
+        with pytest.raises(NotDivisible,
+                           match=r"relation b\*a: term \[\(0, 1\)\]"):
             vee_presentation(P)
 
     def test_poly_input_rejected(self, borel2):

@@ -172,6 +172,14 @@ class TestTruncate:
                                     HSeries.one(8))
         assert big.truncate(8, 8).is_zero()
 
+    def test_degree_cap_reads_every_slot(self, borel2):
+        # a tensor key is dropped when any of its monomials exceeds the cap
+        x, y9 = Monomial((1, 0)), Monomial((0, 9))
+        one = HSeries.one(8)
+        t = TensorElement(borel2.name, 2, {(x, x): one, (x, y9): one,
+                                           (y9, x): one})
+        assert t.truncate(8, 8).terms == {(x, x): one}
+
     def test_idempotent(self, borel2):
         rng = random.Random(6)
         for a in random_elements(borel2, rng, 10):

@@ -748,6 +748,24 @@ class TestTruncationAwareProducts:
             got = hopf.coproduct_monomial(P, m)
             assert _exact(got) == _exact(ref_coproduct_monomial(R, m)), m
         assert P._coproduct_cache.keys() == R._coproduct_cache.keys()
+        # the antipode resumes from cached suffixes, the gauge map from
+        # cached prefixes; both must equal the fold from the unit
+        h = HSeries.h_power(1, P.h_order)
+        phi = GaugeMap.make(P, {"x": P.gen("x") + P.gen("y").scaled(h),
+                                "y": P.gen("y")})
+        for m in reversed(monos):
+            word = m.word()
+            want = P.unit()
+            for letter in reversed(word):
+                want = multiply(want, P.antipode_on_gens[P.generators[letter]],
+                                P)
+            assert _exact(hopf.antipode_monomial(P, m)) == _exact(want), m
+            want = P.unit()
+            for letter in word:
+                want = multiply(want, phi.images[P.generators[letter]], P)
+            assert _exact(phi.of_monomial(P, m)) == _exact(want), m
+        assert P._antipode_cache.keys() == phi._power_cache.keys() == set(
+            monos)
 
     @pytest.mark.parametrize("coeff", [HSeries(1, 6, [1, 2]),
                                        HSeries(1, 6, [Fraction(1, 3), 2])])

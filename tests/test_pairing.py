@@ -195,6 +195,22 @@ def test_oracle_refuses_a_seed_only_a_narrower_check_passes(monkeypatch):
         oracle_agreement(cfg)
 
 
+def test_pairing_duality_rejects_a_rescaled_seed(monkeypatch):
+    # <x, X> = 2 is still a Hopf pairing (x -> 2x is an automorphism of
+    # abelian1), so the compatibility suite passes, but <x^m, y^n/n!> is
+    # 2^m delta_mn: only the duality row can tell the seed is wrong
+    real = builtin("abelian1", 8, 8)
+    doubled = dataclasses.replace(real, pairing_seed=dataclasses.replace(
+        real.pairing_seed, values={(0, 0): HSeries.const(2, 8)}))
+    monkeypatch.setattr("qdp.selftest.builtin", lambda name, *orders: (
+        doubled if name == "abelian1" else builtin(name, *orders)))
+    duality, *axioms = pairing_duality(RunConfig())
+    assert not duality.passed
+    assert duality.detail == f"failures: {[(m, m) for m in range(1, 6)]}"
+    assert [r.subject.split(":")[0] for r in axioms] == ["abelian1", "borel2"]
+    assert all(r.passed for r in axioms)
+
+
 def _pairing_certificates(sources, D):
     seed = builtin("borel2", 8, D).pairing_seed
     return orthogonal_membership(
