@@ -28,7 +28,7 @@ from math import factorial
 from .classical import LieBialgebra
 from .drinfeld import prime_presentation
 from .errors import UnknownExample
-from .freealg import Element, Monomial, TensorElement
+from .freealg import Monomial, TensorElement
 from .hopf import POLY, Presentation
 from .pairing import PairingSeed
 from .series import HSeries
@@ -53,9 +53,9 @@ def _primitive_tensor(name: str, i: int, ngens: int, order: int) -> TensorElemen
     return TensorElement(name, 2, {(g, one): c, (one, g): c})
 
 
-def _minus_gen(name: str, i: int, ngens: int, order: int) -> Element:
-    return Element.from_monomial(name, Monomial.generator(i, ngens),
-                                 HSeries.const(-1, order))
+def _minus_gen(name: str, i: int, ngens: int, order: int) -> TensorElement:
+    return TensorElement(name, 1, {(Monomial.generator(i, ngens),):
+                                   HSeries.const(-1, order)})
 
 
 def _abelian(n: int, N: int) -> Presentation:
@@ -74,7 +74,7 @@ def _borel2(N: int) -> Presentation:
     x = Monomial.generator(0, 2)
     y = Monomial.generator(1, 2)
     # y*x = x*y - y
-    relations = {(0, 1): Element.from_monomial(name, y, HSeries.const(-1, N))}
+    relations = {(0, 1): TensorElement(name, 1, {(y,): HSeries.const(-1, N)})}
     cop = {"x": _primitive_tensor(name, 0, 2, N)}
     dy = {(y, one): HSeries.one(N)}
     for k in range(N + 1):
@@ -85,9 +85,9 @@ def _borel2(N: int) -> Presentation:
     sy = {}
     for k in range(N + 1):
         xky = Monomial((k, 1))
-        sy[xky] = HSeries.h_power(k, N, Fraction((-1) ** (k + 1),
+        sy[(xky,)] = HSeries.h_power(k, N, Fraction((-1) ** (k + 1),
                                                  factorial(k)))
-    ant["y"] = Element(name, sy)
+    ant["y"] = TensorElement(name, 1, sy)
     eps = {g: HSeries.zero(N) for g in gens}
     return Presentation(name, POLY, gens, N, None, relations, cop, eps, ant)
 
@@ -97,7 +97,7 @@ def _heisenberg3(N: int) -> Presentation:
     gens = ["x", "y", "z"]
     z = Monomial.generator(2, 3)
     # y*x = x*y - z, z central
-    relations = {(0, 1): Element.from_monomial(name, z, HSeries.const(-1, N))}
+    relations = {(0, 1): TensorElement(name, 1, {(z,): HSeries.const(-1, N)})}
     cop = {g: _primitive_tensor(name, i, 3, N) for i, g in enumerate(gens)}
     ant = {g: _minus_gen(name, i, 3, N) for i, g in enumerate(gens)}
     eps = {g: HSeries.zero(N) for g in gens}

@@ -145,7 +145,7 @@ def _relation_table(P: Presentation, at_h: int) -> list:
     commutator ideal is broken and is an error."""
     t = _zero_cube(P.ngens)
     for (i, j), r in P.relations.items():
-        for m, c in r.terms.items():
+        for (m,), c in r.terms.items():
             v = c.coeff_at(at_h)
             if not v or m.degree > 1:
                 continue

@@ -8,7 +8,6 @@ invariant violation or any unexpected exception (one line, no traceback).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bundles import BUILTIN_NAMES, builtin, bundle_selfcheck
@@ -34,22 +33,10 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _default_order() -> int:
-    env = os.environ.get("QDP_DEFAULT_ORDER")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(
-                f"QDP_DEFAULT_ORDER={env!r} is not an integer") from None
-    return 8
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--h-order", type=int, default=None, metavar="N",
-                        help="series truncation order (default 8, or "
-                             "QDP_DEFAULT_ORDER)")
+                        help="series truncation order (default 8)")
     common.add_argument("--degree", type=int, default=None, metavar="D",
                         help="total-degree cap for degree-capped "
                              "presentations (default 8)")
@@ -126,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config(args) -> RunConfig:
     return RunConfig(
-        h_order=args.h_order if args.h_order is not None else _default_order(),
+        h_order=args.h_order if args.h_order is not None else 8,
         degree_cap=args.degree if args.degree is not None else 8,
         seed=args.seed,
         output_format=args.format)
@@ -220,7 +207,9 @@ def _cmd_diamond(args, cfg) -> int:
     return _emit_report(rep, cfg, "diamond", {"presentation": P.name})
 
 
-def _cmd_transform(args, cfg, which: str) -> int:
+def _cmd_transform(args, cfg) -> int:
+    """`prime` or `vee`, as args.cmd names it."""
+    which = args.cmd
     P = _load_presentation(args.source, args, cfg)
     out = (prime_presentation(P, cfg.degree_cap) if which == "prime"
            else vee_presentation(P))
@@ -344,6 +333,8 @@ _HANDLERS = {
     "show": _cmd_show,
     "check-hopf": _cmd_check_hopf,
     "diamond": _cmd_diamond,
+    "prime": _cmd_transform,
+    "vee": _cmd_transform,
     "member": _cmd_member,
     "limit": _cmd_limit,
     "dual-check": _cmd_dual_check,
@@ -364,10 +355,6 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         cfg = _config(args)
-        if args.cmd == "prime":
-            return _cmd_transform(args, cfg, "prime")
-        if args.cmd == "vee":
-            return _cmd_transform(args, cfg, "vee")
         return _HANDLERS[args.cmd](args, cfg)
     except NotAHopfMap as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 from .errors import (InputError, MixedPresentations, NotAHopfMap, NotDivisible,
                      PresentationError)
-from .freealg import Element, Monomial, TensorElement
+from .freealg import Monomial, TensorElement
 from .hopf import (POLY, SERIES, Presentation, _diff_note, _expand_into,
-                   _extend, _word_fold, coproduct, counit, delta_n, multiply,
-                   normal_form)
+                   _mono_label, _word_fold, coproduct, counit, delta_n,
+                   multiply, normal_form)
 from .report import HopfReport
 from .series import HSeries, div_h
 
@@ -64,7 +64,17 @@ class MembershipCertificate:
         }
 
 
-def certify(a: Element, n_max: int | None, default: int,
+def _element_text(a: TensorElement) -> str:
+    """The certificate's name for an element: its terms in deglex order as
+    (c)*g0*g1^2, generators by index, so that it needs no presentation."""
+    bits = []
+    for (m,), c in a.sorted_terms():
+        names = [f"g{i}" for i in range(len(m.exponents))]
+        bits.append(f"({c})*{_mono_label(names, m)}")
+    return " + ".join(bits) or "0"
+
+
+def certify(a: TensorElement, n_max: int | None, default: int,
             valuation) -> MembershipCertificate:
     """Record valuation(n) for n = 0..n_max; the first n with
     valuation(n) < n is the witness against membership.
@@ -80,10 +90,11 @@ def certify(a: Element, n_max: int | None, default: int,
     vals = [valuation(n) for n in ns]
     witness = next((n for n, v in zip(ns, vals) if v < n), None)
     verdict = MEMBER if witness is None else NOT_MEMBER
-    return MembershipCertificate(repr(a), ns, vals, verdict, witness)
+    return MembershipCertificate(_element_text(a), ns, vals, verdict,
+                                 witness)
 
 
-def prime_membership(a: Element, P: Presentation,
+def prime_membership(a: TensorElement, P: Presentation,
                      n_max: int | None = None) -> MembershipCertificate:
     """Check h^n-divisibility of the n-th deviation of a, n = 0..n_max.
 
@@ -103,17 +114,16 @@ def prime_membership(a: Element, P: Presentation,
 
 
 def _rescale(e, s: int, source_degree: int, what: str) -> dict:
-    """The terms of e (an Element or a TensorElement), each coefficient
-    times h^(s * (source_degree - the degree of its key))."""
+    """The terms of the tensor e, each coefficient times
+    h^(s * (source_degree - the degree of its key))."""
     out = {}
     for key, c in e.terms.items():
-        mons = e._monomials(key)
-        power = s * (source_degree - sum(m.degree for m in mons))
+        power = s * (source_degree - sum(m.degree for m in key))
         try:
             out[key] = div_h(c, -power)
         except NotDivisible as exc:
             raise NotDivisible(
-                f"{what}: term {[m.exponents for m in mons]} has coefficient "
+                f"{what}: term {[m.exponents for m in key]} has coefficient "
                 f"{c}, which is not divisible by h^{-power}") from exc
     return out
 
@@ -123,13 +133,13 @@ def _rescaled_presentation(P: Presentation, s: int, name: str, model: str,
     relations = {}
     for (i, j), r in P.relations.items():
         what = f"relation {P.generators[j]}*{P.generators[i]}"
-        relations[(i, j)] = Element(name, _rescale(r, s, 2, what))
+        relations[(i, j)] = TensorElement(name, 1, _rescale(r, s, 2, what))
     coproducts, counits, antipodes = {}, {}, {}
     for g in P.generators:
         coproducts[g] = TensorElement(name, 2, _rescale(
             P.coproduct_on_gens[g], s, 1, f"coproduct of {g}"))
         counits[g] = HSeries.zero(P.h_order)
-        antipodes[g] = Element(name, _rescale(
+        antipodes[g] = TensorElement(name, 1, _rescale(
             P.antipode_on_gens[g], s, 1, f"antipode of {g}"))
     return Presentation(name, model, P.generators, P.h_order, degree_cap,
                         relations, coproducts, counits, antipodes)
@@ -240,14 +250,12 @@ class GaugeMap:
     def identity(cls, P: Presentation) -> "GaugeMap":
         return cls.make(P, {g: P.gen(g) for g in P.generators})
 
-    def of_monomial(self, P: Presentation, m: Monomial) -> Element:
+    def of_monomial(self, P: Presentation, m: Monomial) -> TensorElement:
         return _word_fold(P, self._power_cache, m, P.unit, multiply,
                           self.images)
 
-    def of_element(self, a: Element, P: Presentation) -> Element:
-        return _extend(a, P, P.zero(), self.of_monomial)
-
     def of_tensor(self, t: TensorElement, P: Presentation) -> TensorElement:
+        """The map on every slot of t; an element is the rank-1 case."""
         acc: dict = {}
         for key, c in t.terms.items():
             _expand_into(acc, [self.of_monomial(P, m) for m in key], c,
@@ -263,7 +271,7 @@ def gauge_preservation_check(P: Presentation, phi: GaugeMap) -> HopfReport:
     rep = HopfReport()
     hopf_ok = True
     for g in P.generators:
-        img = phi.of_element(P.gen(g), P)
+        img = phi.of_tensor(P.gen(g), P)
         lhs = coproduct(img, P)
         rhs = phi.of_tensor(coproduct(P.gen(g), P), P)
         ok = lhs == rhs
@@ -276,9 +284,9 @@ def gauge_preservation_check(P: Presentation, phi: GaugeMap) -> HopfReport:
         rep.add("hopf-map-counit", g, ok, "" if ok else f"counit {eps}")
     for (i, j) in sorted(P.relations):
         gi, gj = P.generators[i], P.generators[j]
-        lhs = phi.of_element(normal_form((j, i), P), P)
-        rhs = multiply(phi.of_element(P.gen(gj), P),
-                       phi.of_element(P.gen(gi), P), P)
+        lhs = phi.of_tensor(normal_form((j, i), P), P)
+        rhs = multiply(phi.of_tensor(P.gen(gj), P),
+                       phi.of_tensor(P.gen(gi), P), P)
         ok = lhs == rhs
         hopf_ok = hopf_ok and ok
         rep.add("hopf-map-relation", f"{gj}*{gi}", ok,
@@ -287,7 +295,7 @@ def gauge_preservation_check(P: Presentation, phi: GaugeMap) -> HopfReport:
         raise NotAHopfMap("gauge map is not a Hopf morphism", rep)
 
     for g in P.generators:
-        img = phi.of_element(P.gen(g), P)
+        img = phi.of_tensor(P.gen(g), P)
         for n in (1, 2, 3):
             lhs = delta_n(img, n, P)
             rhs = phi.of_tensor(delta_n(P.gen(g), n, P), P)
@@ -295,7 +303,7 @@ def gauge_preservation_check(P: Presentation, phi: GaugeMap) -> HopfReport:
 
     h = HSeries.h_power(1, P.h_order)
     for g in P.generators:
-        cert = prime_membership(phi.of_element(P.gen(g), P).scaled(h), P)
+        cert = prime_membership(phi.of_tensor(P.gen(g), P).scaled(h), P)
         rep.add("membership-preserved", f"h*{g}", cert.is_member,
                 cert.verdict)
     return rep

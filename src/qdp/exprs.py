@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .errors import ExpressionSyntaxError, UnknownGenerator
-from .freealg import Element
+from .freealg import TensorElement
 from .hopf import (POLY, Presentation, _mono_label, counit, element_exp,
                    multiply, multiply_all)
 from .series import HSeries
@@ -65,7 +65,7 @@ class _Tokens:
             raise ExpressionSyntaxError(f"expected {op!r}", pos)
 
 
-def _parse_expr(t: _Tokens, P: Presentation) -> Element:
+def _parse_expr(t: _Tokens, P: Presentation) -> TensorElement:
     acc = _parse_term(t, P)
     while True:
         kind, val, _ = t.peek()
@@ -77,7 +77,7 @@ def _parse_expr(t: _Tokens, P: Presentation) -> Element:
             return acc
 
 
-def _parse_term(t: _Tokens, P: Presentation) -> Element:
+def _parse_term(t: _Tokens, P: Presentation) -> TensorElement:
     acc = _parse_factor(t, P)
     while True:
         kind, val, _ = t.peek()
@@ -95,7 +95,7 @@ def _parse_nat(t: _Tokens) -> int:
     return int(val)
 
 
-def _parse_factor(t: _Tokens, P: Presentation) -> Element:
+def _parse_factor(t: _Tokens, P: Presentation) -> TensorElement:
     kind, val, pos = t.next()
     if kind == "op" and val == "-":
         return -_parse_factor(t, P)
@@ -145,7 +145,7 @@ def _parse_factor(t: _Tokens, P: Presentation) -> Element:
     raise ExpressionSyntaxError("expected a factor", pos)
 
 
-def _run_parser(src: str, P: Presentation) -> Element:
+def _run_parser(src: str, P: Presentation) -> TensorElement:
     t = _Tokens(src)
     out = _parse_expr(t, P)
     kind, _, pos = t.peek()
@@ -154,7 +154,7 @@ def _run_parser(src: str, P: Presentation) -> Element:
     return out
 
 
-def parse_element(src: str, P: Presentation) -> Element:
+def parse_element(src: str, P: Presentation) -> TensorElement:
     """Parse an element expression over P's generators, normal-formed."""
     return _run_parser(src, P).truncate(P.h_order, P.degree_cap)
 
@@ -185,13 +185,13 @@ def scalar_to_expr(s: HSeries) -> str:
     return " + ".join(parts)
 
 
-def element_to_expr(a: Element, P: Presentation) -> str:
+def element_to_expr(a: TensorElement, P: Presentation) -> str:
     if a.is_zero():
         return "0"
     parts = []
-    for m, c in a.sorted_terms():
+    for (m,), c in a.sorted_terms():
         cs = scalar_to_expr(c)
-        ms = _mono_label(P, m)
+        ms = _mono_label(P.generators, m)
         if m.is_identity():
             parts.append(f"({cs})" if ("+" in cs or "*" in cs) else cs)
         elif cs == "1":

@@ -1,9 +1,9 @@
-"""Sparse elements of a presented algebra and of its tensor powers.
+"""Sparse tensors over a presented algebra; an element is a rank-1 tensor.
 
 A Monomial is an exponent vector over the generator list: it stands for the
 ordered product x1^e1 * ... * xn^en.  Commutation is never implicit; only
 the rewriting engine (qdp.hopf.normal_form) may produce Monomials, so every
-Element is implicitly in normal form.
+tensor slot is implicitly in normal form.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def add_into(acc: dict, key, c) -> None:
 
     The first coefficient of a key is stored as it is; later ones are
     collected with it in a list, in arrival order.  Each list is summed
-    once, by hsum, when settle() runs or an Element or TensorElement is
-    built from the dict; hsum equals the left fold of +, so the result is
+    once, by hsum, when settle() runs or a TensorElement is built from
+    the dict; hsum equals the left fold of +, so the result is
     the eager sum's, and every key keeps its first-insertion position.
     """
     prev = acc.get(key)
@@ -122,125 +122,12 @@ def _clean_terms(terms: Mapping) -> dict:
     return out
 
 
-class _LinearTerms:
-    """Arithmetic shared by Element and TensorElement: a finite map from
-    keys (a Monomial, or a tuple of them) to HSeries coefficients.
+class TensorElement:
+    """A rank-n tensor over a presentation: a finite map from keys, tuples
+    of n Monomials (one per slot), to nonzero HSeries coefficients.
 
-    A subclass names its space with _space(), builds a value of the same
-    space from a terms dict with _new() and lists a key's monomials with
-    _monomials(); everything else is written once.
-    """
-
-    __slots__ = ()
-
-    def _space(self):
-        return self.pres
-
-    def _new(self, terms: Mapping):
-        raise NotImplementedError
-
-    @staticmethod
-    def _monomials(key) -> tuple:
-        raise NotImplementedError
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if self._space() != other._space():
-            raise MixedPresentations(
-                f"{self._space()!r} vs {other._space()!r}")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_into(out, k, c)
-        return self._new(out)
-
-    def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, s):
-        """Multiply every coefficient by s (HSeries, Fraction or int)."""
-        return self._new({k: c * s for k, c in self.terms.items()})
-
-    def h_valuation(self):
-        """Min coefficient valuation over all terms; +inf for zero.  Stored
-        coefficients are nonzero, so v_min is each one's valuation."""
-        return min([c.v_min for c in self.terms.values()], default=INF)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._space() == other._space() and self.terms == other.terms
-
-    def truncate(self, h_order: int, degree_cap: int | None = None):
-        """Every coefficient cut at h_order; with a degree cap, the terms
-        with a monomial of degree above it dropped."""
-        mons = self._monomials
-        return self._new({k: c.truncate(h_order) for k, c in self.terms.items()
-                          if degree_cap is None
-                          or all(m.degree <= degree_cap for m in mons(k))})
-
-    def sorted_terms(self):
-        """The terms in deglex order of their monomials, slot by slot."""
-        mons = self._monomials
-        return sorted(self.terms.items(), key=lambda kv: tuple(
-            m.deglex_key() for m in mons(kv[0])))
-
-
-class Element(_LinearTerms):
-    """Finite sum of ordered monomials with HSeries coefficients."""
-
-    __slots__ = ("pres", "terms")
-
-    def __init__(self, pres: str, terms: Mapping[Monomial, HSeries]):
-        self.pres = pres
-        self.terms = _clean_terms(terms)
-
-    def _new(self, terms: Mapping) -> "Element":
-        return Element(self.pres, terms)
-
-    @staticmethod
-    def _monomials(key: Monomial) -> tuple:
-        return (key,)
-
-    @classmethod
-    def zero(cls, pres: str) -> "Element":
-        return cls(pres, {})
-
-    @classmethod
-    def unit(cls, pres: str, ngens: int, order: int,
-             value=1) -> "Element":
-        return cls(pres, {Monomial.identity(ngens): HSeries.const(value, order)})
-
-    @classmethod
-    def from_monomial(cls, pres: str, mono: Monomial, coeff: HSeries) -> "Element":
-        return cls(pres, {mono: coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coeff(self, mono: Monomial) -> HSeries | None:
-        return self.terms.get(mono)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m, c in self.sorted_terms():
-            mono = "*".join(
-                (f"g{i}" if e == 1 else f"g{i}^{e}")
-                for i, e in enumerate(m.exponents) if e) or "1"
-            bits.append(f"({c})*{mono}")
-        return " + ".join(bits)
-
-
-class TensorElement(_LinearTerms):
-    """Rank-n tensor stored as a map  (Monomial, ..., Monomial) -> HSeries.
-
-    Rank 0 is the scalar line: its only key is the empty tuple.
+    An element of the algebra is the rank-1 tensor, keyed by (m,); rank 0
+    is the scalar line, whose only key is the empty tuple.
     """
 
     __slots__ = ("pres", "rank", "terms")
@@ -252,16 +139,6 @@ class TensorElement(_LinearTerms):
         self.rank = rank
         self.terms = _clean_terms(terms)
 
-    def _space(self):
-        return (self.pres, self.rank)
-
-    def _new(self, terms: Mapping) -> "TensorElement":
-        return TensorElement(self.pres, self.rank, terms)
-
-    @staticmethod
-    def _monomials(key: tuple) -> tuple:
-        return key
-
     @classmethod
     def zero(cls, pres: str, rank: int) -> "TensorElement":
         return cls(pres, rank, {})
@@ -272,10 +149,57 @@ class TensorElement(_LinearTerms):
         key = (Monomial.identity(ngens),) * rank
         return cls(pres, rank, {key: HSeries.const(value, order)})
 
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if (self.pres, self.rank) != (other.pres, other.rank):
+            raise MixedPresentations(
+                f"{(self.pres, self.rank)!r} vs {(other.pres, other.rank)!r}")
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_into(out, k, c)
+        return TensorElement(self.pres, self.rank, out)
+
+    def __neg__(self):
+        return TensorElement(self.pres, self.rank,
+                             {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, s):
+        """Multiply every coefficient by s (HSeries, Fraction or int)."""
+        return TensorElement(self.pres, self.rank,
+                             {k: c * s for k, c in self.terms.items()})
+
+    def h_valuation(self):
+        """Min coefficient valuation over all terms; +inf for zero.  Stored
+        coefficients are nonzero, so v_min is each one's valuation."""
+        return min([c.v_min for c in self.terms.values()], default=INF)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.pres, self.rank, self.terms)
+                == (other.pres, other.rank, other.terms))
+
+    def truncate(self, h_order: int, degree_cap: int | None = None):
+        """Every coefficient cut at h_order; with a degree cap, the terms
+        with a monomial of degree above it dropped."""
+        return TensorElement(self.pres, self.rank, {
+            k: c.truncate(h_order) for k, c in self.terms.items()
+            if degree_cap is None or all(m.degree <= degree_cap for m in k)})
+
+    def sorted_terms(self):
+        """The terms in deglex order of their monomials, slot by slot."""
+        return sorted(self.terms.items(), key=lambda kv: tuple(
+            m.deglex_key() for m in kv[0]))
+
     def swapped(self) -> "TensorElement":
         """Reverse the slot order (rank-2 opposite coproduct and friends)."""
-        return self._new({tuple(reversed(k)): c
-                          for k, c in self.terms.items()})
+        return TensorElement(self.pres, self.rank, {
+            tuple(reversed(k)): c for k, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -285,3 +209,7 @@ class TensorElement(_LinearTerms):
             slots = " (x) ".join(str(m.exponents) for m in key)
             bits.append(f"({c})*[{slots}]")
         return " + ".join(bits)
+
+
+# bench/tracer.py's METHOD_SPANS wraps Element.truncate by this name.
+Element = TensorElement

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (FuelExceeded, InputError, MixedPresentations,
                      PresentationError)
-from .freealg import Element, Monomial, TensorElement, add_into, settle
+from .freealg import Monomial, TensorElement, add_into, settle
 from .report import HopfReport
 from .series import HSeries, mul
 
@@ -54,15 +54,17 @@ class Presentation:
     whose valuations already sum above N can only gain valuation from
     further factors, so it is dropped before it is formed, and each kept
     product is cut at N as it is formed (series.mul); _slot_table caches
-    nf(ma*mb) for multiply and tensor_multiply.
+    nf(ma*mb) for multiply.
+
+    An element of the algebra is a rank-1 TensorElement, keyed by (m,).
     """
 
     def __init__(self, name: str, model: str, generators: Sequence[str],
                  h_order: int, degree_cap: int | None,
-                 relations: Mapping[tuple[int, int], Element],
+                 relations: Mapping[tuple[int, int], TensorElement],
                  coproduct_on_gens: Mapping[str, TensorElement],
                  counit_on_gens: Mapping[str, HSeries],
-                 antipode_on_gens: Mapping[str, Element]):
+                 antipode_on_gens: Mapping[str, TensorElement]):
         if model not in (POLY, SERIES):
             raise PresentationError(f"unknown model {model!r}")
         if model == SERIES and degree_cap is None:
@@ -97,7 +99,7 @@ class Presentation:
         for i, j in pairs:
             r = relations.get((i, j))
             if r is None:
-                r = Element.zero(name)
+                r = TensorElement.zero(name, 1)
             self._check_relation(i, j, r)
             self.relations[(i, j)] = r.truncate(h_order, degree_cap)
 
@@ -131,12 +133,12 @@ class Presentation:
             self.antipode_on_gens[g] = ant.truncate(h_order, degree_cap)
 
         # caches, keyed by immutable values; shared across all operations
-        self._nf_cache: dict[tuple[Monomial, int], Element] = {}
+        self._nf_cache: dict[tuple[Monomial, int], TensorElement] = {}
         self._nf_building: set[tuple[Monomial, int]] = set()
         # product table: (ma, mb) -> normal form of ma*mb; see _slot
         self._slot_table: dict[tuple[Monomial, Monomial], object] = {}
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
-        self._antipode_cache: dict[Monomial, Element] = {}
+        self._antipode_cache: dict[Monomial, TensorElement] = {}
         self._iterated_cache: dict[tuple[Monomial, int], TensorElement] = {}
         # (m, n) -> delta_n(m) at the widest window built so far, and that
         # window; see _delta_monomial
@@ -145,13 +147,13 @@ class Presentation:
 
     # -- construction helpers ------------------------------------------------
 
-    def _check_relation(self, i: int, j: int, r: Element):
+    def _check_relation(self, i: int, j: int, r: TensorElement):
         if r.pres != self.name:
             raise MixedPresentations(
                 f"relation ({i},{j}) belongs to {r.pres!r}")
         lhs = Monomial.generator(i, self.ngens).merged(
             Monomial.generator(j, self.ngens))
-        for m, c in r.terms.items():
+        for (m,), c in r.terms.items():
             if m.degree <= 1:
                 continue
             if (m.degree == 2 and c.valuation() >= 1
@@ -166,17 +168,17 @@ class Presentation:
     def identity_monomial(self) -> Monomial:
         return Monomial.identity(self.ngens)
 
-    def zero(self) -> Element:
-        return Element.zero(self.name)
+    def zero(self) -> TensorElement:
+        return TensorElement.zero(self.name, 1)
 
-    def unit(self, value=1) -> Element:
-        return Element.unit(self.name, self.ngens, self.h_order, value)
+    def unit(self, value=1) -> TensorElement:
+        return TensorElement.unit(self.name, 1, self.ngens, self.h_order,
+                                  value)
 
-    def gen(self, g: str | int) -> Element:
+    def gen(self, g: str | int) -> TensorElement:
         i = g if isinstance(g, int) else self.gen_index[g]
-        return Element.from_monomial(
-            self.name, Monomial.generator(i, self.ngens),
-            HSeries.one(self.h_order))
+        return TensorElement(self.name, 1, {
+            (Monomial.generator(i, self.ngens),): HSeries.one(self.h_order)})
 
     def monomials_up_to(self, degree: int) -> list[Monomial]:
         """All ordered monomials of total degree <= degree, deglex order."""
@@ -202,12 +204,12 @@ def _rewrite_at(P: Presentation, word: tuple[int, ...],
     j, i = word[t], word[t + 1]
     prefix, suffix = word[:t], word[t + 2:]
     branches = [(HSeries.one(P.h_order), prefix + (i, j) + suffix)]
-    for m, c in P.relations[(i, j)].terms.items():
+    for (m,), c in P.relations[(i, j)].terms.items():
         branches.append((c, prefix + m.word() + suffix))
     return branches
 
 
-def normal_form(word: Sequence[int], P: Presentation) -> Element:
+def normal_form(word: Sequence[int], P: Presentation) -> TensorElement:
     """Rewrite a word of generator indices onto ordered monomials, truncated
     to the presentation's (N, D); a word longer than D is 0.
 
@@ -218,23 +220,23 @@ def normal_form(word: Sequence[int], P: Presentation) -> Element:
     N, D = P.h_order, P.degree_cap
     if D is not None and len(word) > D:
         return P.zero()
-    acc = {P.identity_monomial(): HSeries.one(N)}
+    acc = {(P.identity_monomial(),): HSeries.one(N)}
     for j in word:
         nxt: dict = {}
-        for m, c in acc.items():
+        for (m,), c in acc.items():
             e = m.exponents
             if not any(e[j + 1:]):
-                add_into(nxt, Monomial(e[:j] + (e[j] + 1,) + e[j + 1:]), c)
+                add_into(nxt, (Monomial(e[:j] + (e[j] + 1,) + e[j + 1:]),), c)
                 continue
             vc = c.v_min
-            for m2, c2 in _times_generator(P, m, j).terms.items():
+            for k2, c2 in _times_generator(P, m, j).terms.items():
                 if vc + c2.v_min <= N:
-                    add_into(nxt, m2, mul(c, c2, N))
+                    add_into(nxt, k2, mul(c, c2, N))
         acc = settle(nxt)
-    return Element(P.name, acc)
+    return TensorElement(P.name, 1, acc)
 
 
-def _times_generator(P: Presentation, m: Monomial, j: int) -> Element:
+def _times_generator(P: Presentation, m: Monomial, j: int) -> TensorElement:
     """nf(m*x_j) for an ordered monomial m whose last letter x_k has k > j,
     by m'x_k x_j -> m'x_j x_k + m' r_jk, memoised per (m, j) in P._nf_cache.
 
@@ -257,7 +259,8 @@ def _times_generator(P: Presentation, m: Monomial, j: int) -> Element:
     return out
 
 
-def _resolve_at(P: Presentation, word: tuple[int, ...], t: int) -> Element:
+def _resolve_at(P: Presentation, word: tuple[int, ...],
+                t: int) -> TensorElement:
     """Rewrite the word once at position t and normal-form every branch."""
     out = P.zero()
     for c, w in _rewrite_at(P, word, t):
@@ -265,45 +268,15 @@ def _resolve_at(P: Presentation, word: tuple[int, ...], t: int) -> Element:
     return out.truncate(P.h_order, P.degree_cap)
 
 
-def multiply(a: Element, b: Element, P: Presentation) -> Element:
-    """Bilinear extension of word concatenation + normal_form, pruned as
-    the Presentation docstring states: a pair with v(c_a) + v(c_b) > N is
-    skipped before its slot-table entry (see _slot) is looked up."""
-    _check_owner(P, a, b)
-    N = P.h_order
-    get = P._slot_table.get
-    acc: dict = {}
-    for ma, ca in a.terms.items():
-        va = ca.v_min
-        for mb, cb in b.terms.items():
-            if va + cb.v_min > N:
-                continue
-            e = get((ma, mb), _MISS)
-            if e is _MISS:
-                e = _slot(P, (ma, mb))
-            if e is None:
-                continue
-            c = mul(ca, cb, N)
-            if type(e) is Monomial:
-                add_into(acc, e, c)
-                continue
-            vc = c.v_min
-            for m, cm in e:
-                if cm is None:
-                    add_into(acc, m, c)
-                elif vc + cm.v_min <= N:
-                    add_into(acc, m, mul(cm, c, N))
-    return Element(P.name, acc)
-
-
-def multiply_all(factors: Iterable[Element], P: Presentation) -> Element:
+def multiply_all(factors: Iterable[TensorElement],
+                 P: Presentation) -> TensorElement:
     acc = P.unit()
     for f in factors:
         acc = multiply(acc, f, P)
     return acc
 
 
-def element_exp(a: Element, P: Presentation) -> Element:
+def element_exp(a: TensorElement, P: Presentation) -> TensorElement:
     """exp of an element with h-valuation >= 1 (truncation-convergent)."""
     from .errors import NotTopologicallyNilpotent
     if a.h_valuation() < 1:
@@ -329,18 +302,20 @@ def _check_owner(P: Presentation, *values):
 # -- tensor algebra (componentwise normal form) ---------------------------------
 
 
-def tensor_multiply(s: TensorElement, t: TensorElement,
-                    P: Presentation) -> TensorElement:
-    """Product in the rank-n tensor algebra over P, slot by slot, pruned
-    like multiply: a key of s meets only the keys of t with v(c_b) <= N -
-    v(c_a), in t's order, each slot is one lookup in P._slot_table (see
-    _slot), and a pair with a zero slot product is skipped.
+def multiply(s: TensorElement, t: TensorElement,
+             P: Presentation) -> TensorElement:
+    """Product in the rank-n tensor algebra over P, slot by slot (rank 1
+    is the algebra itself), pruned as the Presentation docstring states: a
+    key of s meets only the keys of t with v(c_b) <= N - v(c_a), in t's
+    order, each slot is one lookup in P._slot_table (see _slot), and a
+    pair with a zero slot product is skipped.
 
     A key whose slots are all monomials goes straight into the result;
     otherwise _expand_into takes the slots.  HSeries holds no negative
     power of h, so c = mul(ca, cb, N) has valuation >= 0 and a 1 known to
     h^N, a unit slot, leaves it unchanged.
     """
+    _check_owner(P, s, t)
     if s.rank != t.rank:
         raise MixedPresentations("tensor ranks differ")
     N = P.h_order
@@ -374,6 +349,10 @@ def tensor_multiply(s: TensorElement, t: TensorElement,
     return TensorElement(P.name, s.rank, acc)
 
 
+# bench/tracer.py's FUNCTION_SPANS wraps the kernel by this name too.
+tensor_multiply = multiply
+
+
 def _slot(P: Presentation, key: tuple[Monomial, Monomial]):
     """The slot-table entry of key = (ma, mb), filled on a miss: None when
     nf(ma*mb) is 0; the monomial itself when nf(ma*mb) is one monomial with
@@ -381,7 +360,7 @@ def _slot(P: Presentation, key: tuple[Monomial, Monomial]):
     of (m, c) terms, where c is None for such a 1."""
     ma, mb = key
     e = [(m, None if c.is_exact_one() and c.order >= P.h_order else c)
-         for m, c in normal_form(ma.word() + mb.word(), P).terms.items()]
+         for (m,), c in normal_form(ma.word() + mb.word(), P).terms.items()]
     if len(e) == 1 and e[0][1] is None:
         e = e[0][0]
     P._slot_table[key] = e = e or None
@@ -391,7 +370,8 @@ def _slot(P: Presentation, key: tuple[Monomial, Monomial]):
 def _expand_into(acc: dict, slots: Sequence, coeff: HSeries,
                  h_order: int) -> None:
     """Merge coeff * (e_1 (x) ... (x) e_k) into monomial-tuple terms of acc,
-    each cut at h_order; a slot is an Element, a Monomial or a _slot list.
+    each cut at h_order; a slot is a rank-1 TensorElement, a Monomial or a
+    _slot list.
 
     HSeries holds no negative power of h, so every valuation is >= 0 and a
     partial product's part above h_order never reaches a term at or below
@@ -405,7 +385,8 @@ def _expand_into(acc: dict, slots: Sequence, coeff: HSeries,
         if type(e) is Monomial:
             keys = [key + (e,) for key in keys]
             continue
-        terms = e if type(e) is list else e.terms.items()
+        terms = e if type(e) is list else [
+            (m, c) for (m,), c in e.terms.items()]
         nkeys, ncoeffs = [], []
         for key, c in zip(keys, coeffs):
             vc = c.v_min
@@ -457,79 +438,64 @@ def coproduct_monomial(P: Presentation, m: Monomial) -> TensorElement:
     return _word_fold(
         P, P._coproduct_cache, m,
         lambda: TensorElement.unit(P.name, 2, P.ngens, P.h_order),
-        tensor_multiply, P.coproduct_on_gens)
+        multiply, P.coproduct_on_gens)
 
 
-def _extend(a: Element, P: Presentation, zero, image, *args,
-            windowed: bool = False):
-    """Linear extension of the cached per-monomial map image(P, m, *args)
-    over a, truncated to P; `zero` fixes the type and rank of the result.
+def _extend(t: TensorElement, P: Presentation, rank: int, image, *args,
+            slot: int = 0, windowed: bool = False) -> TensorElement:
+    """Apply the cached per-monomial map image(P, m, *args), whose values
+    have the given rank, linearly to one slot of t: the result has rank
+    t.rank - 1 + rank.  On an element, slot 0 is the linear extension of
+    the map.
 
     Every image is already truncated to P (h-order and degree cap), so the
     result is built in one pass, pruned as the Presentation docstring
     states.  A windowed image is asked only for the h-order its
-    coefficient can reach, image(P, m, *args, w=N - v(c_m)): its terms
+    coefficient can reach, image(P, m, *args, w=N - v(c)): its terms
     above that land above h^N.
     """
-    _check_owner(P, a)
+    _check_owner(P, t)
     N = P.h_order
     acc: dict = {}
-    for m, c in a.terms.items():
+    for key, c in t.terms.items():
         vc = c.v_min
-        t = image(P, m, *args, w=N - vc) if windowed else image(P, m, *args)
-        for key, cm in t.terms.items():
+        m = key[slot]
+        img = image(P, m, *args, w=N - vc) if windowed else image(P, m, *args)
+        pre, post = key[:slot], key[slot + 1:]
+        for k, cm in img.terms.items():
             if vc + cm.v_min <= N:
-                add_into(acc, key, mul(cm, c, N))
-    return zero._new(acc)
+                add_into(acc, pre + k + post, mul(cm, c, N))
+    return TensorElement(P.name, t.rank - 1 + rank, acc)
 
 
-def coproduct(a: Element, P: Presentation) -> TensorElement:
+def coproduct(a: TensorElement, P: Presentation) -> TensorElement:
     """Multiplicative extension of the generator coproducts."""
-    return _extend(a, P, TensorElement.zero(P.name, 2), coproduct_monomial)
+    return _extend(a, P, 2, coproduct_monomial)
 
 
-def counit(a: Element, P: Presentation) -> HSeries:
+def counit(a: TensorElement, P: Presentation) -> HSeries:
     """Coefficient of the identity monomial (generators have counit 0)."""
     _check_owner(P, a)
-    c = a.coeff(P.identity_monomial())
+    c = a.terms.get((P.identity_monomial(),))
     return c if c is not None else HSeries.zero(P.h_order)
 
 
-def antipode_monomial(P: Presentation, m: Monomial) -> Element:
+def antipode_monomial(P: Presentation, m: Monomial) -> TensorElement:
     """S(m), anti-multiplicative on the word of m."""
     return _word_fold(P, P._antipode_cache, m, P.unit, multiply,
                       P.antipode_on_gens, reverse=True)
 
 
-def antipode(a: Element, P: Presentation) -> Element:
+def antipode(a: TensorElement, P: Presentation) -> TensorElement:
     """Anti-multiplicative extension of the generator antipodes."""
-    return _extend(a, P, P.zero(), antipode_monomial)
+    return _extend(a, P, 1, antipode_monomial)
 
 
 # -- iterated coproducts and deviation maps ----------------------------------------
 
 
-def _tensor_coproduct_slot(t: TensorElement, slot: int,
-                           P: Presentation) -> TensorElement:
-    """Apply the coproduct to one slot of a tensor, raising its rank by 1.
-
-    t is truncated to P; products are pruned as the Presentation
-    docstring states.
-    """
-    N = P.h_order
-    acc: dict[tuple, HSeries] = {}
-    for key, c in t.terms.items():
-        vc = c.v_min
-        for (m1, m2), c2 in coproduct_monomial(P, key[slot]).terms.items():
-            if vc + c2.v_min > N:
-                continue
-            add_into(acc, key[:slot] + (m1, m2) + key[slot + 1:],
-                     mul(c, c2, N))
-    return TensorElement(P.name, t.rank + 1, acc)
-
-
 def _iterated_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
-    """Delta^n on a monomial: expand the first slot of Delta^(n-1).
+    """Delta^n on a monomial: the coproduct on slot 0 of Delta^(n-1).
 
     Delta^0 is the counit, a rank-0 tensor; Delta^1 is the identity.
     """
@@ -544,14 +510,16 @@ def _iterated_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
         out = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)}
                             ).truncate(P.h_order, P.degree_cap)
     else:
-        out = _tensor_coproduct_slot(_iterated_monomial(P, m, n - 1), 0, P)
+        out = _extend(_iterated_monomial(P, m, n - 1), P, 2,
+                      coproduct_monomial)
     P._iterated_cache[key] = out
     return out
 
 
-def iterated_coproduct(a: Element, n: int, P: Presentation) -> TensorElement:
+def iterated_coproduct(a: TensorElement, n: int,
+                       P: Presentation) -> TensorElement:
     """Delta^n; Delta^0 is the counit, a rank-0 (scalar) tensor."""
-    return _extend(a, P, TensorElement.zero(P.name, n), _iterated_monomial, n)
+    return _extend(a, P, n, _iterated_monomial, n)
 
 
 def _delta_monomial(P: Presentation, m: Monomial, n: int, *,
@@ -609,7 +577,7 @@ def _delta_monomial(P: Presentation, m: Monomial, n: int, *,
     return out
 
 
-def delta_n(a: Element, n: int, P: Presentation) -> TensorElement:
+def delta_n(a: TensorElement, n: int, P: Presentation) -> TensorElement:
     """The n-th deviation map (id - eps)^(x n) o Delta^n.
 
     Supported on tuples with no identity slot; delta_0 = Delta^0 is the
@@ -617,8 +585,7 @@ def delta_n(a: Element, n: int, P: Presentation) -> TensorElement:
     """
     if n == 0:
         return iterated_coproduct(a, 0, P)
-    return _extend(a, P, TensorElement.zero(P.name, n), _delta_monomial, n,
-                   windowed=True)
+    return _extend(a, P, n, _delta_monomial, n, windowed=True)
 
 
 def embed_slots(t: TensorElement, slots: Sequence[int], n: int,
@@ -645,14 +612,14 @@ def _subset(E: Sequence[int], n: int) -> list[int]:
     return E
 
 
-def big_delta_E(a: Element, E: Sequence[int], n: int,
+def big_delta_E(a: TensorElement, E: Sequence[int], n: int,
                 P: Presentation) -> TensorElement:
     """Delta_E = j_E o Delta^{|E|} as a rank-n tensor."""
     E = _subset(E, n)
     return embed_slots(iterated_coproduct(a, len(E), P), E, n, P)
 
 
-def delta_E(a: Element, E: Sequence[int], n: int,
+def delta_E(a: TensorElement, E: Sequence[int], n: int,
             P: Presentation) -> TensorElement:
     """delta_E = j_E o delta_{|E|} as a rank-n tensor.
 
@@ -679,12 +646,12 @@ def _tensor_counit_slot(t: TensorElement, slot: int,
 
 
 def _convolve_antipode(t: TensorElement, P: Presentation,
-                       antipode_slot: int) -> Element:
+                       antipode_slot: int) -> TensorElement:
     """m o (S (x) id) o Delta (slot 0) or m o (id (x) S) o Delta (slot 1)."""
     one = HSeries.one(P.h_order)
     acc = P.zero()
     for key, c in t.terms.items():
-        f = [Element.from_monomial(P.name, m, one) for m in key]
+        f = [TensorElement(P.name, 1, {(m,): one}) for m in key]
         f[antipode_slot] = antipode_monomial(P, key[antipode_slot])
         acc = acc + multiply(f[0], f[1], P).scaled(c)
     return acc.truncate(P.h_order, P.degree_cap)
@@ -697,12 +664,12 @@ def check_hopf_axioms(P: Presentation, degree_bound: int) -> HopfReport:
         raise InputError(f"degree bound {degree_bound} is negative")
     rep = HopfReport()
     for m in P.monomials_up_to(degree_bound):
-        label = _mono_label(P, m)
-        elem = Element.from_monomial(P.name, m, HSeries.one(P.h_order))
+        label = _mono_label(P.generators, m)
+        elem = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)})
         cop = coproduct(elem, P)
 
-        left = _tensor_coproduct_slot(cop, 0, P)
-        right = _tensor_coproduct_slot(cop, 1, P)
+        left = _extend(cop, P, 2, coproduct_monomial, slot=0)
+        right = _extend(cop, P, 2, coproduct_monomial, slot=1)
         rep.add("coassociativity", label, left == right,
                 _diff_note(left, right))
 
@@ -726,8 +693,7 @@ def check_hopf_axioms(P: Presentation, degree_bound: int) -> HopfReport:
         lhs = normal_form((j, i), P)
 
         d_lhs = coproduct(lhs, P)
-        d_rhs = tensor_multiply(coproduct(P.gen(j), P),
-                                coproduct(P.gen(i), P), P)
+        d_rhs = multiply(coproduct(P.gen(j), P), coproduct(P.gen(i), P), P)
         rep.add("coproduct-respects-relation", label, d_lhs == d_rhs,
                 _diff_note(d_lhs, d_rhs))
 
@@ -761,12 +727,11 @@ def check_diamond(P: Presentation) -> HopfReport:
     return rep
 
 
-def _mono_label(P: Presentation, m: Monomial) -> str:
+def _mono_label(names: Sequence[str], m: Monomial) -> str:
     if m.is_identity():
         return "1"
-    return "*".join(
-        (P.generators[i] if e == 1 else f"{P.generators[i]}^{e}")
-        for i, e in enumerate(m.exponents) if e)
+    return "*".join((names[i] if e == 1 else f"{names[i]}^{e}")
+                    for i, e in enumerate(m.exponents) if e)
 
 
 _NOTE_TERMS = 3
@@ -779,7 +744,8 @@ def _diff_note(got, want) -> str:
         return ""
     diff = got - want
     terms = diff.sorted_terms()
-    note = f"discrepancy: {diff._new(dict(terms[:_NOTE_TERMS]))!r}"
+    lead = TensorElement(diff.pres, diff.rank, dict(terms[:_NOTE_TERMS]))
+    note = f"discrepancy: {lead!r}"
     if len(terms) > _NOTE_TERMS:
         note += f" (+{len(terms) - _NOTE_TERMS} more terms)"
     return note

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .errors import InputError
-from .freealg import Element, Monomial, TensorElement, add_into
+from .freealg import Monomial, TensorElement, add_into
 from .hopf import POLY, Presentation
 from .pairing import PairingSeed
 from .series import HSeries
@@ -48,11 +48,6 @@ def series_from_jsonable(data, order: int) -> HSeries:
         raise InputError(f"bad series value {data!r}: {exc}") from exc
 
 
-def element_to_jsonable(e: Element) -> list:
-    return [{"monomial": list(m.exponents), "coeff": c.to_jsonable()}
-            for m, c in e.sorted_terms()]
-
-
 def _monomial_from_jsonable(data) -> Monomial:
     exponents = tuple(_exact_int(x, "monomial exponent") for x in data)
     if any(e < 0 for e in exponents):
@@ -60,19 +55,13 @@ def _monomial_from_jsonable(data) -> Monomial:
     return Monomial(exponents)
 
 
-def element_from_jsonable(data, pres: str, ngens: int, order: int) -> Element:
-    terms = {}
-    for item in data:
-        m = _monomial_from_jsonable(item["monomial"])
-        if len(m.exponents) != ngens:
-            raise InputError(
-                f"monomial {item['monomial']} has wrong arity (want {ngens})")
-        c = series_from_jsonable(item["coeff"], order)
-        add_into(terms, m, c)
-    return Element(pres, terms)
-
-
 def tensor_to_jsonable(t: TensorElement) -> list:
+    """The terms in deglex order; an element (rank 1) lists each term's
+    one monomial under "monomial", any other rank its slots under
+    "monomials"."""
+    if t.rank == 1:
+        return [{"monomial": list(m.exponents), "coeff": c.to_jsonable()}
+                for (m,), c in t.sorted_terms()]
     return [{"monomials": [list(m.exponents) for m in key],
              "coeff": c.to_jsonable()}
             for key, c in t.sorted_terms()]
@@ -80,11 +69,14 @@ def tensor_to_jsonable(t: TensorElement) -> list:
 
 def tensor_from_jsonable(data, pres: str, rank: int, ngens: int,
                          order: int) -> TensorElement:
+    """The inverse of tensor_to_jsonable."""
     terms = {}
     for item in data:
-        key = tuple(_monomial_from_jsonable(ms) for ms in item["monomials"])
+        raw = [item["monomial"]] if rank == 1 else item["monomials"]
+        key = tuple(_monomial_from_jsonable(ms) for ms in raw)
         if len(key) != rank or any(len(m.exponents) != ngens for m in key):
-            raise InputError(f"bad tensor key {item['monomials']}")
+            raise InputError(f"bad key {raw}: want {rank} monomial(s) of "
+                             f"{ngens} exponents")
         c = series_from_jsonable(item["coeff"], order)
         add_into(terms, key, c)
     return TensorElement(pres, rank, terms)
@@ -98,14 +90,14 @@ def presentation_to_manifest(P: Presentation) -> dict:
         "degree_cap": P.degree_cap,
         "generators": list(P.generators),
         "relations": [
-            {"i": i, "j": j, "r": element_to_jsonable(r)}
+            {"i": i, "j": j, "r": tensor_to_jsonable(r)}
             for (i, j), r in sorted(P.relations.items()) if not r.is_zero()
         ],
         "coproduct": {g: tensor_to_jsonable(P.coproduct_on_gens[g])
                       for g in P.generators},
         "counit": {g: P.counit_on_gens[g].to_jsonable()
                    for g in P.generators},
-        "antipode": {g: element_to_jsonable(P.antipode_on_gens[g])
+        "antipode": {g: tensor_to_jsonable(P.antipode_on_gens[g])
                      for g in P.generators},
     }
 
@@ -130,8 +122,8 @@ def presentation_from_manifest(data: dict) -> Presentation:
             i, j = (_exact_int(item[k], f"relation {k}") for k in "ij")
             if (i, j) in relations:
                 raise InputError(f"relation ({i}, {j}) is given twice")
-            relations[(i, j)] = element_from_jsonable(
-                item["r"], name, ngens, order)
+            relations[(i, j)] = tensor_from_jsonable(
+                item["r"], name, 1, ngens, order)
         # Every generator must have an entry, and entries under other
         # names are read too, so that Presentation rejects them.
         cop = {g: tensor_from_jsonable(data["coproduct"][g], name, 2, ngens,
@@ -139,8 +131,8 @@ def presentation_from_manifest(data: dict) -> Presentation:
                for g in [*gens, *data["coproduct"]]}
         eps = {g: series_from_jsonable(data["counit"][g], order)
                for g in [*gens, *data["counit"]]}
-        ant = {g: element_from_jsonable(data["antipode"][g], name, ngens,
-                                        order)
+        ant = {g: tensor_from_jsonable(data["antipode"][g], name, 1, ngens,
+                                       order)
                for g in [*gens, *data["antipode"]]}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed presentation manifest: {exc}") from exc

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import InputError, MixedPresentations, PresentationError
-from .freealg import Element, Monomial
+from .freealg import Monomial, TensorElement
 from .hopf import (POLY, SERIES, Presentation, antipode, coproduct_monomial,
                    counit, multiply)
 from .drinfeld import MembershipCertificate, certify
@@ -111,7 +111,7 @@ def _pair_mono(seed: PairingSeed, lm: Monomial, rm: Monomial,
     return acc
 
 
-def pair(a: Element, b: Element, seed: PairingSeed,
+def pair(a: TensorElement, b: TensorElement, seed: PairingSeed,
          _memo: dict | None = None) -> HSeries:
     """Bilinear evaluation of the seeded pairing, truncated at the
     smaller of the two h-orders."""
@@ -123,8 +123,8 @@ def pair(a: Element, b: Element, seed: PairingSeed,
             f"right element of {b.pres!r}, seed pairs {seed.right.name!r}")
     memo = _memo if _memo is not None else {}
     acc = HSeries.zero(seed.order)
-    for lm, ca in a.terms.items():
-        for rm, cb in b.terms.items():
+    for (lm,), ca in a.terms.items():
+        for (rm,), cb in b.terms.items():
             c = ca * cb
             if c.is_zero():
                 continue
@@ -172,10 +172,10 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
     rmonos = R.monomials_up_to(degree_bound)
 
     def lelem(m):
-        return Element.from_monomial(L.name, m, HSeries.one(L.h_order))
+        return TensorElement(L.name, 1, {(m,): HSeries.one(L.h_order)})
 
     def relem(m):
-        return Element.from_monomial(R.name, m, HSeries.one(R.h_order))
+        return TensorElement(R.name, 1, {(m,): HSeries.one(R.h_order)})
 
     for m in lmonos:
         got = pair(lelem(m), R.unit(), seed, memo)
@@ -220,7 +220,7 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
 
 
 def _ideal_spanning_products(R: Presentation, n: int,
-                             levels: list) -> tuple[Element, ...]:
+                             levels: list) -> tuple[TensorElement, ...]:
     """Products of exactly n factors drawn from {h * 1} and the
     generators, capped at the degree bound; they span the n-th power of
     the augmentation-plus-h ideal up to higher truncation.
@@ -249,7 +249,7 @@ def _ideal_spanning_products(R: Presentation, n: int,
     return tuple(levels[n].values())
 
 
-def orthogonal_membership(candidates: list[Element], seed: PairingSeed,
+def orthogonal_membership(candidates: list[TensorElement], seed: PairingSeed,
                           n_max: int | None = None
                           ) -> list[MembershipCertificate]:
     """Membership certificates via orthogonality: pair each candidate
@@ -269,7 +269,8 @@ def orthogonal_membership(candidates: list[Element], seed: PairingSeed,
     if seed.left.model != POLY:
         raise PresentationError("membership oracle needs a POLY left side")
     cap = seed.right.degree_cap
-    degrees = [max((m.degree for m in a.terms), default=0) for a in candidates]
+    degrees = [max((m.degree for (m,) in a.terms), default=0)
+               for a in candidates]
     d = max(degrees, default=0)
     if cap - d < d - 1:
         raise InputError(
@@ -284,7 +285,7 @@ def orthogonal_membership(candidates: list[Element], seed: PairingSeed,
     memo: dict = {}
     levels: list = []
 
-    def worst_valuation(a: Element, window: int, n: int):
+    def worst_valuation(a: TensorElement, window: int, n: int):
         worst = math.inf
         for w in _ideal_spanning_products(seed.right, n, levels):
             v = pair(a, w, seed, memo).truncate(window).valuation()

@@ -29,9 +29,9 @@ from .drinfeld import (GaugeMap, PRIME_THEN_VEE, VEE_THEN_PRIME,
                        gauge_preservation_check, prime_membership,
                        prime_presentation, roundtrip_check, vee_presentation)
 from .errors import NotAHopfMap
-from .freealg import Element, TensorElement, add_into
+from .freealg import TensorElement, add_into
 from .hopf import (Presentation, big_delta_E, coproduct, delta_E, delta_n,
-                   multiply, normal_form, tensor_multiply)
+                   multiply, normal_form)
 from .pairing import orthogonal_membership, pair, pairing_axioms_check
 from .report import CheckRow, HopfReport, run_tasks
 from .series import HSeries
@@ -52,7 +52,7 @@ class RunConfig:
 
 def random_elements(P: Presentation, rng: random.Random, count: int,
                     max_degree: int = 3, max_h: int = 2,
-                    max_terms: int = 3) -> list[Element]:
+                    max_terms: int = 3) -> list[TensorElement]:
     """Deterministic pseudo-random elements for identity batteries."""
     monos = P.monomials_up_to(max_degree)
     out = []
@@ -64,8 +64,8 @@ def random_elements(P: Presentation, rng: random.Random, count: int,
             den = rng.randint(1, 3)
             c = HSeries.h_power(rng.randint(0, max_h), P.h_order,
                                 Fraction(num, den))
-            add_into(terms, m, c)
-        e = Element(P.name, terms)
+            add_into(terms, (m,), c)
+        e = TensorElement(P.name, 1, terms)
         out.append(e if not e.is_zero() else P.gen(0))
     return out
 
@@ -177,7 +177,8 @@ def product_expansion(cfg: RunConfig) -> list[CheckRow]:
 
 
 def product_expansion_rows(rep: HopfReport, P: Presentation,
-                           pairs: list[tuple[Element, Element]]) -> None:
+                           pairs: list[tuple[TensorElement, TensorElement]]
+                           ) -> None:
     """Add to rep, for n = 1, 2, 3, the rows checking delta_n(ab) = sum over
     lam | y = {1..n} of delta_lam(a) delta_y(b), and delta_n(ab - ba)."""
     for n in (1, 2, 3):
@@ -193,12 +194,11 @@ def product_expansion_rows(rep: HopfReport, P: Presentation,
             want_parts = []
             comm_parts = []
             for lam, y in _covering_pairs(phi):
-                prod = tensor_multiply(da[lam], db[y], P)
+                prod = multiply(da[lam], db[y], P)
                 want_parts.append((1, prod))
                 if set(lam) & set(y):
                     comm_parts.append((1, prod))
-                    comm_parts.append(
-                        (-1, tensor_multiply(db[y], da[lam], P)))
+                    comm_parts.append((-1, multiply(db[y], da[lam], P)))
             if delta_n(ab, n, P) != _tensor_sum(want_parts, P, n):
                 bad_prod += 1
             if delta_n(ab - ba, n, P) != _tensor_sum(comm_parts, P, n):
@@ -274,8 +274,7 @@ def filtration_kernel(cfg: RunConfig) -> list[CheckRow]:
         bad = []
         total = 0
         for m in P.monomials_up_to(4):
-            lift = Element.from_monomial(P.name, m,
-                                         HSeries.one(P.h_order))
+            lift = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)})
             for n in range(m.degree, 5):
                 total += 1
                 if delta_n(lift, n + 1, P).h_valuation() < 1:
@@ -323,7 +322,8 @@ def pairing_duality(cfg: RunConfig) -> list[CheckRow]:
 
 
 def _membership_battery_elements(P: Presentation,
-                                 rng: random.Random) -> list[tuple[str, Element]]:
+                                 rng: random.Random
+                                 ) -> list[tuple[str, TensorElement]]:
     h = HSeries.h_power(1, P.h_order)
     x, y = P.gen("x"), P.gen("y")
     named = [

@@ -6,9 +6,11 @@ from qdp.classical import (LieBialgebra, dual_lie_bialgebra,
                            lie_bialgebra_equal, validate_lie_bialgebra)
 from qdp.drinfeld import prime_presentation
 from qdp.errors import DimensionMismatch, NotCommutativeModH, NotLieType
-from qdp.freealg import Element, Monomial, TensorElement
+from qdp.freealg import Monomial, TensorElement
 from qdp.hopf import POLY, SERIES, Presentation
 from qdp.series import HSeries
+
+from support import from_monomial
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +28,7 @@ def _primitive_pair(name, model, rel):
         idm = Monomial.identity(2)
         cop[g] = TensorElement(name, 2, {(gm, idm): one, (idm, gm): one})
         eps[g] = HSeries.zero(4)
-        ant[g] = Element.from_monomial(name, gm, HSeries.const(-1, 4))
+        ant[g] = from_monomial(name, gm, HSeries.const(-1, 4))
     return Presentation(name, model, ["a", "b"], 4, 4, {(0, 1): rel}, cop,
                         eps, ant)
 
@@ -55,8 +57,8 @@ class TestExtractLie:
     def test_nonlinear_relation_rejected(self):
         name = "nonlie"
         # admissible shape needs valuation >= 1 on degree-2 terms
-        rel = Element.from_monomial(name, Monomial((2, 0)),
-                                    HSeries.h_power(0, 4))  # b*a = a*b + a^2
+        rel = from_monomial(name, Monomial((2, 0)),
+                            HSeries.h_power(0, 4))  # b*a = a*b + a^2
         with pytest.raises(Exception):
             _primitive_pair(name, POLY, rel)
 
@@ -66,7 +68,8 @@ class TestExtractLie:
     def test_constant_commutator_part_rejected(self, model, k, extract):
         # [a, b] = -r has a constant part at the h-order the structure is
         # read at: h^0 for the bracket of U_h, h^1 for commutators over h
-        rel = Element.unit("nonlie", 2, 4).scaled(HSeries.h_power(k, 4))
+        rel = TensorElement.unit("nonlie", 1, 2, 4).scaled(
+            HSeries.h_power(k, 4))
         with pytest.raises(NotLieType,
                            match=rf"\[a,b\] has a constant h\^{k} part -1"):
             extract(_primitive_pair("nonlie", model, rel))
@@ -96,8 +99,8 @@ class TestExtractPoisson:
 
     def test_noncommutative_mod_h_rejected(self):
         name = "notqfsha"
-        rel = Element.from_monomial(name, Monomial((0, 1)),
-                                    HSeries.const(-1, 4))  # b*a = a*b - b
+        rel = from_monomial(name, Monomial((0, 1)),
+                            HSeries.const(-1, 4))  # b*a = a*b - b
         with pytest.raises(NotCommutativeModH):
             extract_poisson_structure(_primitive_pair(name, SERIES, rel))
 

@@ -1,7 +1,12 @@
+import argparse
+import contextlib
+import copy
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qdp import cli
 from qdp.cli import run
@@ -233,13 +238,6 @@ def test_check_hopf_negative_bound_is_usage_error(capsys):
     assert "degree bound -1" in captured.err and "PASS" not in captured.out
 
 
-def test_env_default_order(capsys, monkeypatch):
-    monkeypatch.setenv("QDP_DEFAULT_ORDER", "5")
-    assert run(["show", "borel2", "--manifest"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["h_order"] == 5
-
-
 def test_no_command_prints_help(capsys):
     assert run([]) == 2
 
@@ -360,3 +358,157 @@ def test_series_manifest_degree_cap_zero_is_usage_error(tmp_path, capsys):
     prime_path.write_text(json.dumps(data), encoding="utf-8")
     assert run(["check-hopf", str(prime_path), "--bound", "1"]) == 2
     assert "degree cap must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, element", [
+    (["--h-order", "7", "--element", "y*x*y"], 1,
+     "(-1)*g1^2 + (1)*g0*g1^2"),
+    (["--via", "pairing", "--element", "h*x + h^2*y^2"], 0,
+     "(h)*g0 + (h^2)*g1^2"),
+], ids=["delta", "pairing"])
+def test_member_certificate_names_its_element(capsys, argv, code, element):
+    # the certificate's element text is report bytes: terms in deglex order,
+    # generators by index
+    assert run(["member", "borel2", *argv, "--format", "json"]) == code
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    assert [c["element"] for c in certs.values()] == [element]
+
+
+def test_every_command_has_a_handler():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._HANDLERS)
+
+
+# -- manifest fuzzing ---------------------------------------------------------
+#
+# Mutations of the borel2 manifest and of a pairing seed, one category each:
+# wrong-arity and negative monomials, non-integer orders, Laurent, string
+# and duplicate values, unknown keys and missing entries.  Whatever the
+# input, check-hopf and pair must answer with exit 0, 1 or 2 and one line,
+# never a traceback or an internal error.
+
+_SEED = {"left": "borel2", "right": "borel2_prime",
+         "values": [{"lgen": "x", "rgen": "x", "value": "1"},
+                    {"lgen": "y", "rgen": "y", "value": "1"}]}
+
+
+def _json_paths(node, path=()):
+    """The path of every node under a JSON value, parents first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,), child
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutation(doc):
+    """A strategy for one (operation, path, value) edit of doc."""
+    nodes = list(_json_paths(doc))
+
+    def at(pred):
+        found = [p for p, v in nodes if pred(p, v)]
+        return st.sampled_from(found) if found else st.nothing()
+
+    def is_monomial(p, v):
+        return p[-1] == "monomial" or len(p) > 1 and p[-2] == "monomials"
+
+    def is_integer(p, v):
+        return p[-1] in ("h_order", "degree_cap", "order", "v_min", "i", "j")
+
+    def is_series(p, v):
+        return p[-1] in ("coeff", "value") or len(p) > 1 and p[-2] == "counit"
+
+    def is_item(p, v):
+        return isinstance(p[-1], int)
+
+    def is_dict(p, v):
+        return isinstance(v, dict)
+
+    def anywhere(p, v):
+        return True
+
+    laurent = st.integers(1, 3).map(
+        lambda k: {"v_min": -k, "order": 8, "coeffs": ["1"]})
+    return st.one_of(
+        st.tuples(st.just("set"), at(is_monomial),
+                  st.lists(st.integers(0, 2), max_size=4)
+                  .filter(lambda e: len(e) != 2)),
+        st.tuples(st.just("set"), at(is_monomial),
+                  st.tuples(st.integers(-3, -1), st.integers(0, 2)).map(list)),
+        st.tuples(st.just("set"), at(is_integer),
+                  st.sampled_from([2.5, -0.5, "8", None, True, [8]])),
+        st.tuples(st.just("set"), at(is_series), laurent),
+        st.tuples(st.just("set"), at(anywhere),
+                  st.text("xyh^*+-/()0123 ", max_size=6)),
+        st.tuples(st.just("duplicate"), at(is_item), st.none()),
+        st.tuples(st.just("set"), st.one_of(st.just(()), at(is_dict))
+                  .map(lambda p: p + ("bogus",)), st.integers(0, 2)),
+        st.tuples(st.just("delete"), at(anywhere), st.none()))
+
+
+def _apply(doc, edits):
+    """doc with the edits made in turn; an edit whose path an earlier one
+    removed is skipped."""
+    doc = copy.deepcopy(doc)
+    for op, path, value in edits:
+        *inner, last = path
+        parent = doc
+        try:
+            for key in inner:
+                parent = parent[key]
+            if op == "delete":
+                del parent[last]
+            elif op == "duplicate":
+                parent.insert(last, copy.deepcopy(parent[last]))
+            else:
+                parent[last] = value
+        except (AttributeError, KeyError, IndexError, TypeError):
+            continue
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["prime", "borel2", "-o", str(path / "prime.json")]) == 0
+    return path
+
+
+def _exit_contract(argv) -> int:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_manifests_keep_the_exit_contract(fuzz_dir, data):
+    # one of the two files is mutated, so that pair also meets each
+    # mutation with the other file intact
+    manifest, seed = _borel2_manifest(), _SEED
+    if data.draw(st.booleans(), label="mutate the manifest"):
+        manifest = _apply(manifest, data.draw(
+            st.lists(_mutation(manifest), min_size=1, max_size=2)))
+    else:
+        seed = _apply(seed, data.draw(
+            st.lists(_mutation(seed), min_size=1, max_size=2)))
+    mpath, spath = fuzz_dir / "borel2.json", fuzz_dir / "seed.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    spath.write_text(json.dumps(seed), encoding="utf-8")
+    _exit_contract(["check-hopf", str(mpath), "--bound", "1"])
+    _exit_contract(["pair", str(mpath), str(fuzz_dir / "prime.json"),
+                    "--seed-file", str(spath), "--left-elem", "x*y",
+                    "--right-elem", "x*y"])

@@ -25,8 +25,8 @@ def borel2():
 class TestParseElement:
     def test_linear_combination(self, borel2):
         e = parse_element("h*x + h^2*y", borel2)
-        assert e.coeff(Monomial((1, 0))) == HSeries.h_power(1, 8)
-        assert e.coeff(Monomial((0, 1))) == HSeries.h_power(2, 8)
+        assert e.terms[(Monomial((1, 0)),)] == HSeries.h_power(1, 8)
+        assert e.terms[(Monomial((0, 1)),)] == HSeries.h_power(2, 8)
 
     def test_relation_applied(self, borel2):
         assert parse_element("y*x", borel2) == normal_form((1, 0), borel2)
@@ -60,8 +60,8 @@ class TestParseElement:
 
     def test_rationals(self, borel2):
         e = parse_element("3/4*x - 2*y", borel2)
-        assert e.coeff(Monomial((1, 0))) == HSeries.const(Fraction(3, 4), 8)
-        assert e.coeff(Monomial((0, 1))) == HSeries.const(-2, 8)
+        assert e.terms[(Monomial((1, 0)),)] == HSeries.const(Fraction(3, 4), 8)
+        assert e.terms[(Monomial((0, 1)),)] == HSeries.const(-2, 8)
 
     def test_trailing_garbage(self, borel2):
         with pytest.raises(ExpressionSyntaxError):

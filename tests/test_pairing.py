@@ -9,7 +9,6 @@ import pytest
 from qdp.bundles import builtin
 from qdp.errors import InputError
 from qdp.exprs import parse_element
-from qdp.freealg import Element
 from qdp.hopf import antipode, counit, multiply, multiply_all, normal_form
 from qdp.pairing import (PairingSeed, _ideal_spanning_products,
                          _reliable_order, orthogonal_membership, pair,
@@ -17,6 +16,8 @@ from qdp.pairing import (PairingSeed, _ideal_spanning_products,
 from qdp.drinfeld import prime_membership, prime_presentation
 from qdp.selftest import RunConfig, oracle_agreement, pairing_duality
 from qdp.series import HSeries
+
+from support import from_monomial
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +66,11 @@ class TestEvaluation:
         lmonos = L.monomials_up_to(3)
         rmonos = R.monomials_up_to(3)
         memo = {}
-        from qdp.freealg import Element
         for _ in range(25):
-            u = Element.from_monomial(L.name,
-                                      lmonos[rng.randrange(len(lmonos))],
-                                      HSeries.one(8))
-            v = Element.from_monomial(R.name,
-                                      rmonos[rng.randrange(len(rmonos))],
-                                      HSeries.one(8))
+            u = from_monomial(L.name, lmonos[rng.randrange(len(lmonos))],
+                              HSeries.one(8))
+            v = from_monomial(R.name, rmonos[rng.randrange(len(rmonos))],
+                              HSeries.one(8))
             lhs = pair(antipode(u, L), v, seed, memo).truncate(5)
             rhs = pair(u, antipode(v, R), seed, memo).truncate(5)
             assert lhs == rhs
@@ -254,12 +252,12 @@ class TestTruncationStability:
         for u in low.left.monomials_up_to(3):
             w = _reliable_order(low, u.degree)
             assert w == min(8, 8 - u.degree)
-            a_low = Element.from_monomial(low.left.name, u, HSeries.one(8))
-            a_high = Element.from_monomial(high.left.name, u, HSeries.one(8))
+            a_low = from_monomial(low.left.name, u, HSeries.one(8))
+            a_high = from_monomial(high.left.name, u, HSeries.one(8))
             for v in low.right.monomials_up_to(8):
-                got = pair(a_low, Element.from_monomial(
+                got = pair(a_low, from_monomial(
                     low.right.name, v, HSeries.one(8)), low, memo_low)
-                want = pair(a_high, Element.from_monomial(
+                want = pair(a_high, from_monomial(
                     high.right.name, v, HSeries.one(8)), high, memo_high)
                 assert got.truncate(w) == want.truncate(w), (u, v)
                 pairs += 1
