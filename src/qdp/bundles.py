@@ -25,12 +25,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .classical import LieBialgebra
+from .classical import (LieBialgebra, dual_lie_bialgebra,
+                        extract_lie_bialgebra, lie_bialgebra_equal,
+                        validate_lie_bialgebra)
 from .drinfeld import prime_presentation
 from .errors import UnknownExample
 from .freealg import Monomial, TensorElement
-from .hopf import POLY, Presentation
+from .hopf import POLY, Presentation, check_diamond, check_hopf_axioms
 from .pairing import PairingSeed
+from .report import HopfReport
 from .series import HSeries
 
 BUILTIN_NAMES = ("abelian1", "abelian2", "abelian3", "borel2", "heisenberg3")
@@ -165,11 +168,6 @@ def builtin(name: str, h_order: int = 8, degree_cap: int = 8) -> ExampleBundle:
 
 def bundle_selfcheck(bundle: ExampleBundle, degree_bound: int = 2):
     """Cheap invariants every bundle must satisfy; returns a HopfReport."""
-    from .classical import (dual_lie_bialgebra, extract_lie_bialgebra,
-                            lie_bialgebra_equal, validate_lie_bialgebra)
-    from .hopf import check_diamond, check_hopf_axioms
-    from .report import HopfReport
-
     rep = HopfReport()
     ax = check_hopf_axioms(bundle.quea, degree_bound)
     rep.add("bundle-hopf-axioms", bundle.name, ax.passed,

@@ -16,7 +16,7 @@ from .classical import (POLY, dual_lie_bialgebra, extract_lie_bialgebra,
 from .drinfeld import (PRIME_THEN_VEE, VEE_THEN_PRIME, prime_membership,
                        prime_presentation, roundtrip_check, vee_presentation)
 from .errors import InputError, MathematicalFailure, NotAHopfMap, QdpError
-from .exprs import parse_element
+from .exprs import element_to_expr, parse_element
 from .hopf import SERIES, check_diamond, check_hopf_axioms
 from .manifest import (dump_json, load_json, manifest_text,
                        presentation_from_manifest, presentation_to_manifest,
@@ -182,7 +182,6 @@ def _cmd_show(args, cfg) -> int:
     print(f"  generators: {', '.join(P.generators)}")
     for (i, j), r in sorted(P.relations.items()):
         if not r.is_zero():
-            from .exprs import element_to_expr
             print(f"  relation: {P.generators[j]}*{P.generators[i]} = "
                   f"{P.generators[i]}*{P.generators[j]} + "
                   f"{element_to_expr(r, P)}")

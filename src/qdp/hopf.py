@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (FuelExceeded, InputError, MixedPresentations,
-                     PresentationError)
+                     NotTopologicallyNilpotent, PresentationError)
 from .freealg import Monomial, TensorElement, add_into, settle
 from .report import HopfReport
 from .series import HSeries, mul
@@ -175,10 +175,13 @@ class Presentation:
         return TensorElement.unit(self.name, 1, self.ngens, self.h_order,
                                   value)
 
+    def lift(self, m: Monomial) -> TensorElement:
+        """The element 1 * m."""
+        return TensorElement(self.name, 1, {(m,): HSeries.one(self.h_order)})
+
     def gen(self, g: str | int) -> TensorElement:
         i = g if isinstance(g, int) else self.gen_index[g]
-        return TensorElement(self.name, 1, {
-            (Monomial.generator(i, self.ngens),): HSeries.one(self.h_order)})
+        return self.lift(Monomial.generator(i, self.ngens))
 
     def monomials_up_to(self, degree: int) -> list[Monomial]:
         """All ordered monomials of total degree <= degree, deglex order."""
@@ -278,7 +281,6 @@ def multiply_all(factors: Iterable[TensorElement],
 
 def element_exp(a: TensorElement, P: Presentation) -> TensorElement:
     """exp of an element with h-valuation >= 1 (truncation-convergent)."""
-    from .errors import NotTopologicallyNilpotent
     if a.h_valuation() < 1:
         raise NotTopologicallyNilpotent(
             f"element exp needs h-valuation >= 1, got {a.h_valuation()}")
@@ -507,8 +509,7 @@ def _iterated_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
         out = TensorElement(P.name, 0, {(): HSeries.one(P.h_order)}
                             if m.is_identity() else {})
     elif n == 1:
-        out = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)}
-                            ).truncate(P.h_order, P.degree_cap)
+        out = P.lift(m).truncate(P.h_order, P.degree_cap)
     else:
         out = _extend(_iterated_monomial(P, m, n - 1), P, 2,
                       coproduct_monomial)
@@ -648,10 +649,9 @@ def _tensor_counit_slot(t: TensorElement, slot: int,
 def _convolve_antipode(t: TensorElement, P: Presentation,
                        antipode_slot: int) -> TensorElement:
     """m o (S (x) id) o Delta (slot 0) or m o (id (x) S) o Delta (slot 1)."""
-    one = HSeries.one(P.h_order)
     acc = P.zero()
     for key, c in t.terms.items():
-        f = [TensorElement(P.name, 1, {(m,): one}) for m in key]
+        f = [P.lift(m) for m in key]
         f[antipode_slot] = antipode_monomial(P, key[antipode_slot])
         acc = acc + multiply(f[0], f[1], P).scaled(c)
     return acc.truncate(P.h_order, P.degree_cap)
@@ -665,7 +665,7 @@ def check_hopf_axioms(P: Presentation, degree_bound: int) -> HopfReport:
     rep = HopfReport()
     for m in P.monomials_up_to(degree_bound):
         label = _mono_label(P.generators, m)
-        elem = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)})
+        elem = P.lift(m)
         cop = coproduct(elem, P)
 
         left = _extend(cop, P, 2, coproduct_monomial, slot=0)

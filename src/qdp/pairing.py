@@ -171,27 +171,21 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
     lmonos = L.monomials_up_to(degree_bound)
     rmonos = R.monomials_up_to(degree_bound)
 
-    def lelem(m):
-        return TensorElement(L.name, 1, {(m,): HSeries.one(L.h_order)})
-
-    def relem(m):
-        return TensorElement(R.name, 1, {(m,): HSeries.one(R.h_order)})
-
     for m in lmonos:
-        got = pair(lelem(m), R.unit(), seed, memo)
-        want = counit(lelem(m), L)
+        got = pair(L.lift(m), R.unit(), seed, memo)
+        want = counit(L.lift(m), L)
         rep.add("pair-with-right-unit", repr(m), same(got, want))
     for m in rmonos:
-        got = pair(L.unit(), relem(m), seed, memo)
-        want = counit(relem(m), R)
+        got = pair(L.unit(), R.lift(m), seed, memo)
+        want = counit(R.lift(m), R)
         rep.add("pair-with-left-unit", repr(m), same(got, want))
 
     for u1, u2 in itertools.product(lmonos, repeat=2):
         if u1.degree + u2.degree > degree_bound or not u1.degree or not u2.degree:
             continue
-        prod = multiply(lelem(u1), lelem(u2), L)
+        prod = multiply(L.lift(u1), L.lift(u2), L)
         for v in rmonos:
-            got = pair(prod, relem(v), seed, memo)
+            got = pair(prod, R.lift(v), seed, memo)
             want = _pair_split(seed, {(u1, u2): one},
                                coproduct_monomial(R, v).terms, memo, set())
             rep.add("left-product-compat",
@@ -201,9 +195,9 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
     for v1, v2 in itertools.product(rmonos, repeat=2):
         if v1.degree + v2.degree > degree_bound or not v1.degree or not v2.degree:
             continue
-        prod = multiply(relem(v1), relem(v2), R)
+        prod = multiply(R.lift(v1), R.lift(v2), R)
         for u in lmonos:
-            got = pair(lelem(u), prod, seed, memo)
+            got = pair(L.lift(u), prod, seed, memo)
             want = _pair_split(seed, coproduct_monomial(L, u).terms,
                                {(v1, v2): one}, memo, set())
             rep.add("right-product-compat",
@@ -211,10 +205,10 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
                     "" if same(got, want) else f"{got} vs {want}")
 
     for u in lmonos:
-        su = antipode(lelem(u), L)
+        su = antipode(L.lift(u), L)
         for v in rmonos:
-            got = pair(su, relem(v), seed, memo)
-            want = pair(lelem(u), antipode(relem(v), R), seed, memo)
+            got = pair(su, R.lift(v), seed, memo)
+            want = pair(L.lift(u), antipode(R.lift(v), R), seed, memo)
             rep.add("antipode-compat", f"<S({u!r}), {v!r}>", same(got, want))
     return rep
 

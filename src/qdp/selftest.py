@@ -1,10 +1,11 @@
 """The full verification battery behind `qdp selftest` and the acceptance
 test suite.
 
-Each criterion function returns plain CheckRows, and the criteria run one
-after another in CRITERIA order.  Rows depend only on the configuration
-(truncation orders and the random seed), so a configuration always emits
-the same bytes.
+Each criterion is a function of explicit inputs (the presentations,
+bundles or pairing seeds it checks, the degree cap where it rescales, its
+random source) and returns CheckRows that depend only on them.  CRITERIA
+binds each criterion to the inputs a configuration selects; the criteria
+run in CRITERIA order, so a configuration always emits the same bytes.
 
 Heavy random batteries run at the reduced truncation they are specified
 at (h-order 4); the filtration-kernel sweep runs at h-order 2, which is
@@ -32,14 +33,12 @@ from .errors import NotAHopfMap
 from .freealg import TensorElement, add_into
 from .hopf import (Presentation, big_delta_E, coproduct, delta_E, delta_n,
                    multiply, normal_form)
-from .pairing import orthogonal_membership, pair, pairing_axioms_check
+from .pairing import (PairingSeed, orthogonal_membership, pair,
+                      pairing_axioms_check)
 from .report import CheckRow, HopfReport, run_tasks
 from .series import HSeries
 
 DEFAULT_SEED = 20240
-
-BATTERY_ORDER = 4      # h-order for the seeded random identity batteries
-KERNEL_ORDER = 2       # h-order for the filtration-kernel sweep
 
 
 @dataclass
@@ -73,21 +72,20 @@ def random_elements(P: Presentation, rng: random.Random, count: int,
 # -- criterion 1: membership battery ---------------------------------------------
 
 
-def membership_battery(cfg: RunConfig) -> list[CheckRow]:
+def membership_battery(P: Presentation) -> list[CheckRow]:
     rep = HopfReport()
-    P = builtin("borel2", cfg.h_order, cfg.degree_cap).quea
     h = HSeries.h_power(1, P.h_order)
 
     cert = prime_membership(P.gen("x").scaled(h), P)
-    rep.add("membership", "borel2: h*x", cert.is_member, cert.verdict)
+    rep.add("membership", f"{P.name}: h*x", cert.is_member, cert.verdict)
     cert = prime_membership(P.gen("y").scaled(h), P)
-    rep.add("membership", "borel2: h*y", cert.is_member, cert.verdict)
+    rep.add("membership", f"{P.name}: h*y", cert.is_member, cert.verdict)
     cert = prime_membership(P.gen("y"), P)
-    rep.add("membership", "borel2: y is not a member", not cert.is_member,
+    rep.add("membership", f"{P.name}: y is not a member", not cert.is_member,
             f"witness n={cert.witness}")
-    rep.add("membership", "borel2: delta_2(y) has valuation exactly 1",
+    rep.add("membership", f"{P.name}: delta_2(y) has valuation exactly 1",
             cert.valuation_at(2) == 1, f"valuation {cert.valuation_at(2)}")
-    rep.add("membership", "borel2: n=2 is a recorded counterexample for y",
+    rep.add("membership", f"{P.name}: n=2 is a recorded counterexample for y",
             2 in cert.failing_ns(), f"failing n: {cert.failing_ns()}")
     return rep.rows
 
@@ -121,27 +119,18 @@ def limit_duality_rows(bundle, degree_cap: int):
     return rep.rows, L, LP
 
 
-def limit_duality(cfg: RunConfig) -> list[CheckRow]:
-    rows = []
-    for name in ("abelian2", "borel2", "heisenberg3"):
-        b = builtin(name, cfg.h_order, cfg.degree_cap)
-        rows += limit_duality_rows(b, cfg.degree_cap)[0]
-    return rows
-
-
 # -- criterion 3: round trips ----------------------------------------------------------
 
 
-def roundtrips(cfg: RunConfig) -> list[CheckRow]:
+def roundtrips(presentations, degree_cap: int) -> list[CheckRow]:
     rep = HopfReport()
-    for name in BUILTIN_NAMES:
-        P = builtin(name, cfg.h_order, cfg.degree_cap).quea
-        fwd = roundtrip_check(P, PRIME_THEN_VEE, cfg.degree_cap)
-        rep.add("roundtrip", f"{name}: rescale up then down", fwd.passed,
+    for P in presentations:
+        fwd = roundtrip_check(P, PRIME_THEN_VEE, degree_cap)
+        rep.add("roundtrip", f"{P.name}: rescale up then down", fwd.passed,
                 "" if fwd.passed else str(fwd.failures()[0]))
-        Q = prime_presentation(P, cfg.degree_cap)
+        Q = prime_presentation(P, degree_cap)
         back = roundtrip_check(Q, VEE_THEN_PRIME)
-        rep.add("roundtrip", f"{name}: rescale down then up", back.passed,
+        rep.add("roundtrip", f"{P.name}: rescale down then up", back.passed,
                 "" if back.passed else str(back.failures()[0]))
     return rep.rows
 
@@ -165,23 +154,19 @@ def _tensor_sum(parts, P: Presentation, rank: int) -> TensorElement:
     return TensorElement(P.name, rank, acc)
 
 
-def product_expansion(cfg: RunConfig) -> list[CheckRow]:
+def _pair_batteries(presentations, rng: random.Random):
+    """Fifty random pairs (a, b) on each presentation, drawn in order."""
+    return [(P, list(zip(random_elements(P, rng, 50, max_terms=2),
+                         random_elements(P, rng, 50, max_terms=2))))
+            for P in presentations]
+
+
+def product_expansion(batteries) -> list[CheckRow]:
+    """For each (P, pairs) battery and n = 1, 2, 3, the rows checking
+    delta_n(ab) = sum over lam | y = {1..n} of delta_lam(a) delta_y(b), and
+    delta_n(ab - ba)."""
     rep = HopfReport()
-    rng = random.Random(cfg.seed)
-    for name in BUILTIN_NAMES:
-        P = builtin(name, BATTERY_ORDER, BATTERY_ORDER).quea
-        pairs = list(zip(random_elements(P, rng, 50, max_terms=2),
-                         random_elements(P, rng, 50, max_terms=2)))
-        product_expansion_rows(rep, P, pairs)
-    return rep.rows
-
-
-def product_expansion_rows(rep: HopfReport, P: Presentation,
-                           pairs: list[tuple[TensorElement, TensorElement]]
-                           ) -> None:
-    """Add to rep, for n = 1, 2, 3, the rows checking delta_n(ab) = sum over
-    lam | y = {1..n} of delta_lam(a) delta_y(b), and delta_n(ab - ba)."""
-    for n in (1, 2, 3):
+    for (P, pairs), n in itertools.product(batteries, (1, 2, 3)):
         phi = tuple(range(1, n + 1))
         subsets = [s for k in range(n + 1)
                    for s in itertools.combinations(phi, k)]
@@ -209,16 +194,15 @@ def product_expansion_rows(rep: HopfReport, P: Presentation,
         rep.add("deviation-of-commutator",
                 f"{P.name}: delta_{n}(ab-ba) expansion on {len(pairs)} pairs",
                 bad_comm == 0, f"{bad_comm} failures")
+    return rep.rows
 
 
 # -- criterion 5: inclusion-exclusion inversion -----------------------------------------
 
 
-def inclusion_exclusion(cfg: RunConfig) -> list[CheckRow]:
+def inclusion_exclusion(presentations, rng: random.Random) -> list[CheckRow]:
     rep = HopfReport()
-    rng = random.Random(cfg.seed + 1)
-    for name in BUILTIN_NAMES:
-        P = builtin(name, BATTERY_ORDER, BATTERY_ORDER).quea
+    for P in presentations:
         elems = random_elements(P, rng, 8)
         bad = 0
         total = 0
@@ -234,7 +218,7 @@ def inclusion_exclusion(cfg: RunConfig) -> list[CheckRow]:
                         if big_delta_E(a, E, n, P) != want:
                             bad += 1
         rep.add("inclusion-exclusion",
-                f"{name}: Delta_E == sum of deviations over subsets "
+                f"{P.name}: Delta_E == sum of deviations over subsets "
                 f"({total} instances)", bad == 0, f"{bad} failures")
     return rep.rows
 
@@ -242,24 +226,23 @@ def inclusion_exclusion(cfg: RunConfig) -> list[CheckRow]:
 # -- criterion 6: limit-structure valuations ----------------------------------------------
 
 
-def limit_valuations(cfg: RunConfig) -> list[CheckRow]:
+def limit_valuations(presentations, degree_cap: int) -> list[CheckRow]:
     rep = HopfReport()
-    for name in BUILTIN_NAMES:
-        P = builtin(name, cfg.h_order, cfg.degree_cap).quea
-        Q = prime_presentation(P, cfg.degree_cap)
+    for P in presentations:
+        Q = prime_presentation(P, degree_cap)
         ok = all(r.h_valuation() >= 1 for r in Q.relations.values())
-        rep.add("limit-structure", f"{name}: rescaled-up algebra is "
+        rep.add("limit-structure", f"{P.name}: rescaled-up algebra is "
                 "commutative mod h", ok)
         R = vee_presentation(Q)
         for i, g in enumerate(R.generators):
             d = coproduct(R.gen(g), R)
             prim = _primitive_tensor(R.name, i, R.ngens, R.h_order)
             rep.add("limit-structure",
-                    f"{name}: vee generator {g} primitive mod h",
+                    f"{P.name}: vee generator {g} primitive mod h",
                     (d - prim).h_valuation() >= 1)
             skew = d - d.swapped()
             rep.add("limit-structure",
-                    f"{name}: vee coproduct of {g} cocommutative mod h",
+                    f"{P.name}: vee coproduct of {g} cocommutative mod h",
                     skew.h_valuation() >= 1)
     return rep.rows
 
@@ -267,20 +250,19 @@ def limit_valuations(cfg: RunConfig) -> list[CheckRow]:
 # -- criterion 7: filtration kernel ------------------------------------------------------
 
 
-def filtration_kernel(cfg: RunConfig) -> list[CheckRow]:
+def filtration_kernel(presentations) -> list[CheckRow]:
     rep = HopfReport()
-    for name in ("borel2", "heisenberg3"):
-        P = builtin(name, KERNEL_ORDER, cfg.degree_cap).quea
+    for P in presentations:
         bad = []
         total = 0
         for m in P.monomials_up_to(4):
-            lift = TensorElement(P.name, 1, {(m,): HSeries.one(P.h_order)})
+            lift = P.lift(m)
             for n in range(m.degree, 5):
                 total += 1
                 if delta_n(lift, n + 1, P).h_valuation() < 1:
                     bad.append((m.exponents, n))
         rep.add("filtration-kernel",
-                f"{name}: delta_(n+1) of degree<=n monomials vanishes "
+                f"{P.name}: delta_(n+1) of degree<=n monomials vanishes "
                 f"mod h ({total} instances)", not bad, f"failures: {bad}")
     return rep.rows
 
@@ -288,10 +270,11 @@ def filtration_kernel(cfg: RunConfig) -> list[CheckRow]:
 # -- criterion 8: pairing duality ----------------------------------------------------------
 
 
-def pairing_duality(cfg: RunConfig) -> list[CheckRow]:
+def pairing_duality(seeds: list[PairingSeed]) -> list[CheckRow]:
+    """The duality table <x^m, y^n/n!> on the first seed, whose first
+    generators pair to 1, then the compatibility suite of every seed."""
     rep = HopfReport()
-    b1 = builtin("abelian1", cfg.h_order, cfg.degree_cap)
-    seed = b1.pairing_seed
+    seed = seeds[0]
     L, R = seed.left, seed.right
     memo: dict = {}
     bad = []
@@ -306,13 +289,12 @@ def pairing_duality(cfg: RunConfig) -> list[CheckRow]:
             if got != want:
                 bad.append((m, n))
     rep.add("pairing-duality",
-            "abelian1: <x^m, y^n/n!> == delta_mn for m,n <= 5 (36 values)",
+            f"{L.name}: <x^m, y^n/n!> == delta_mn for m,n <= 5 (36 values)",
             not bad, f"failures: {bad}")
-    for name in ("abelian1", "borel2"):
-        b = builtin(name, cfg.h_order, cfg.degree_cap)
-        ax = pairing_axioms_check(b.pairing_seed, 3)
+    for s in seeds:
+        ax = pairing_axioms_check(s, 3)
         rep.add("pairing-axioms",
-                f"{name}: compatibility suite to degree 3 "
+                f"{s.left.name}: compatibility suite to degree 3 "
                 f"({len(ax.rows)} instances)", ax.passed,
                 "" if ax.passed else str(ax.failures()[0]))
     return rep.rows
@@ -348,16 +330,16 @@ def _membership_battery_elements(P: Presentation,
     return named
 
 
-def oracle_agreement(cfg: RunConfig) -> list[CheckRow]:
+def oracle_agreement(seed: PairingSeed,
+                     rng: random.Random) -> list[CheckRow]:
+    """The deviation route against the pairing route through the seed."""
     rep = HopfReport()
-    b = builtin("borel2", cfg.h_order, cfg.degree_cap)
-    P = b.quea
-    rng = random.Random(cfg.seed + 2)
+    P = seed.left
     battery = _membership_battery_elements(P, rng)
-    certs = orthogonal_membership([a for _, a in battery], b.pairing_seed)
+    certs = orthogonal_membership([a for _, a in battery], seed)
     for (label, a), c2 in zip(battery, certs):
         c1 = prime_membership(a, P)
-        rep.add("oracle-agreement", f"borel2: {label}",
+        rep.add("oracle-agreement", f"{P.name}: {label}",
                 c1.is_member == c2.is_member,
                 f"deviation route {c1.verdict}, pairing route {c2.verdict}")
     rep.add("oracle-agreement", f"battery size >= 30 ({len(battery)})",
@@ -368,10 +350,9 @@ def oracle_agreement(cfg: RunConfig) -> list[CheckRow]:
 # -- criterion 10: gauge preservation -----------------------------------------------------------
 
 
-def gauge_preservation(cfg: RunConfig) -> list[CheckRow]:
+def gauge_preservation(P: Presentation, B: Presentation) -> list[CheckRow]:
+    """Gauges of abelian2 (P) that are Hopf maps; one of borel2 (B) is not."""
     rep = HopfReport()
-    b = builtin("abelian2", cfg.h_order, cfg.degree_cap)
-    P = b.quea
     h = HSeries.h_power(1, P.h_order)
     phi = GaugeMap.make(P, {"x1": P.gen("x1") + P.gen("x2").scaled(h),
                             "x2": P.gen("x2")})
@@ -387,7 +368,6 @@ def gauge_preservation(cfg: RunConfig) -> list[CheckRow]:
     inner = gauge_preservation_check(P, ident)
     rep.add("gauge", "abelian2: identity gauge", inner.passed)
 
-    B = builtin("borel2", cfg.h_order, cfg.degree_cap).quea
     bad = GaugeMap.make(B, {"x": B.gen("x") + B.gen("y").scaled(h),
                             "y": B.gen("y")})
     try:
@@ -404,26 +384,54 @@ def gauge_preservation(cfg: RunConfig) -> list[CheckRow]:
 # -- bundle invariants (superset of the numbered criteria) ------------------------------------------
 
 
-def bundle_invariants(cfg: RunConfig) -> list[CheckRow]:
+def bundle_invariants(bundles) -> list[CheckRow]:
     rep = HopfReport()
-    for name in BUILTIN_NAMES:
-        b = builtin(name, cfg.h_order, cfg.degree_cap)
+    for b in bundles:
         rep.extend(bundle_selfcheck(b, degree_bound=2))
     return rep.rows
 
 
+# -- the binding: which inputs each criterion runs on ---------------------------------------------
+
+BATTERY_ORDER = 4      # h-order for the seeded random identity batteries
+KERNEL_ORDER = 2       # h-order for the filtration-kernel sweep
+
+# Each random stream is consumed over BUILTIN_NAMES in order.
 CRITERIA = [
-    ("membership-battery", membership_battery),
-    ("limit-duality", limit_duality),
-    ("roundtrips", roundtrips),
-    ("deviation-product-expansion", product_expansion),
-    ("inclusion-exclusion", inclusion_exclusion),
-    ("limit-structure-valuations", limit_valuations),
-    ("filtration-kernel", filtration_kernel),
-    ("pairing-duality", pairing_duality),
-    ("oracle-agreement", oracle_agreement),
-    ("gauge-preservation", gauge_preservation),
-    ("bundle-invariants", bundle_invariants),
+    ("membership-battery", lambda cfg: membership_battery(
+        builtin("borel2", cfg.h_order, cfg.degree_cap).quea)),
+    ("limit-duality", lambda cfg: [
+        row for name in ("abelian2", "borel2", "heisenberg3")
+        for row in limit_duality_rows(
+            builtin(name, cfg.h_order, cfg.degree_cap), cfg.degree_cap)[0]]),
+    ("roundtrips", lambda cfg: roundtrips(
+        [builtin(name, cfg.h_order, cfg.degree_cap).quea
+         for name in BUILTIN_NAMES], cfg.degree_cap)),
+    ("deviation-product-expansion", lambda cfg: product_expansion(
+        _pair_batteries([builtin(name, BATTERY_ORDER, BATTERY_ORDER).quea
+                         for name in BUILTIN_NAMES],
+                        random.Random(cfg.seed)))),
+    ("inclusion-exclusion", lambda cfg: inclusion_exclusion(
+        [builtin(name, BATTERY_ORDER, BATTERY_ORDER).quea
+         for name in BUILTIN_NAMES], random.Random(cfg.seed + 1))),
+    ("limit-structure-valuations", lambda cfg: limit_valuations(
+        [builtin(name, cfg.h_order, cfg.degree_cap).quea
+         for name in BUILTIN_NAMES], cfg.degree_cap)),
+    ("filtration-kernel", lambda cfg: filtration_kernel(
+        [builtin(name, KERNEL_ORDER, cfg.degree_cap).quea
+         for name in ("borel2", "heisenberg3")])),
+    ("pairing-duality", lambda cfg: pairing_duality(
+        [builtin(name, cfg.h_order, cfg.degree_cap).pairing_seed
+         for name in ("abelian1", "borel2")])),
+    ("oracle-agreement", lambda cfg: oracle_agreement(
+        builtin("borel2", cfg.h_order, cfg.degree_cap).pairing_seed,
+        random.Random(cfg.seed + 2))),
+    ("gauge-preservation", lambda cfg: gauge_preservation(
+        builtin("abelian2", cfg.h_order, cfg.degree_cap).quea,
+        builtin("borel2", cfg.h_order, cfg.degree_cap).quea)),
+    ("bundle-invariants", lambda cfg: bundle_invariants(
+        [builtin(name, cfg.h_order, cfg.degree_cap)
+         for name in BUILTIN_NAMES])),
 ]
 
 

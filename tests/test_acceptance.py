@@ -27,6 +27,7 @@ from qdp.cli import run
 from qdp.drinfeld import (PRIME_THEN_VEE, VEE_THEN_PRIME, prime_membership,
                           prime_presentation, roundtrip_check,
                           vee_presentation)
+from qdp.selftest import CRITERIA, RunConfig
 from qdp.series import HSeries
 
 N = D = 8
@@ -162,6 +163,17 @@ def test_criterion_10_gauge_preservation(payload):
     subjects = {r["subject"] for r in rows}
     assert any("rejected" in s for s in subjects)
     _assert_criterion(10, "gauge preservation", rows)
+
+
+def test_criteria_do_not_depend_on_their_order(payload):
+    # each criterion reads only its own inputs, so running them back to
+    # front on freshly built bundles reassembles the forward rows; reversing
+    # swaps every pair, e.g. oracle-agreement now runs before pairing-duality
+    cfg = RunConfig()
+    builtin.cache_clear()
+    rows = {name: fn(cfg) for name, fn in reversed(CRITERIA)}
+    assert [r.to_jsonable() for name, _ in CRITERIA
+            for r in rows[name]] == payload["checks"]
 
 
 def test_criterion_11_determinism(selftest_outputs):

@@ -6,13 +6,15 @@ dropped import in src/ would only show when the benchmark runs.  These
 checks read the tracer's tables without starting any process.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -52,3 +54,18 @@ def test_other_wrapped_names_exist():
     for mod in (qdp.cli, qdp.selftest):
         assert mod.builtin is qdp.bundles.builtin
     assert callable(qdp.bundles.builtin.cache_info)
+
+
+def test_criteria_match_the_bench_names():
+    # bench/run.py names a span per criterion; read its CRITERIA tuple
+    # without importing the runner
+    import qdp.selftest
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    bench_names = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "CRITERIA" for t in node.targets))
+    assert [name for name, _ in qdp.selftest.CRITERIA] == list(bench_names)
+    assert all(isinstance(entry, tuple) and len(entry) == 2
+               and isinstance(entry[0], str) and callable(entry[1])
+               for entry in qdp.selftest.CRITERIA)

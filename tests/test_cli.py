@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qdp import cli
+from qdp.bundles import builtin
 from qdp.cli import run
-from qdp.selftest import RunConfig, limit_duality
+from qdp.selftest import limit_duality_rows
 
 MANIFEST_DIR = Path(__file__).resolve().parents[1] / "src/qdp/manifests"
 
@@ -158,8 +159,8 @@ def test_dual_check(capsys):
     # one duality pipeline: dual-check reports the selftest's rows
     assert run(["dual-check", "borel2", "--format", "json"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
-    want = [r.to_jsonable() for r in limit_duality(RunConfig())
-            if r.subject.startswith("borel2:")]
+    want = [r.to_jsonable()
+            for r in limit_duality_rows(builtin("borel2", 8, 8), 8)[0]]
     assert len(want) == 5
     assert [c for c in checks if c["check"] == "limit-duality"] == want
 

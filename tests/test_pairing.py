@@ -14,7 +14,7 @@ from qdp.pairing import (PairingSeed, _ideal_spanning_products,
                          _reliable_order, orthogonal_membership, pair,
                          pairing_axioms_check)
 from qdp.drinfeld import prime_membership, prime_presentation
-from qdp.selftest import RunConfig, oracle_agreement, pairing_duality
+from qdp.selftest import DEFAULT_SEED, oracle_agreement, pairing_duality
 from qdp.series import HSeries
 
 from support import from_monomial
@@ -160,53 +160,47 @@ class TestOrthogonalMembership:
             assert prime_membership(a, P).is_member == c.is_member
 
 
-def test_oracle_agreement_does_not_depend_on_criterion_order():
-    # the oracle checked its seed only while no flag said a check had
-    # passed, and pairing-duality's degree-3 check set that flag on the
-    # shared bundle; the rows must not depend on what ran before
-    cfg = RunConfig()
-    builtin.cache_clear()
-    alone = oracle_agreement(cfg)
-    builtin.cache_clear()
-    pairing_duality(cfg)
-    after_duality = oracle_agreement(cfg)
-    assert alone == after_duality
-    assert all(r.passed for r in alone) and len(alone) == 33
-
-
-def test_oracle_refuses_a_seed_only_a_narrower_check_passes(monkeypatch):
+def test_oracle_refuses_a_seed_only_a_narrower_check_passes():
     # <x, X> = 1 + h^6 passes pairing-duality's degree-3 suite, read through
     # the window D - 3, but fails the oracle's own degree-2 suite; once the
     # degree-3 pass had marked the shared seed, the oracle trusted it
-    real = builtin("borel2", 8, 8)
-    values = dict(real.pairing_seed.values)
+    real = builtin("borel2", 8, 8).pairing_seed
+    values = dict(real.values)
     values[(0, 0)] = values[(0, 0)] + HSeries.h_power(6, 8)
-    bent = dataclasses.replace(real, pairing_seed=dataclasses.replace(
-        real.pairing_seed, values=values))
-    monkeypatch.setattr("qdp.selftest.builtin", lambda name, *orders: (
-        bent if name == "borel2" else builtin(name, *orders)))
-    cfg = RunConfig()
+    bent = dataclasses.replace(real, values=values)
+    abelian1 = builtin("abelian1", 8, 8).pairing_seed
     with pytest.raises(InputError, match="not a Hopf pairing"):
-        oracle_agreement(cfg)
-    assert pairing_duality(cfg)[-1].passed   # borel2's degree-3 suite
+        oracle_agreement(bent, random.Random(DEFAULT_SEED + 2))
+    assert pairing_duality([abelian1, bent])[-1].passed   # degree-3 suite
     with pytest.raises(InputError, match="not a Hopf pairing"):
-        oracle_agreement(cfg)
+        oracle_agreement(bent, random.Random(DEFAULT_SEED + 2))
 
 
-def test_pairing_duality_rejects_a_rescaled_seed(monkeypatch):
+def test_pairing_duality_rejects_a_rescaled_seed():
     # <x, X> = 2 is still a Hopf pairing (x -> 2x is an automorphism of
     # abelian1), so the compatibility suite passes, but <x^m, y^n/n!> is
     # 2^m delta_mn: only the duality row can tell the seed is wrong
-    real = builtin("abelian1", 8, 8)
-    doubled = dataclasses.replace(real, pairing_seed=dataclasses.replace(
-        real.pairing_seed, values={(0, 0): HSeries.const(2, 8)}))
-    monkeypatch.setattr("qdp.selftest.builtin", lambda name, *orders: (
-        doubled if name == "abelian1" else builtin(name, *orders)))
-    duality, *axioms = pairing_duality(RunConfig())
+    real = builtin("abelian1", 8, 8).pairing_seed
+    doubled = dataclasses.replace(real, values={(0, 0): HSeries.const(2, 8)})
+    duality, *axioms = pairing_duality(
+        [doubled, builtin("borel2", 8, 8).pairing_seed])
     assert not duality.passed
     assert duality.detail == f"failures: {[(m, m) for m in range(1, 6)]}"
     assert [r.subject.split(":")[0] for r in axioms] == ["abelian1", "borel2"]
     assert all(r.passed for r in axioms)
+
+
+def test_oracle_agreement_rejects_a_seed_that_pairs_nothing():
+    # values={} pairs every generator to 0: the seed is a Hopf pairing, so
+    # the oracle's own check passes, but it is degenerate and the pairing
+    # route calls elements members that the deviation route refuses
+    real = builtin("borel2", 8, 8).pairing_seed
+    rows = oracle_agreement(dataclasses.replace(real, values={}),
+                            random.Random(DEFAULT_SEED + 2))
+    failed = [r for r in rows if not r.passed]
+    assert len(rows) == 33 and len(failed) == 16
+    assert all(r.detail.endswith("pairing route MemberUpToTruncation")
+               for r in failed)
 
 
 def _pairing_certificates(sources, D):
