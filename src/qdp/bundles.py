@@ -170,8 +170,7 @@ def bundle_selfcheck(bundle: ExampleBundle, degree_bound: int = 2):
     """Cheap invariants every bundle must satisfy; returns a HopfReport."""
     rep = HopfReport()
     ax = check_hopf_axioms(bundle.quea, degree_bound)
-    rep.add("bundle-hopf-axioms", bundle.name, ax.passed,
-            "" if ax.passed else str(ax.failures()[0]))
+    rep.add("bundle-hopf-axioms", bundle.name, ax.passed, ax.first_failure())
     dia = check_diamond(bundle.quea)
     rep.add("bundle-diamond", bundle.name, dia.passed)
     rep.add("bundle-lie-valid", bundle.name,

@@ -9,13 +9,18 @@ algebra quantises.  The raw data lives on the cotangent space at the
 identity (the span of the generator images mod squares): commutators
 divided by h give one structure-constant table, Delta - Delta_op at h = 0
 gives the other.  Those two tables describe the *dual* of the algebra's
-own Lie bialgebra, so extract_poisson_structure assembles its result by
-transposing them; the returned basis is dual to the generator images.
+own Lie bialgebra, so extract_poisson_structure returns them swapped;
+the returned basis is dual to the generator images.
+
+Both structure-constant tables share one index layout, so the dual of a
+Lie bialgebra is its two tables swapped, and co-Jacobi is checked as the
+Jacobi identity of the dual bracket.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .errors import (CobracketNotInWedge, DimensionMismatch,
@@ -32,12 +37,18 @@ def _zero_cube(n: int):
 class LieBialgebra:
     """Structure constants of a finite-dimensional Lie bialgebra.
 
-    bracket[i][j][k]:  [x_i, x_j] = sum_k bracket[i][j][k] x_k
-    cobracket[k][i][j]: delta(x_k) = sum_{i<j} cobracket[k][i][j]
+    Both tables use one layout, t[i][j][k]: the coefficient of x_k in the
+    image of x_i ^ x_j, or dually of x_i ^ x_j in the image of x_k.
+
+    bracket[i][j][k]:   [x_i, x_j] = sum_k bracket[i][j][k] x_k
+    cobracket[i][j][k]: delta(x_k) = sum_{i<j} cobracket[i][j][k]
                                       (x_i (x) x_j - x_j (x) x_i)
 
-    Both tables are stored fully antisymmetrized in (i, j).  Axioms are
-    *not* assumed; validate_lie_bialgebra checks them.
+    So the dual Lie bialgebra is the same two tables swapped, and
+    co-Jacobi is the Jacobi identity of the cobracket table read as a
+    bracket.  Both tables are stored fully antisymmetrized in (i, j) and
+    are not mutated after construction.  Axioms are *not* assumed;
+    validate_lie_bialgebra checks them.
     """
 
     def __init__(self, dim: int, basis_names: Sequence[str],
@@ -48,91 +59,65 @@ class LieBialgebra:
         self.basis_names = list(basis_names)
         self.bracket = bracket if bracket is not None else _zero_cube(dim)
         self.cobracket = cobracket if cobracket is not None else _zero_cube(dim)
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    if self.bracket[i][j][k] != -self.bracket[j][i][k]:
-                        raise ValueError("bracket table is not antisymmetric")
-                    if self.cobracket[k][i][j] != -self.cobracket[k][j][i]:
-                        raise ValueError("cobracket table is not antisymmetric")
+        for name in ("bracket", "cobracket"):
+            t = getattr(self, name)
+            if any(t[i][j][k] != -t[j][i][k] for i in range(dim)
+                   for j in range(dim) for k in range(dim)):
+                raise ValueError(f"{name} table is not antisymmetric")
 
     @classmethod
     def from_sparse(cls, dim: int, basis_names: Sequence[str],
                     bracket_entries=(), cobracket_entries=()):
-        """Build from nonzero constants given for i < j only."""
-        b = _zero_cube(dim)
-        d = _zero_cube(dim)
-        for i, j, k, val in bracket_entries:
-            v = Fraction(val)
-            b[i][j][k] += v
-            b[j][i][k] -= v
-        for k, i, j, val in cobracket_entries:
-            v = Fraction(val)
-            d[k][i][j] += v
-            d[k][j][i] -= v
-        return cls(dim, basis_names, b, d)
-
-    def bracket_nonzero(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(self.dim):
-                    if self.bracket[i][j][k]:
-                        yield i, j, k, self.bracket[i][j][k]
-
-    def cobracket_nonzero(self):
-        for k in range(self.dim):
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    if self.cobracket[k][i][j]:
-                        yield k, i, j, self.cobracket[k][i][j]
+        """Build from nonzero constants given for i < j only: bracket
+        entries as (i, j, k, v), cobracket entries as (k, i, j, v)."""
+        tables = _zero_cube(dim), _zero_cube(dim)
+        entries = (bracket_entries,
+                   [(i, j, k, v) for k, i, j, v in cobracket_entries])
+        for t, es in zip(tables, entries):
+            for i, j, k, val in es:
+                v = Fraction(val)
+                t[i][j][k] += v
+                t[j][i][k] -= v
+        return cls(dim, basis_names, *tables)
 
     def to_jsonable(self) -> dict:
         return {
             "dim": self.dim,
             "basis": list(self.basis_names),
             "bracket": [[i, j, k, str(v)]
-                        for i, j, k, v in self.bracket_nonzero()],
-            "cobracket": [[k, i, j, str(v)]
-                          for k, i, j, v in self.cobracket_nonzero()],
+                        for i, j, k, v in _nonzero(self.bracket)],
+            "cobracket": sorted([k, i, j, str(v)]
+                                for i, j, k, v in _nonzero(self.cobracket)),
         }
 
     def __repr__(self):
-        br = ", ".join(
-            f"[{self.basis_names[i]},{self.basis_names[j]}]="
-            + _comb_str(self.bracket[i][j], self.basis_names)
-            for i, j, _, _ in _dedup_pairs(self.bracket_nonzero())) or "abelian"
-        cb = ", ".join(
-            f"delta({self.basis_names[k]})="
-            + _wedge_str(self.cobracket[k], self.basis_names)
-            for k in sorted({k for k, *_ in self.cobracket_nonzero()})) or "0"
+        nm = self.basis_names
+        brackets, deltas = {}, {}
+        for i, j, k, v in _nonzero(self.bracket):
+            brackets.setdefault(f"[{nm[i]},{nm[j]}]", []).append((v, nm[k]))
+        for i, j, k, v in sorted(_nonzero(self.cobracket),
+                                 key=lambda e: e[2]):
+            deltas.setdefault(f"delta({nm[k]})", []).append(
+                (v, f"{nm[i]}^{nm[j]}"))
+        br = ", ".join(f"{lhs}={_comb_str(terms)}"
+                       for lhs, terms in brackets.items()) or "abelian"
+        cb = ", ".join(f"{lhs}={_comb_str(terms)}"
+                       for lhs, terms in deltas.items()) or "0"
         return f"LieBialgebra({br}; {cb})"
 
 
-def _dedup_pairs(entries):
-    seen = set()
-    for i, j, k, v in entries:
-        if (i, j) not in seen:
-            seen.add((i, j))
-            yield i, j, k, v
+def _nonzero(table):
+    """(i, j, k, v) for each nonzero table[i][j][k] with i < j."""
+    n = len(table)
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            if table[i][j][k]:
+                yield i, j, k, table[i][j][k]
 
 
-def _comb_str(row, names):
-    bits = []
-    for k, v in enumerate(row):
-        if v:
-            bits.append(f"{'' if v == 1 else str(v) + '*'}{names[k]}")
-    return " + ".join(bits) or "0"
-
-
-def _wedge_str(mat, names):
-    bits = []
-    for i in range(len(mat)):
-        for j in range(i + 1, len(mat)):
-            v = mat[i][j]
-            if v:
-                bits.append(f"{'' if v == 1 else str(v) + '*'}"
-                            f"{names[i]}^{names[j]}")
-    return " + ".join(bits) or "0"
+def _comb_str(terms):
+    return " + ".join(f"{'' if v == 1 else f'{v}*'}{label}"
+                      for v, label in terms)
 
 
 # -- extraction -------------------------------------------------------------------
@@ -161,7 +146,7 @@ def _relation_table(P: Presentation, at_h: int) -> list:
 
 def _coproduct_skew_table(P: Presentation, at_h: int,
                           strict_wedge: bool) -> list:
-    """q[k][i][j]: coefficient of x_i (x) x_j in the h^at_h coefficient of
+    """q[i][j][k]: coefficient of x_i (x) x_j in the h^at_h coefficient of
     (Delta - Delta_op)(x_k), restricted to degree-(1,1) tensor keys."""
     n = P.ngens
     q = _zero_cube(n)
@@ -179,7 +164,7 @@ def _coproduct_skew_table(P: Presentation, at_h: int,
             if not val:
                 continue
             if m1.degree == 1 and m2.degree == 1:
-                q[k][m1.exponents.index(1)][m2.exponents.index(1)] += val
+                q[m1.exponents.index(1)][m2.exponents.index(1)][k] += val
             elif strict_wedge:
                 raise CobracketNotInWedge(
                     f"cobracket of {g} hits a degree "
@@ -203,8 +188,8 @@ def extract_poisson_structure(P: Presentation) -> LieBialgebra:
     The commutator-over-h table and the specialised Delta - Delta_op
     table are the bracket and cobracket of the cotangent-space structure,
     which is dual to the algebra's own Lie bialgebra; the result is
-    therefore assembled with the two tables transposed against each
-    other, on the basis dual to the generator images.
+    therefore their dual, the two tables swapped, on the basis dual to
+    the generator images.
     """
     if P.model != SERIES:
         raise NotCommutativeModH(
@@ -222,79 +207,65 @@ def extract_poisson_structure(P: Presentation) -> LieBialgebra:
 
 
 def dual_lie_bialgebra(L: LieBialgebra) -> LieBialgebra:
-    """Swap the roles of the two tables:
-    <[y_i, y_j], x_k> = cobracket[k][i][j] and
-    <delta(y_k), x_i (x) x_j> = bracket[i][j][k]."""
-    n = L.dim
-    bracket = _zero_cube(n)
-    cobracket = _zero_cube(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[i][j][k] = L.cobracket[k][i][j]
-                cobracket[k][i][j] = L.bracket[i][j][k]
-    names = [f"{b}*" for b in L.basis_names]
-    return LieBialgebra(n, names, bracket, cobracket)
+    """The dual Lie bialgebra on the dual basis y_i = x_i*:
+    <[y_i, y_j], x_k> = <y_i (x) y_j, delta(x_k)> and
+    <delta(y_k), x_i (x) x_j> = <y_k, [x_i, x_j]>, so in the common
+    layout the two tables swap."""
+    return LieBialgebra(L.dim, [f"{b}*" for b in L.basis_names],
+                        L.cobracket, L.bracket)
+
+
+def _jacobiator(t) -> dict:
+    """(i, j, k) -> the coefficients over x_r of [[x_i, x_j], x_k] +
+    cyclic under the bracket table t, for i < j < k.  An antisymmetric t
+    makes the Jacobiator alternating, so these triples decide it."""
+    n = range(len(t))
+    jac = {}
+    for i, j, k in combinations(n, 3):
+        v = jac[i, j, k] = [0] * len(t)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m in n:
+                if t[a][b][m]:
+                    for r in n:
+                        v[r] += t[a][b][m] * t[m][c][r]
+    return jac
+
+
+def _act(L: LieBialgebra, i: int, j: int) -> list:
+    """x_i . delta(x_j) = (ad x_i (x) 1 + 1 (x) ad x_i) delta(x_j), as the
+    coefficient matrix [p][q] of x_p (x) x_q."""
+    c, d, n = L.bracket, L.cobracket, range(L.dim)
+    act = [[0] * L.dim for _ in n]
+    for p in n:
+        for q in n:
+            if d[p][q][j]:
+                for r in n:
+                    act[r][q] += c[i][p][r] * d[p][q][j]
+                    act[p][r] += c[i][q][r] * d[p][q][j]
+    return act
 
 
 def validate_lie_bialgebra(L: LieBialgebra) -> HopfReport:
-    """Jacobi, co-Jacobi and the 1-cocycle compatibility, exactly."""
+    """Jacobi, co-Jacobi and the 1-cocycle compatibility, exactly.
+
+    co-Jacobi for delta(x_k) is the x_k component of the Jacobi identity
+    of the dual bracket, that is of the cobracket table."""
     rep = HopfReport()
-    n = L.dim
+    n = range(L.dim)
     nm = L.basis_names
     c, d = L.bracket, L.cobracket
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                ok = True
-                for r in range(n):
-                    total = Fraction(0)
-                    for m in range(n):
-                        total += (c[i][j][m] * c[m][k][r]
-                                  + c[j][k][m] * c[m][i][r]
-                                  + c[k][i][m] * c[m][j][r])
-                    if total:
-                        ok = False
-                rep.add("jacobi", f"({nm[i]},{nm[j]},{nm[k]})", ok)
-    if n < 3:
+    for (i, j, k), jac in _jacobiator(c).items():
+        rep.add("jacobi", f"({nm[i]},{nm[j]},{nm[k]})", not any(jac))
+    if L.dim < 3:
         rep.add("jacobi", "dimension < 3", True)
-
-    for k in range(n):
-        t = _zero_cube(n)
-        for p in range(n):
-            for q in range(n):
-                if not d[k][p][q]:
-                    continue
-                for r in range(n):
-                    for s in range(n):
-                        if d[p][r][s]:
-                            t[r][s][q] += d[k][p][q] * d[p][r][s]
-        ok = all(t[a][b][e] + t[b][e][a] + t[e][a][b] == 0
-                 for a in range(n) for b in range(n) for e in range(n))
-        rep.add("co-jacobi", nm[k], ok)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = [[Fraction(0)] * n for _ in range(n)]
-            for k in range(n):
-                if c[i][j][k]:
-                    for p in range(n):
-                        for q in range(n):
-                            lhs[p][q] += c[i][j][k] * d[k][p][q]
-            rhs = [[Fraction(0)] * n for _ in range(n)]
-            for p in range(n):
-                for q in range(n):
-                    if d[j][p][q]:
-                        for r in range(n):
-                            rhs[r][q] += c[i][p][r] * d[j][p][q]
-                            rhs[p][r] += c[i][q][r] * d[j][p][q]
-                    if d[i][p][q]:
-                        for r in range(n):
-                            rhs[r][q] -= c[j][p][r] * d[i][p][q]
-                            rhs[p][r] -= c[j][q][r] * d[i][p][q]
-            ok = lhs == rhs
-            rep.add("cocycle", f"({nm[i]},{nm[j]})", ok)
+    cojac = _jacobiator(d).values()
+    for k in n:
+        rep.add("co-jacobi", nm[k], not any(v[k] for v in cojac))
+    for i, j in combinations(n, 2):
+        ij, ji = _act(L, i, j), _act(L, j, i)
+        ok = all(sum(c[i][j][k] * d[p][q][k] for k in n if c[i][j][k])
+                 == ij[p][q] - ji[p][q] for p in n for q in n)
+        rep.add("cocycle", f"({nm[i]},{nm[j]})", ok)
     return rep
 
 

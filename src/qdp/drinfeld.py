@@ -187,21 +187,23 @@ def compare_presentations(A: Presentation, B: Presentation, h_order: int,
             A.generators == B.generators)
     if A.generators != B.generators:
         return rep
+
+    def same(check, subject, a, b):
+        # b's terms read under A's name, so that _diff_note can subtract
+        a = a.truncate(h_order, degree_cap)
+        b = b.truncate(h_order, degree_cap)
+        b = TensorElement(a.pres, b.rank, b.terms)
+        rep.add(check, subject, a == b, _diff_note(a, b))
+
     for (i, j) in sorted(A.relations):
-        ra = A.relations[(i, j)].truncate(h_order, degree_cap)
-        rb = B.relations[(i, j)].truncate(h_order, degree_cap)
-        rep.add("relation", f"{A.generators[j]}*{A.generators[i]}",
-                ra.terms == rb.terms)
+        same("relation", f"{A.generators[j]}*{A.generators[i]}",
+             A.relations[(i, j)], B.relations[(i, j)])
     for g in A.generators:
-        ca = A.coproduct_on_gens[g].truncate(h_order, degree_cap)
-        cb = B.coproduct_on_gens[g].truncate(h_order, degree_cap)
-        rep.add("coproduct", g, ca.terms == cb.terms)
+        same("coproduct", g, A.coproduct_on_gens[g], B.coproduct_on_gens[g])
         rep.add("counit", g,
                 A.counit_on_gens[g].truncate(h_order)
                 == B.counit_on_gens[g].truncate(h_order))
-        sa = A.antipode_on_gens[g].truncate(h_order, degree_cap)
-        sb = B.antipode_on_gens[g].truncate(h_order, degree_cap)
-        rep.add("antipode", g, sa.terms == sb.terms)
+        same("antipode", g, A.antipode_on_gens[g], B.antipode_on_gens[g])
     return rep
 
 
@@ -251,8 +253,7 @@ class GaugeMap:
         return cls.make(P, {g: P.gen(g) for g in P.generators})
 
     def of_monomial(self, P: Presentation, m: Monomial) -> TensorElement:
-        return _word_fold(P, self._power_cache, m, P.unit, multiply,
-                          self.images)
+        return _word_fold(P, self._power_cache, m, P.unit, self.images)
 
     def of_tensor(self, t: TensorElement, P: Presentation) -> TensorElement:
         """The map on every slot of t; an element is the rank-1 case."""

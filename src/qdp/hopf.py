@@ -407,11 +407,11 @@ def _expand_into(acc: dict, slots: Sequence, coeff: HSeries,
 # -- structure maps --------------------------------------------------------------
 
 
-def _word_fold(P: Presentation, cache: dict, m: Monomial, unit, times,
+def _word_fold(P: Presentation, cache: dict, m: Monomial, unit,
                factors: Mapping, reverse: bool = False):
     """unit() * f(x_w1) * ... * f(x_wd) over the ordered word w of m
     (reversed, for an anti-multiplicative map), folded left to right by
-    times(acc, f(x), P) with f(x) = factors[x].
+    multiply(acc, f(x), P) with f(x) = factors[x].
 
     Every part the fold passes through, a prefix of w or with reverse a
     suffix, is an ordered monomial, so the fold keeps each part's value in
@@ -429,7 +429,7 @@ def _word_fold(P: Presentation, cache: dict, m: Monomial, unit, times,
         p = Monomial(part)
         t = cache.get(p)
         if t is None:
-            t = cache[p] = times(acc, factors[P.generators[letter]], P)
+            t = cache[p] = multiply(acc, factors[P.generators[letter]], P)
         acc = t
     cache[m] = acc  # the identity has no letter, so no part stored it
     return acc
@@ -440,7 +440,7 @@ def coproduct_monomial(P: Presentation, m: Monomial) -> TensorElement:
     return _word_fold(
         P, P._coproduct_cache, m,
         lambda: TensorElement.unit(P.name, 2, P.ngens, P.h_order),
-        multiply, P.coproduct_on_gens)
+        P.coproduct_on_gens)
 
 
 def _extend(t: TensorElement, P: Presentation, rank: int, image, *args,
@@ -484,8 +484,8 @@ def counit(a: TensorElement, P: Presentation) -> HSeries:
 
 def antipode_monomial(P: Presentation, m: Monomial) -> TensorElement:
     """S(m), anti-multiplicative on the word of m."""
-    return _word_fold(P, P._antipode_cache, m, P.unit, multiply,
-                      P.antipode_on_gens, reverse=True)
+    return _word_fold(P, P._antipode_cache, m, P.unit, P.antipode_on_gens,
+                      reverse=True)
 
 
 def antipode(a: TensorElement, P: Presentation) -> TensorElement:
@@ -636,16 +636,6 @@ def delta_E(a: TensorElement, E: Sequence[int], n: int,
 # -- axiom checking -----------------------------------------------------------------
 
 
-def _tensor_counit_slot(t: TensorElement, slot: int,
-                        P: Presentation) -> TensorElement:
-    acc: dict[tuple, HSeries] = {}
-    for key, c in t.terms.items():
-        if not key[slot].is_identity():
-            continue
-        add_into(acc, key[:slot] + key[slot + 1:], c)
-    return TensorElement(P.name, t.rank - 1, acc)
-
-
 def _convolve_antipode(t: TensorElement, P: Presentation,
                        antipode_slot: int) -> TensorElement:
     """m o (S (x) id) o Delta (slot 0) or m o (id (x) S) o Delta (slot 1)."""
@@ -674,8 +664,9 @@ def check_hopf_axioms(P: Presentation, degree_bound: int) -> HopfReport:
                 _diff_note(left, right))
 
         ident = iterated_coproduct(elem, 1, P)
-        lcu = _tensor_counit_slot(cop, 0, P)
-        rcu = _tensor_counit_slot(cop, 1, P)
+        # Delta^0 is the counit, a rank-0 map
+        lcu = _extend(cop, P, 0, _iterated_monomial, 0, slot=0)
+        rcu = _extend(cop, P, 0, _iterated_monomial, 0, slot=1)
         rep.add("counit-left", label, lcu == ident, _diff_note(lcu, ident))
         rep.add("counit-right", label, rcu == ident, _diff_note(rcu, ident))
 

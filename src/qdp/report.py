@@ -26,6 +26,10 @@ class CheckRow:
             out["detail"] = self.detail
         return out
 
+    def __str__(self):
+        tail = f"  [{self.detail}]" if self.detail and not self.passed else ""
+        return f"{self.check}: {self.subject}{tail}"
+
 
 @dataclass
 class HopfReport:
@@ -44,16 +48,17 @@ class HopfReport:
     def failures(self) -> list[CheckRow]:
         return [r for r in self.rows if not r.passed]
 
+    def first_failure(self) -> str:
+        """The first failing row as the text report shows it, or "" when
+        every row passes: a detail for a row that summarises a report."""
+        return next((str(r) for r in self.rows if not r.passed), "")
+
     def to_jsonable(self) -> list[dict]:
         return [r.to_jsonable() for r in self.rows]
 
     def __str__(self):
-        lines = []
-        for r in self.rows:
-            mark = "ok " if r.passed else "FAIL"
-            tail = f"  [{r.detail}]" if r.detail and not r.passed else ""
-            lines.append(f"  {mark} {r.check}: {r.subject}{tail}")
-        return "\n".join(lines)
+        return "\n".join(f"  {'ok ' if r.passed else 'FAIL'} {r}"
+                         for r in self.rows)
 
 
 def run_tasks(tasks: Sequence[tuple[str, Callable[[], list[CheckRow]]]]

@@ -284,7 +284,7 @@ class HSeries:
     def to_jsonable(self) -> dict:
         den = self.den
         return {
-            "v_min": self.v_min if self.coeffs else self.order + 1,
+            "v_min": self.v_min,
             "order": self.order,
             "coeffs": [str(Fraction(c, den)) for c in self.coeffs],
         }

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -173,6 +174,49 @@ def test_limit_series_input(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["structure"]["cobracket"] == [[2, 0, 1, "1"]]
     assert payload["structure"]["bracket"] == []
+
+
+# Leading 16 hex digits of the sha256 of each Lie bialgebra report, keyed
+# by (command, source, format); `name'` is the `qdp prime name` image.
+LIE_REPORT_SHA256 = {
+    ("limit", "abelian1", "json"): "89f2c4e29975b89b",
+    ("limit", "abelian1", "text"): "2099e64f48f30498",
+    ("limit", "abelian1'", "json"): "dd9ddeea9ab966b2",
+    ("limit", "abelian1'", "text"): "aac6c9707cdc7582",
+    ("limit", "abelian2", "json"): "92184957246d94b7",
+    ("limit", "abelian2", "text"): "7ce0bb431ac0fd35",
+    ("limit", "abelian2'", "json"): "ab2c117183522cad",
+    ("limit", "abelian2'", "text"): "9832500f05e7ee7b",
+    ("limit", "abelian3", "json"): "332deec492d55e21",
+    ("limit", "abelian3", "text"): "c9d1d3fe867bd3b9",
+    ("limit", "abelian3'", "json"): "266000665bba0de5",
+    ("limit", "abelian3'", "text"): "d2dd860f13040089",
+    ("limit", "borel2", "json"): "a047071b0168c9db",
+    ("limit", "borel2", "text"): "f6c3dceaed5e2a0b",
+    ("limit", "borel2'", "json"): "2815910d1b336bfa",
+    ("limit", "borel2'", "text"): "999c515c17f8e9ba",
+    ("limit", "heisenberg3", "json"): "646805b86efb0006",
+    ("limit", "heisenberg3", "text"): "b888c729071645db",
+    ("limit", "heisenberg3'", "json"): "d128888a9dd4a78c",
+    ("limit", "heisenberg3'", "text"): "4c35c89cee716df1",
+    ("dual-check", "abelian1", "json"): "b4436e36578578ed",
+    ("dual-check", "abelian2", "json"): "1fb76af42fe529ff",
+    ("dual-check", "abelian3", "json"): "0d40721c42376da5",
+    ("dual-check", "borel2", "json"): "a5362809476f5eb9",
+    ("dual-check", "heisenberg3", "json"): "ed24ca165737aef6",
+}
+
+
+@pytest.mark.parametrize("cmd, source, fmt", sorted(LIE_REPORT_SHA256))
+def test_lie_bialgebra_reports_pinned(tmp_path, capsys, cmd, source, fmt):
+    path = source
+    if source.endswith("'"):
+        path = str(tmp_path / "prime.json")
+        assert run(["prime", source[:-1], "-o", path]) == 0
+        capsys.readouterr()
+    assert run([cmd, path, "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest[:16] == LIE_REPORT_SHA256[cmd, source, fmt]
 
 
 def test_pair_command(tmp_path, capsys):
