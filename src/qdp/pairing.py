@@ -2,20 +2,20 @@
 degree-capped one.
 
 A pairing is seeded by generator-vs-generator values and evaluated by one
-compatibility rule read both ways round, <uv, w> = <u (x) v, Delta(w)> and
-<u, vw> = <Delta(u), v (x) w>.  _pair_split pairs two rank-2 tensors slot
-by slot; which of them holds the coproduct is data, not a code branch.
-The recursion consumes the left word one generator at a time; the
-single-generator-versus-monomial base case splits the right word instead.
-A per-call memo table keeps evaluation polynomial, and a recursion-stack
-guard turns any (never expected) cyclic dependency into a hard error
-instead of a hang.
+bilinear sum at every rank, _pair_terms: at rank 1 it pairs two elements,
+at rank 2 it reads the compatibility rule both ways round, <uv, w> =
+<u (x) v, Delta(w)> and <u, vw> = <Delta(u), v (x) w>.  The recursion
+consumes the left word one generator at a time; the single-generator-
+versus-monomial base case splits the right word instead.  A per-call memo
+table keeps evaluation polynomial, and a recursion-stack guard turns any
+(never expected) cyclic dependency into a hard error instead of a hang.
 
 The orthogonality route to membership pairs a candidate against spanning
-products of the right-hand augmentation-plus-h ideal and demands h^n
-divisibility of the values; it is the independent cross-check of the
-deviation-map route.  It is sound only for a Hopf pairing, so it checks
-the seed itself on every call: a seed carries no verdict of its own.
+products of the right-hand augmentation-plus-h ideal, each a power of h
+times an ordered monomial, and demands h^n divisibility of the values; it
+is the independent cross-check of the deviation-map route.  It is sound
+only for a Hopf pairing, so it checks the seed itself on every call: a
+seed carries no verdict of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .hopf import (POLY, SERIES, Presentation, antipode, coproduct_monomial,
                    counit, multiply)
 from .drinfeld import MembershipCertificate, certify
 from .report import HopfReport
-from .series import HSeries
+from .series import HSeries, hsum, mul
 
 import itertools
 import math
@@ -60,25 +60,34 @@ def _first_letter_split(m: Monomial) -> tuple[Monomial, Monomial]:
     return Monomial.generator(i, len(rest)), Monomial(rest)
 
 
-def _pair_split(seed: PairingSeed, left: dict, right: dict, memo: dict,
+def _pair_terms(seed: PairingSeed, s: dict, t: dict, memo: dict,
                 stack: set) -> HSeries:
-    """<s, t> for rank-2 tensors s, t given as key -> coefficient maps:
-    the sum of c_s * c_t * <s1, t1> * <s2, t2> over their keys.
+    """<s, t> for two tensors of one rank given as key -> coefficient maps:
+    the sum of c_s * c_t * prod_i <s_i, t_i> over their key pairs, each
+    product cut at the seed's order.
 
-    With s = u (x) v and t = Delta(w) this is <uv, w>; with s = Delta(u)
-    and t = v (x) w it is <u, vw>.
+    A slot value that is zero through that order drops its key pair before
+    any coefficient product is formed; any other one is multiplied in, a
+    zero known only to a lower order included, so the sum is known no
+    further than its terms.  At rank 2, s = u (x) v and t = Delta(w) give
+    <uv, w>; s = Delta(u) and t = v (x) w give <u, vw>.
     """
-    acc = HSeries.zero(seed.order)
-    for (s1, s2), cs in left.items():
-        for (t1, t2), ct in right.items():
-            a = _pair_mono(seed, s1, t1, memo, stack)
-            if a.is_zero():
-                continue
-            b = _pair_mono(seed, s2, t2, memo, stack)
-            if b.is_zero():
-                continue
-            acc = acc + cs * ct * a * b
-    return acc.truncate(seed.order)
+    order = seed.order
+    parts = []
+    for ks, cs in s.items():
+        for kt, ct in t.items():
+            vals = []
+            for u, v in zip(ks, kt):
+                val = _pair_mono(seed, u, v, memo, stack)
+                if val.is_zero() and val.order >= order:
+                    break
+                vals.append(val)
+            else:
+                p = mul(cs, ct, order)
+                for val in vals:
+                    p = mul(p, val, order)
+                parts.append(p)
+    return hsum(parts) if parts else HSeries.zero(order)
 
 
 def _pair_mono(seed: PairingSeed, lm: Monomial, rm: Monomial,
@@ -100,11 +109,11 @@ def _pair_mono(seed: PairingSeed, lm: Monomial, rm: Monomial,
     stack.add(key)
     one = HSeries.one(order)
     if lm.degree >= 2:
-        acc = _pair_split(seed, {_first_letter_split(lm): one},
+        acc = _pair_terms(seed, {_first_letter_split(lm): one},
                           coproduct_monomial(seed.right, rm).terms,
                           memo, stack)
     else:
-        acc = _pair_split(seed, coproduct_monomial(seed.left, lm).terms,
+        acc = _pair_terms(seed, coproduct_monomial(seed.left, lm).terms,
                           {_first_letter_split(rm): one}, memo, stack)
     stack.discard(key)
     memo[key] = acc
@@ -121,15 +130,8 @@ def pair(a: TensorElement, b: TensorElement, seed: PairingSeed,
     if b.pres != seed.right.name:
         raise MixedPresentations(
             f"right element of {b.pres!r}, seed pairs {seed.right.name!r}")
-    memo = _memo if _memo is not None else {}
-    acc = HSeries.zero(seed.order)
-    for (lm,), ca in a.terms.items():
-        for (rm,), cb in b.terms.items():
-            c = ca * cb
-            if c.is_zero():
-                continue
-            acc = acc + c * _pair_mono(seed, lm, rm, memo, set())
-    return acc.truncate(seed.order)
+    return _pair_terms(seed, a.terms, b.terms,
+                       _memo if _memo is not None else {}, set())
 
 
 def _reliable_order(seed: PairingSeed, absorbable_degree: int) -> int:
@@ -186,7 +188,7 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
         prod = multiply(L.lift(u1), L.lift(u2), L)
         for v in rmonos:
             got = pair(prod, R.lift(v), seed, memo)
-            want = _pair_split(seed, {(u1, u2): one},
+            want = _pair_terms(seed, {(u1, u2): one},
                                coproduct_monomial(R, v).terms, memo, set())
             rep.add("left-product-compat",
                     f"<{u1!r}*{u2!r}, {v!r}>", same(got, want),
@@ -198,7 +200,7 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
         prod = multiply(R.lift(v1), R.lift(v2), R)
         for u in lmonos:
             got = pair(L.lift(u), prod, seed, memo)
-            want = _pair_split(seed, coproduct_monomial(L, u).terms,
+            want = _pair_terms(seed, coproduct_monomial(L, u).terms,
                                {(v1, v2): one}, memo, set())
             rep.add("right-product-compat",
                     f"<{u!r}, {v1!r}*{v2!r}>", same(got, want),
@@ -213,34 +215,24 @@ def pairing_axioms_check(seed: PairingSeed, degree_bound: int) -> HopfReport:
     return rep
 
 
-def _ideal_spanning_products(R: Presentation, n: int,
-                             levels: list) -> tuple[TensorElement, ...]:
+def _ideal_spanning_products(R: Presentation,
+                             n: int) -> tuple[TensorElement, ...]:
     """Products of exactly n factors drawn from {h * 1} and the
     generators, capped at the degree bound; they span the n-th power of
     the augmentation-plus-h ideal up to higher truncation.
 
-    The products depend only on (R, n), so `levels`, which the caller keeps
-    for one oracle call, holds them per n, keyed by their factor
-    combination.  Each product for n is the one for its first n - 1 factors
-    times the last, the same multiplications multiply_all makes, in
-    combinations_with_replacement order.
+    The factor words run in combinations_with_replacement order over
+    h * 1 and then the generators in ascending order, so a word's product
+    is h^(n - |m|) times the ordered monomial m of its generator letters,
+    with nothing to rewrite.
     """
-    if len(levels) <= n:
-        if not levels:
-            levels.append({(): R.unit()})
-        h_unit = R.unit().scaled(HSeries.h_power(1, R.h_order))
-        factors = [h_unit] + [R.gen(g) for g in R.generators]
-        cap = R.degree_cap
-        for k in range(len(levels), n + 1):
-            prev, level = levels[-1], {}
-            for combo in itertools.combinations_with_replacement(
-                    range(len(factors)), k):
-                if cap is not None and sum(1 for i in combo if i > 0) > cap:
-                    continue
-                level[combo] = multiply(prev[combo[:-1]],
-                                        factors[combo[-1]], R)
-            levels.append(level)
-    return tuple(levels[n].values())
+    k, cap, N = len(R.generators), R.degree_cap, R.h_order
+    words = ([i - 1 for i in combo if i] for combo in
+             itertools.combinations_with_replacement(range(k + 1), n))
+    return tuple(
+        TensorElement(R.name, 1, {(Monomial.from_word(w, k),):
+                                  HSeries.h_power(n - len(w), N)})
+        for w in words if cap is None or len(w) <= cap)
 
 
 def orthogonal_membership(candidates: list[TensorElement], seed: PairingSeed,
@@ -256,7 +248,8 @@ def orthogonal_membership(candidates: list[TensorElement], seed: PairingSeed,
     positive verdicts are, as always, relative to truncation.  A candidate
     of degree d with an h^(d-1) coefficient fails at n = d with a value of
     valuation d - 1, so a degree cap whose window ends below h^(d-1) could
-    certify a non-member: it is an input error.
+    certify a non-member: it is an input error.  So is an n_max below d,
+    since level n pairs only against products of n factors.
     """
     if seed.right.model != SERIES:
         raise PresentationError("membership oracle needs a SERIES right side")
@@ -271,17 +264,20 @@ def orthogonal_membership(candidates: list[TensorElement], seed: PairingSeed,
             f"a candidate has degree {d}: a witness can need pairing "
             f"values through h^{d - 1}, which needs the right side's "
             f"degree cap to be at least {2 * d - 1}, not {cap}")
+    n = seed.left.h_order if n_max is None else n_max
+    if 0 < n < d:  # an n_max below 1 is certify's refusal
+        raise InputError(f"n_max {n} is below the candidate degree {d}: a "
+                         f"degree-{d} witness shows first at n = {d}")
     check = pairing_axioms_check(seed, 2)
     if not check.passed:
         row = check.failures()[0]
         raise InputError(f"the seed is not a Hopf pairing: {row.check} "
                          f"fails at {row.subject}")
     memo: dict = {}
-    levels: list = []
 
     def worst_valuation(a: TensorElement, window: int, n: int):
         worst = math.inf
-        for w in _ideal_spanning_products(seed.right, n, levels):
+        for w in _ideal_spanning_products(seed.right, n):
             v = pair(a, w, seed, memo).truncate(window).valuation()
             worst = min(worst, v)
             if worst < n:

@@ -29,7 +29,7 @@ from .classical import (dual_lie_bialgebra, extract_lie_bialgebra,
 from .drinfeld import (GaugeMap, PRIME_THEN_VEE, VEE_THEN_PRIME,
                        gauge_preservation_check, prime_membership,
                        prime_presentation, roundtrip_check, vee_presentation)
-from .errors import NotAHopfMap
+from .errors import InputError, NotAHopfMap
 from .exprs import parse_element
 from .freealg import TensorElement, add_into
 from .hopf import (Presentation, big_delta_E, coproduct, delta_E, delta_n,
@@ -74,6 +74,9 @@ def random_elements(P: Presentation, rng: random.Random, count: int,
 
 
 def membership_battery(P: Presentation) -> list[CheckRow]:
+    if P.h_order < 2:
+        raise InputError(f"the membership battery reads delta_2(y), which "
+                         f"needs an h-order of at least 2, not {P.h_order}")
     rep = HopfReport()
     h = HSeries.h_power(1, P.h_order)
 
@@ -272,16 +275,18 @@ def filtration_kernel(presentations) -> list[CheckRow]:
 
 
 def pairing_duality(seeds: list[PairingSeed]) -> list[CheckRow]:
-    """The duality table <x^m, y^n/n!> on the first seed, whose first
-    generators pair to 1, then the compatibility suite of every seed."""
+    """The duality table <x^m, y^n/n!> for m, n <= min(5, D) on the first
+    seed, whose first generators pair to 1 (y^n above the right side's
+    degree cap D is 0), then the compatibility suite of every seed."""
     rep = HopfReport()
     seed = seeds[0]
     L, R = seed.left, seed.right
+    top = min(5, R.degree_cap)
     memo: dict = {}
     bad = []
-    for m in range(6):
+    for m in range(top + 1):
         xm = normal_form((0,) * m, L)
-        for n in range(6):
+        for n in range(top + 1):
             yn = normal_form((0,) * n, R).scaled(
                 Fraction(1, factorial(n)))
             got = pair(xm, yn, seed, memo)
@@ -290,7 +295,8 @@ def pairing_duality(seeds: list[PairingSeed]) -> list[CheckRow]:
             if got != want:
                 bad.append((m, n))
     rep.add("pairing-duality",
-            f"{L.name}: <x^m, y^n/n!> == delta_mn for m,n <= 5 (36 values)",
+            f"{L.name}: <x^m, y^n/n!> == delta_mn for m,n <= {top} "
+            f"({(top + 1) ** 2} values)",
             not bad, f"failures: {bad}")
     for s in seeds:
         ax = pairing_axioms_check(s, 3)

@@ -65,6 +65,39 @@ def test_member_vacuous_n_max_is_usage_error(capsys, via, n_max):
     assert "n_max" in capsys.readouterr().err
 
 
+def test_member_pairing_n_max_below_the_degree_is_usage_error(capsys):
+    # level n pairs only against products of n factors, so x^2's witness
+    # shows first at n = 2: at n_max 1 every valuation read null and the
+    # pairing route certified a member
+    assert run(["member", "borel2", "--via", "pairing", "--element", "x^2",
+                "--n-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "n_max 1" in err and "degree 2" in err and "Traceback" not in err
+    assert run(["member", "borel2", "--via", "pairing", "--element", "x^2",
+                "--n-max", "2", "--format", "json"]) == 1
+    cert = json.loads(capsys.readouterr().out)["certificates"]["pairing"]
+    assert (cert["verdict"], cert["witness"]) == ("NotMember", 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "member", "borel2", "--element", "h*x"],
+    ["--h-order", "3", "member", "borel2", "--element", "h*x"],
+], ids=["format", "h-order"])
+def test_flags_before_the_command_are_usage_errors(capsys, argv):
+    # the subcommand's defaults overwrote them: the first printed text and
+    # the second ran at N=8
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_selftest_below_h_order_2_is_usage_error(capsys):
+    # the membership battery reads delta_2(y), which a certificate to n=1
+    # does not hold: this was an internal error, "2 is not in list"
+    assert run(["selftest", "--h-order", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "delta_2" in err and "Traceback" not in err
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def boom(args, cfg):
         raise RuntimeError("boom")

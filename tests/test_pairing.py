@@ -6,15 +6,17 @@ from math import factorial
 
 import pytest
 
-from qdp.bundles import builtin
+from qdp.bundles import BUILTIN_NAMES, builtin
 from qdp.errors import InputError
 from qdp.exprs import parse_element
-from qdp.hopf import antipode, counit, multiply, multiply_all, normal_form
-from qdp.pairing import (PairingSeed, _ideal_spanning_products,
-                         _reliable_order, orthogonal_membership, pair,
-                         pairing_axioms_check)
+from qdp.hopf import (antipode, coproduct_monomial, counit, multiply,
+                      multiply_all, normal_form)
+from qdp.pairing import (PairingSeed, _first_letter_split,
+                         _ideal_spanning_products, _reliable_order,
+                         orthogonal_membership, pair, pairing_axioms_check)
 from qdp.drinfeld import prime_membership, prime_presentation
-from qdp.selftest import DEFAULT_SEED, oracle_agreement, pairing_duality
+from qdp.selftest import (DEFAULT_SEED, oracle_agreement, pairing_duality,
+                          random_elements)
 from qdp.series import HSeries
 
 from support import from_monomial
@@ -116,18 +118,30 @@ def _cross_valued_seed() -> PairingSeed:
 
 class TestOrthogonalMembership:
     def test_spanning_products_match_multiply_all(self):
-        # the cached products, built level by level, are the products of
+        # the products, read off ordered monomials, are the products of
         # each factor combination in combinations_with_replacement order
         R = prime_presentation(builtin("borel2", 6, 6).quea, 3)
         h_unit = R.unit().scaled(HSeries.h_power(1, R.h_order))
         factors = [h_unit, R.gen("x"), R.gen("y")]
-        levels = []
         for n in (4, 0, 1, 2, 3):
             want = [multiply_all([factors[i] for i in combo], R)
                     for combo in itertools.combinations_with_replacement(
                         range(3), n)
                     if sum(1 for i in combo if i > 0) <= 3]
-            assert list(_ideal_spanning_products(R, n, levels)) == want
+            assert list(_ideal_spanning_products(R, n)) == want
+
+    def test_spanning_products_of_three_generators(self):
+        # the same on three generators, with a degree cap of 2 below n = 3
+        # and n = 4: a combination of more generators is left out
+        R = prime_presentation(builtin("abelian3", 6, 6).quea, 2)
+        factors = ([R.unit().scaled(HSeries.h_power(1, R.h_order))]
+                   + [R.gen(g) for g in R.generators])
+        for n in (4, 0, 1, 2, 3):
+            want = [multiply_all([factors[i] for i in combo], R)
+                    for combo in itertools.combinations_with_replacement(
+                        range(4), n)
+                    if sum(1 for i in combo if i > 0) <= 2]
+            assert list(_ideal_spanning_products(R, n)) == want
 
     def test_refuses_a_seed_that_is_not_a_pairing(self):
         # the oracle checks its seed itself: the cross-valued seed fails
@@ -188,6 +202,17 @@ def test_pairing_duality_rejects_a_rescaled_seed():
     assert duality.detail == f"failures: {[(m, m) for m in range(1, 6)]}"
     assert [r.subject.split(":")[0] for r in axioms] == ["abelian1", "borel2"]
     assert all(r.passed for r in axioms)
+
+
+@pytest.mark.parametrize("D", [3, 4])
+def test_pairing_duality_table_stops_at_the_degree_cap(D):
+    # y^n above the degree cap is 0 on the right side, so the table runs to
+    # min(5, D): at D=4 it failed on (5, 5), at D=3 on (4, 4) and (5, 5)
+    duality = pairing_duality([builtin("abelian1", 8, D).pairing_seed,
+                               builtin("borel2", 8, D).pairing_seed])[0]
+    assert duality.passed, duality.detail
+    assert duality.subject == (f"abelian1: <x^m, y^n/n!> == delta_mn for "
+                               f"m,n <= {D} ({(D + 1) ** 2} values)")
 
 
 def test_oracle_agreement_rejects_a_seed_that_pairs_nothing():
@@ -257,3 +282,136 @@ class TestTruncationStability:
                 pairs += 1
                 nonzero += not got.truncate(w).is_zero()
         assert (pairs, nonzero) == (450, 48)
+
+
+# -- the bilinear sum against the two loops it replaced ----------------------
+#
+# The reference model: <a, b> by its own loop, which multiplies every slot
+# value in, over a rank-2 recursion that skips every zero slot value, even
+# one known only below the seed's order.  Where every value is known to the
+# seed's order, the two rules agree with the one sum field for field.
+
+
+def _ref_pair_split(seed, left, right, memo):
+    acc = HSeries.zero(seed.order)
+    for (s1, s2), cs in left.items():
+        for (t1, t2), ct in right.items():
+            a = _ref_pair_mono(seed, s1, t1, memo)
+            if a.is_zero():
+                continue
+            b = _ref_pair_mono(seed, s2, t2, memo)
+            if b.is_zero():
+                continue
+            acc = acc + cs * ct * a * b
+    return acc.truncate(seed.order)
+
+
+def _ref_pair_mono(seed, lm, rm, memo):
+    order = seed.order
+    if lm.is_identity():
+        return (HSeries.one(order) if rm.is_identity()
+                else HSeries.zero(order))
+    if rm.is_identity():
+        return HSeries.zero(order)
+    if lm.degree == 1 and rm.degree == 1:
+        return seed.value(lm.exponents.index(1), rm.exponents.index(1))
+    key = (lm, rm)
+    if key not in memo:
+        one = HSeries.one(order)
+        if lm.degree >= 2:
+            memo[key] = _ref_pair_split(
+                seed, {_first_letter_split(lm): one},
+                coproduct_monomial(seed.right, rm).terms, memo)
+        else:
+            memo[key] = _ref_pair_split(
+                seed, coproduct_monomial(seed.left, lm).terms,
+                {_first_letter_split(rm): one}, memo)
+    return memo[key]
+
+
+def _ref_pair(a, b, seed, memo):
+    acc = HSeries.zero(seed.order)
+    for (lm,), ca in a.terms.items():
+        for (rm,), cb in b.terms.items():
+            c = ca * cb
+            if c.is_zero():
+                continue
+            acc = acc + c * _ref_pair_mono(seed, lm, rm, memo)
+    return acc.truncate(seed.order)
+
+
+def _fields(s: HSeries):
+    return s.v_min, s.order, s.coeffs, s.den
+
+
+def _random_pairs(seed, rng, count):
+    lefts = random_elements(seed.left, rng, count, max_degree=3)
+    rights = random_elements(seed.right, rng, count, max_degree=3)
+    return list(zip(lefts, rights))
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES
+                                  if builtin(n, 5, 5).pairing_seed])
+def test_pair_matches_the_reference_on_builtin_seeds(name):
+    # a built-in seed knows every value to its full order, where the two
+    # old loops agreed: the one sum gives their values field for field
+    seed = builtin(name, 5, 5).pairing_seed
+    rng = random.Random(f"pair:{name}")
+    memo, ref_memo = {}, {}
+    for a, b in _random_pairs(seed, rng, 20):
+        got = pair(a, b, seed, memo)
+        want = _ref_pair(a, b, seed, ref_memo)
+        assert _fields(got) == _fields(want), (a, b)
+
+
+def _low_order_seed(rng: random.Random) -> PairingSeed:
+    """A random seed between a built-in and its prime image at N, D in 2..6,
+    some values known below N and 15% of those zero."""
+    name = rng.choice(["borel2", "abelian1", "abelian2", "heisenberg3"])
+    N, D = rng.randint(2, 6), rng.randint(2, 6)
+    L = builtin(name, N, D).quea
+    k = len(L.generators)
+    values = {}
+    for i, j in itertools.product(range(k), repeat=2):
+        known = rng.choice([N, N, rng.randint(0, N - 1)])
+        if known < N and rng.random() < 0.15:
+            values[(i, j)] = HSeries.zero(known)
+        else:
+            values[(i, j)] = HSeries(0, known, [
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 2))])
+    return PairingSeed(L, prime_presentation(L, D), values)
+
+
+def test_pair_on_low_order_seeds_loses_only_order():
+    # where a slot value is a zero known below the seed's order, the old
+    # rank-2 sum skipped it and claimed the full order; the one sum keeps
+    # what the values know: its coefficients are the reference's through
+    # its own order, which is never higher
+    rng = random.Random(1909)
+    lowered = 0
+    for _ in range(40):
+        seed = _low_order_seed(rng)
+        memo, ref_memo = {}, {}
+        for a, b in _random_pairs(seed, rng, 4):
+            got = pair(a, b, seed, memo)
+            want = _ref_pair(a, b, seed, ref_memo)
+            assert got.order <= want.order, (a, b)
+            assert got == want.truncate(got.order), (a, b)
+            lowered += got.order < want.order
+    assert lowered
+
+
+def test_pair_of_a_low_order_zero_is_known_to_that_order():
+    # <x, Y> = <y, X> = 0 known to h^2 only: <y*x, y^2> is 0 through h^2,
+    # which is all its slot values know; the old rank-2 sum claimed h^4
+    L = builtin("borel2", 4, 4).quea
+    R = prime_presentation(L, 4)
+    seed = PairingSeed(L, R, {(0, 0): HSeries.one(4), (1, 1): HSeries.one(4),
+                              (0, 1): HSeries.zero(2),
+                              (1, 0): HSeries.zero(2)})
+    a, b = parse_element("y*x", L), parse_element("y^2", R)
+    got = pair(a, b, seed)
+    assert got.is_zero() and got.order == 2
+    want = _ref_pair(a, b, seed, {})
+    assert want.is_zero() and want.order == 4
