@@ -344,7 +344,13 @@ _HANDLERS = {
 
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        first = argv[0] if argv else ""
+        if first.startswith("-") and first not in ("-h", "--help"):
+            # argparse would read the flag's value as the command
+            parser.error(f"{first} comes before the command; flags follow "
+                         "the command, as in 'qdp member borel2 --h-order 3'")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

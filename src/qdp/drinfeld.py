@@ -267,44 +267,35 @@ class GaugeMap:
 def gauge_preservation_check(P: Presentation, phi: GaugeMap) -> HopfReport:
     """Check that a gauge map is a Hopf morphism, that it commutes with
     the deviation maps delta_1..delta_3, and that it preserves membership
-    of the rescaled generators.  A failed Hopf-morphism stage raises NotAHopfMap carrying
-    the partial report."""
+    of the rescaled generators.  A failed Hopf-morphism stage raises
+    NotAHopfMap carrying the partial report."""
     rep = HopfReport()
-    hopf_ok = True
-    for g in P.generators:
-        img = phi.of_tensor(P.gen(g), P)
+    images = {g: phi.of_tensor(P.gen(g), P) for g in P.generators}
+    for g, img in images.items():
         lhs = coproduct(img, P)
         rhs = phi.of_tensor(coproduct(P.gen(g), P), P)
-        ok = lhs == rhs
-        hopf_ok = hopf_ok and ok
-        rep.add("hopf-map-coproduct", g, ok,
-                _diff_note(lhs, rhs))
+        rep.add("hopf-map-coproduct", g, lhs == rhs, _diff_note(lhs, rhs))
         eps = counit(img, P)
         ok = eps.is_zero()
-        hopf_ok = hopf_ok and ok
         rep.add("hopf-map-counit", g, ok, "" if ok else f"counit {eps}")
     for (i, j) in sorted(P.relations):
         gi, gj = P.generators[i], P.generators[j]
         lhs = phi.of_tensor(normal_form((j, i), P), P)
-        rhs = multiply(phi.of_tensor(P.gen(gj), P),
-                       phi.of_tensor(P.gen(gi), P), P)
-        ok = lhs == rhs
-        hopf_ok = hopf_ok and ok
-        rep.add("hopf-map-relation", f"{gj}*{gi}", ok,
+        rhs = multiply(images[gj], images[gi], P)
+        rep.add("hopf-map-relation", f"{gj}*{gi}", lhs == rhs,
                 _diff_note(lhs, rhs))
-    if not hopf_ok:
+    if not rep.passed:
         raise NotAHopfMap("gauge map is not a Hopf morphism", rep)
 
-    for g in P.generators:
-        img = phi.of_tensor(P.gen(g), P)
+    for g, img in images.items():
         for n in (1, 2, 3):
             lhs = delta_n(img, n, P)
             rhs = phi.of_tensor(delta_n(P.gen(g), n, P), P)
             rep.add("delta-commutes-with-gauge", f"{g}, n={n}", lhs == rhs)
 
     h = HSeries.h_power(1, P.h_order)
-    for g in P.generators:
-        cert = prime_membership(phi.of_tensor(P.gen(g), P).scaled(h), P)
+    for g, img in images.items():
+        cert = prime_membership(img.scaled(h), P)
         rep.add("membership-preserved", f"h*{g}", cert.is_member,
                 cert.verdict)
     return rep

@@ -90,9 +90,9 @@ def add_into(acc: dict, key, c) -> None:
 
     The first coefficient of a key is stored as it is; later ones are
     collected with it in a list, in arrival order.  Each list is summed
-    once, by hsum, when settle() runs or a TensorElement is built from
-    the dict; hsum equals the left fold of +, so the result is
-    the eager sum's, and every key keeps its first-insertion position.
+    once, by hsum, when a TensorElement is built from the dict; hsum
+    equals the left fold of +, so the result is the eager sum's, and every
+    key keeps its first-insertion position.
     """
     prev = acc.get(key)
     if prev is None:
@@ -101,14 +101,6 @@ def add_into(acc: dict, key, c) -> None:
         prev.append(c)
     else:
         acc[key] = [prev, c]
-
-
-def settle(acc: dict) -> dict:
-    """Sum, in place, the coefficients add_into collected; keeps zeros."""
-    for k, v in acc.items():
-        if type(v) is list:
-            acc[k] = hsum(v)
-    return acc
 
 
 def _clean_terms(terms: Mapping) -> dict:

@@ -5,10 +5,13 @@ relations x_j x_i = x_i x_j + r_ij (i < j), coproducts / counits /
 antipodes on generators, an h-truncation order N and, for degree-capped
 (SERIES) presentations, a total-degree cap D.
 
-normal_form rewrites words onto the ordered-monomial basis by one memoised
-step, nf(m*x_j); everything else (products, coproducts, antipodes, the
-iterated coproducts and the deviation maps delta_E / delta_n) is built on
-top of it by (anti-)multiplicative and linear extension.
+Two kernels build every structure map.  multiply (with _expand_into) forms
+products, slot by slot through the slot table of monomial products, whose
+misses take one rewriting step, nf(m*x_j); a normal form is the product of
+a word's generators.  _extend applies a per-monomial map linearly to one
+slot, optionally in a demand-driven h-window.  Coproducts and antipodes are
+(anti-)multiplicative folds of products; iterated coproducts and the
+deviation maps delta_E / delta_n are linear extensions.
 
 Models:
   POLY    enveloping-algebra flavour, ordered monomials of any degree;
@@ -24,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (FuelExceeded, InputError, MixedPresentations,
                      NotTopologicallyNilpotent, PresentationError)
-from .freealg import Monomial, TensorElement, add_into, settle
+from .freealg import Monomial, TensorElement, add_into
 from .report import HopfReport
 from .series import HSeries, mul
 
@@ -216,41 +219,26 @@ def normal_form(word: Sequence[int], P: Presentation) -> TensorElement:
     """Rewrite a word of generator indices onto ordered monomials, truncated
     to the presentation's (N, D); a word longer than D is 0.
 
-    Folds the letters left to right through nf(m*x_j), so the ordered
-    prefix only ever meets its leftmost inversion at the junction; the
-    coefficients collected for a monomial are summed when a letter is done.
+    The product of the word's generators, so each letter meets the ordered
+    prefix through one slot-table entry, nf(m*x_j) (see _slot).
     """
-    N, D = P.h_order, P.degree_cap
+    D = P.degree_cap
     if D is not None and len(word) > D:
         return P.zero()
-    acc = {(P.identity_monomial(),): HSeries.one(N)}
-    for j in word:
-        nxt: dict = {}
-        for (m,), c in acc.items():
-            e = m.exponents
-            if not any(e[j + 1:]):
-                add_into(nxt, (Monomial(e[:j] + (e[j] + 1,) + e[j + 1:]),), c)
-                continue
-            vc = c.v_min
-            for k2, c2 in _times_generator(P, m, j).terms.items():
-                if vc + c2.v_min <= N:
-                    add_into(nxt, k2, mul(c, c2, N))
-        acc = settle(nxt)
-    return TensorElement(P.name, 1, acc)
+    return multiply_all(map(P.gen, word), P)
 
 
 def _times_generator(P: Presentation, m: Monomial, j: int) -> TensorElement:
     """nf(m*x_j) for an ordered monomial m whose last letter x_k has k > j,
-    by m'x_k x_j -> m'x_j x_k + m' r_jk, memoised per (m, j) in P._nf_cache.
+    by m'x_k x_j -> m'x_j x_k + m' r_jk.
 
     Each branch is below m*x_j in (length, deglex of content, inversions),
     well-founded for admissible relations, so the recursion ends; entering
     an (m, j) still in P._nf_building raises FuelExceeded instead.
     """
+    # Only _slot calls this, on a slot-table miss, so P._nf_cache is never
+    # read here; it is kept for bench/tracer.py's working_set.
     key = (m, j)
-    out = P._nf_cache.get(key)
-    if out is not None:
-        return out
     if key in P._nf_building:
         raise FuelExceeded(f"rewriting in {P.name!r} returned to a word it "
                            "was still rewriting; it does not terminate")
@@ -308,9 +296,9 @@ def multiply(s: TensorElement, t: TensorElement,
              P: Presentation) -> TensorElement:
     """Product in the rank-n tensor algebra over P, slot by slot (rank 1
     is the algebra itself), pruned as the Presentation docstring states: a
-    key of s meets only the keys of t with v(c_b) <= N - v(c_a), in t's
-    order, each slot is one lookup in P._slot_table (see _slot), and a
-    pair with a zero slot product is skipped.
+    key of s meets only the keys of t with v(c_b) <= N - v(c_a), each slot
+    is one lookup in P._slot_table (see _slot), and a pair with a zero slot
+    product is skipped.
 
     A key whose slots are all monomials goes straight into the result;
     otherwise _expand_into takes the slots.  HSeries holds no negative
@@ -322,16 +310,12 @@ def multiply(s: TensorElement, t: TensorElement,
         raise MixedPresentations("tensor ranks differ")
     N = P.h_order
     get = P._slot_table.get
-    partners: dict[int, list] = {}
     acc: dict = {}
     for ka, ca in s.terms.items():
-        va = ca.v_min
-        bound = N - va
-        kbs = partners.get(bound)
-        if kbs is None:
-            kbs = partners[bound] = [(kb, cb) for kb, cb in t.terms.items()
-                                     if cb.v_min <= bound]
-        for kb, cb in kbs:
+        bound = N - ca.v_min
+        for kb, cb in t.terms.items():
+            if cb.v_min > bound:
+                continue
             slots = []
             expand = False
             for key in zip(ka, kb):
@@ -356,16 +340,33 @@ tensor_multiply = multiply
 
 
 def _slot(P: Presentation, key: tuple[Monomial, Monomial]):
-    """The slot-table entry of key = (ma, mb), filled on a miss: None when
-    nf(ma*mb) is 0; the monomial itself when nf(ma*mb) is one monomial with
-    coefficient exactly 1 known to at least h^N; otherwise nf(ma*mb)'s list
-    of (m, c) terms, where c is None for such a 1."""
+    """The slot-table entry of key = (ma, mb), nf(ma*mb), filled on a miss:
+    None when it is 0; the monomial itself when it is one monomial with
+    coefficient exactly 1 known to at least h^N; otherwise its list of
+    (m, c) terms, where c is None for such a 1.
+
+    A product past the degree cap is 0.  When no letter of ma is above the
+    first letter x_j of mb, the concatenation is already ordered; when mb
+    is x_j, the product is one rewriting step (_times_generator);
+    otherwise it is nf(ma*x_j) times the rest of mb, by multiply.
+    """
     ma, mb = key
-    e = [(m, None if c.is_exact_one() and c.order >= P.h_order else c)
-         for (m,), c in normal_form(ma.word() + mb.word(), P).terms.items()]
-    if len(e) == 1 and e[0][1] is None:
-        e = e[0][0]
-    P._slot_table[key] = e = e or None
+    N, D = P.h_order, P.degree_cap
+    j = next((i for i, e in enumerate(mb.exponents) if e), P.ngens)
+    if D is not None and ma.degree + mb.degree > D:
+        e = None
+    elif not any(ma.exponents[j + 1:]):
+        e = ma.merged(mb)
+    else:
+        rest = Monomial(e - (i == j) for i, e in enumerate(mb.exponents))
+        nf = (_times_generator(P, ma, j) if rest.is_identity() else
+              multiply(multiply(P.lift(ma), P.gen(j), P), P.lift(rest), P))
+        e = [(m, None if c.is_exact_one() and c.order >= N else c)
+             for (m,), c in nf.terms.items()]
+        if len(e) == 1 and e[0][1] is None:
+            e = e[0][0]
+        e = e or None
+    P._slot_table[key] = e
     return e
 
 
@@ -444,7 +445,7 @@ def coproduct_monomial(P: Presentation, m: Monomial) -> TensorElement:
 
 
 def _extend(t: TensorElement, P: Presentation, rank: int, image, *args,
-            slot: int = 0, windowed: bool = False) -> TensorElement:
+            slot: int = 0, w: int | None = None) -> TensorElement:
     """Apply the cached per-monomial map image(P, m, *args), whose values
     have the given rank, linearly to one slot of t: the result has rank
     t.rank - 1 + rank.  On an element, slot 0 is the linear extension of
@@ -452,21 +453,31 @@ def _extend(t: TensorElement, P: Presentation, rank: int, image, *args,
 
     Every image is already truncated to P (h-order and degree cap), so the
     result is built in one pass, pruned as the Presentation docstring
-    states.  A windowed image is asked only for the h-order its
-    coefficient can reach, image(P, m, *args, w=N - v(c)): its terms
-    above that land above h^N.
+    states, each product cut at h^N.  With a window w, the result is cut
+    at h^w instead, and image takes a window too: each distinct monomial
+    m of the slot is asked once, image(P, m, *args, w=w - v), where v is
+    the least valuation of its coefficients, and not at all when w - v < 0;
+    its terms above that window land above h^w.
     """
     _check_owner(P, t)
-    N = P.h_order
+    cut = P.h_order if w is None else w
+    if w is not None:
+        need: dict[Monomial, int] = {}
+        for key, c in t.terms.items():
+            need[key[slot]] = max(need.get(key[slot], -1), w - c.v_min)
+        images = {m: image(P, m, *args, w=wm)
+                  for m, wm in need.items() if wm >= 0}
     acc: dict = {}
     for key, c in t.terms.items():
-        vc = c.v_min
         m = key[slot]
-        img = image(P, m, *args, w=N - vc) if windowed else image(P, m, *args)
+        img = image(P, m, *args) if w is None else images.get(m)
+        if img is None:
+            continue
+        vc = c.v_min
         pre, post = key[:slot], key[slot + 1:]
         for k, cm in img.terms.items():
-            if vc + cm.v_min <= N:
-                add_into(acc, pre + k + post, mul(cm, c, N))
+            if vc + cm.v_min <= cut:
+                add_into(acc, pre + k + post, mul(cm, c, cut))
     return TensorElement(P.name, t.rank - 1 + rank, acc)
 
 
@@ -526,19 +537,16 @@ def iterated_coproduct(a: TensorElement, n: int,
 def _delta_monomial(P: Presentation, m: Monomial, n: int, *,
                     w: int | None = None) -> TensorElement:
     """delta_n on a monomial up to h^w (default: the h-order N), via
-    delta_n = (delta_{n-1} (x) (id - eps)) o Delta.
+    delta_n = (delta_{n-1} (x) (id - eps)) o Delta: _extend of delta_{n-1}
+    over slot 0 of Delta(m), the terms with the identity in slot 1 dropped.
 
     Equivalent to projecting every slot of Delta^n with id - eps, but never
-    materializes terms that a later projection would kill.
-
-    Demand-driven window: a sub-deviation delta_{n-1}(m1) under a coproduct
-    coefficient c is needed only up to h^(w - v(c)), so each m1 is built
-    once, at the widest such window among its coproduct terms, and not at
-    all when that window is negative.  A term pc * c with v(pc) + v(c) > w
-    is skipped before it is multiplied, and each kept one is cut at w.
-    Every valuation is >= 0, so the order of each kept product is at least
-    w, and the result equals the full-window delta_n(m) cut at w,
-    coefficient orders included.
+    materializes terms that a later projection would kill.  _extend's
+    window makes it demand-driven: each delta_{n-1}(m1) is built once, to
+    the widest window its coproduct coefficients can reach.  Every
+    valuation is >= 0, so the order of each kept product is at least w, and
+    the result equals the full-window delta_n(m) cut at w, coefficient
+    orders included.
 
     P._delta_cache holds, per (m, n), the widest window built so far (kept
     in P._delta_windows).  A narrower request reuses that entry uncut,
@@ -554,25 +562,10 @@ def _delta_monomial(P: Presentation, m: Monomial, n: int, *,
         terms = {} if m.is_identity() else {(m,): HSeries.one(w)}
         out = TensorElement(P.name, 1, terms).truncate(w, P.degree_cap)
     else:
-        cop = [(m1, m2, c) for (m1, m2), c
-               in coproduct_monomial(P, m).terms.items()
-               if not m2.is_identity()]
-        need: dict[Monomial, int] = {}
-        for m1, _, c in cop:
-            need[m1] = max(need.get(m1, -1), w - c.v_min)
-        subs = {m1: _delta_monomial(P, m1, n - 1, w=wm).terms
-                for m1, wm in need.items() if wm >= 0}
-        acc: dict[tuple, HSeries] = {}
-        for m1, m2, c in cop:
-            terms = subs.get(m1)
-            if terms is None:
-                continue
-            vc = c.v_min
-            for pkey, pc in terms.items():
-                if vc + pc.v_min > w:
-                    continue
-                add_into(acc, pkey + (m2,), mul(pc, c, w))
-        out = TensorElement(P.name, n, acc)
+        cop = TensorElement(P.name, 2, {
+            k: c for k, c in coproduct_monomial(P, m).terms.items()
+            if not k[1].is_identity()})
+        out = _extend(cop, P, n - 1, _delta_monomial, n - 1, w=w)
     P._delta_cache[key] = out
     P._delta_windows[key] = w
     return out
@@ -586,7 +579,7 @@ def delta_n(a: TensorElement, n: int, P: Presentation) -> TensorElement:
     """
     if n == 0:
         return iterated_coproduct(a, 0, P)
-    return _extend(a, P, n, _delta_monomial, n, windowed=True)
+    return _extend(a, P, n, _delta_monomial, n, w=P.h_order)
 
 
 def embed_slots(t: TensorElement, slots: Sequence[int], n: int,

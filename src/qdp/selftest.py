@@ -32,8 +32,8 @@ from .drinfeld import (GaugeMap, PRIME_THEN_VEE, VEE_THEN_PRIME,
 from .errors import InputError, NotAHopfMap
 from .exprs import parse_element
 from .freealg import TensorElement, add_into
-from .hopf import (Presentation, big_delta_E, coproduct, delta_E, delta_n,
-                   multiply, normal_form)
+from .hopf import (Presentation, _diff_note, big_delta_E, coproduct, delta_E,
+                   delta_n, multiply, normal_form)
 from .pairing import (PairingSeed, orthogonal_membership, pair,
                       pairing_axioms_check)
 from .report import CheckRow, HopfReport, run_tasks
@@ -165,6 +165,18 @@ def _pair_batteries(presentations, rng: random.Random):
             for P in presentations]
 
 
+def _tally(bad: list, got, want, **instance) -> None:
+    """Note a failing comparison: its instance and leading discrepancy."""
+    note = _diff_note(got, want)
+    if note:
+        bad.append(", ".join(f"{k} = {v!r}" for k, v in instance.items())
+                   + f": {note}")
+
+
+def _failures(bad: list) -> str:
+    return f"{len(bad)} failures" + (f"; first: {bad[0]}" if bad else "")
+
+
 def product_expansion(batteries) -> list[CheckRow]:
     """For each (P, pairs) battery and n = 1, 2, 3, the rows checking
     delta_n(ab) = sum over lam | y = {1..n} of delta_lam(a) delta_y(b), and
@@ -174,7 +186,7 @@ def product_expansion(batteries) -> list[CheckRow]:
         phi = tuple(range(1, n + 1))
         subsets = [s for k in range(n + 1)
                    for s in itertools.combinations(phi, k)]
-        bad_prod = bad_comm = 0
+        bad_prod, bad_comm = [], []
         for a, b in pairs:
             ab = multiply(a, b, P)
             ba = multiply(b, a, P)
@@ -188,16 +200,16 @@ def product_expansion(batteries) -> list[CheckRow]:
                 if set(lam) & set(y):
                     comm_parts.append((1, prod))
                     comm_parts.append((-1, multiply(db[y], da[lam], P)))
-            if delta_n(ab, n, P) != _tensor_sum(want_parts, P, n):
-                bad_prod += 1
-            if delta_n(ab - ba, n, P) != _tensor_sum(comm_parts, P, n):
-                bad_comm += 1
+            _tally(bad_prod, delta_n(ab, n, P),
+                   _tensor_sum(want_parts, P, n), a=a, b=b)
+            _tally(bad_comm, delta_n(ab - ba, n, P),
+                   _tensor_sum(comm_parts, P, n), a=a, b=b)
         rep.add("deviation-of-product",
                 f"{P.name}: delta_{n}(a*b) expansion on {len(pairs)} pairs",
-                bad_prod == 0, f"{bad_prod} failures")
+                not bad_prod, _failures(bad_prod))
         rep.add("deviation-of-commutator",
                 f"{P.name}: delta_{n}(ab-ba) expansion on {len(pairs)} pairs",
-                bad_comm == 0, f"{bad_comm} failures")
+                not bad_comm, _failures(bad_comm))
     return rep.rows
 
 
@@ -208,7 +220,7 @@ def inclusion_exclusion(presentations, rng: random.Random) -> list[CheckRow]:
     rep = HopfReport()
     for P in presentations:
         elems = random_elements(P, rng, 8)
-        bad = 0
+        bad = []
         total = 0
         for a in elems:
             for n in (1, 2, 3):
@@ -219,11 +231,11 @@ def inclusion_exclusion(presentations, rng: random.Random) -> list[CheckRow]:
                             for psi in itertools.combinations(E, t):
                                 want = want + delta_E(a, psi, n, P)
                         total += 1
-                        if big_delta_E(a, E, n, P) != want:
-                            bad += 1
+                        _tally(bad, big_delta_E(a, E, n, P), want,
+                               a=a, n=n, E=E)
         rep.add("inclusion-exclusion",
                 f"{P.name}: Delta_E == sum of deviations over subsets "
-                f"({total} instances)", bad == 0, f"{bad} failures")
+                f"({total} instances)", not bad, _failures(bad))
     return rep.rows
 
 

@@ -176,6 +176,26 @@ def test_criteria_do_not_depend_on_their_order(payload):
             for r in rows[name]] == payload["checks"]
 
 
+# The criteria that run at the configured orders and whose rows name
+# neither: membership-battery's "failing n" detail lists n up to N by
+# design, and the random batteries and the kernel sweep run at orders of
+# their own.
+RAISED_ORDER_CRITERIA = ("limit-duality", "roundtrips",
+                         "limit-structure-valuations", "pairing-duality",
+                         "oracle-agreement", "gauge-preservation",
+                         "bundle-invariants")
+
+
+def test_rows_do_not_change_at_raised_orders():
+    # an "up to truncation" verdict must not change when N and D are
+    # raised, here by two: every limit table, round trip, pairing value,
+    # oracle cross-check, gauge row and bundle invariant
+    criteria = dict(CRITERIA)
+    for name in RAISED_ORDER_CRITERIA:
+        rows = criteria[name](RunConfig(N, D))
+        assert criteria[name](RunConfig(N + 2, D + 2)) == rows, name
+
+
 def test_criterion_11_determinism(selftest_outputs):
     out_in, out_fresh = selftest_outputs
     ok = out_in == out_fresh

@@ -85,9 +85,13 @@ def test_member_pairing_n_max_below_the_degree_is_usage_error(capsys):
 ], ids=["format", "h-order"])
 def test_flags_before_the_command_are_usage_errors(capsys, argv):
     # the subcommand's defaults overwrote them: the first printed text and
-    # the second ran at N=8
+    # the second ran at N=8; argparse then read the flag's value as the
+    # command ("invalid choice: '3'")
     assert run(argv) == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {argv[0]} comes before the command" in err
+    assert "flags follow the command" in err and "invalid choice" not in err
 
 
 def test_selftest_below_h_order_2_is_usage_error(capsys):

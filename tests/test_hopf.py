@@ -526,7 +526,8 @@ def ref_multiply(s, t, P):
             c = ca * cb
             if c.is_zero():
                 continue
-            slot_elems = [normal_form(ma.word() + mb.word(), P)
+            # normal_form itself multiplies, through the patched multiply
+            slot_elems = [ref_normal_form(ma.word() + mb.word(), P)
                           for ma, mb in zip(ka, kb)]
             ref_expand_into(acc, slot_elems, c)
     return TensorElement(P.name, s.rank, acc).truncate(
@@ -563,7 +564,7 @@ def ref_coproduct_monomial(P, m):
     return acc
 
 
-def ref_extend(t, P, rank, image, *args, slot=0, windowed=False):
+def ref_extend(t, P, rank, image, *args, slot=0, w=None):
     hopf._check_owner(P, t)
     acc = {}
     for key, c in t.terms.items():
@@ -829,7 +830,8 @@ class TestTruncationAwareProducts:
         for Q in (P, prime_presentation(P, 3)):
             check_hopf_axioms(Q, 3)
             assert Q._slot_table
-            for (ma, mb), e in Q._slot_table.items():
+            # _nf fills the table too, so iterate over a copy
+            for (ma, mb), e in list(Q._slot_table.items()):
                 nf = _nf(Q, ma, mb)
                 if nf.is_zero():
                     assert e is None
@@ -873,6 +875,24 @@ class TestTruncationAwareProducts:
         assert terms == {5: 152, 6: 412, 7: 1068}
         # y*x*y has coefficient h^0, so it widens the entries it shares
         assert cached_after(Q, "y*x*y") == (122, 13582, 17534)
+
+    @pytest.mark.parametrize("src, products, terms", [
+        ("y*x*y", 31038, 13582), ("h^3*x*y^2", 2786, 1068)])
+    def test_work_budget(self, monkeypatch, src, products, terms):
+        # exact work counts of one cold certificate, free of timing noise: a
+        # change that forms more coefficient products or caches more
+        # deviation terms fails here
+        P = _fresh(builtin("borel2", 7, 7).quea)
+        calls = []
+        mul = hopf.mul
+
+        def counted(*args):
+            calls.append(None)
+            return mul(*args)
+        monkeypatch.setattr(hopf, "mul", counted)
+        prime_membership(parse_element(src, P), P)
+        assert len(calls) == products
+        assert sum(len(t.terms) for t in P._delta_cache.values()) == terms
 
     @pytest.mark.parametrize("N", [8, 9, 10])
     def test_scaling_member_certificate(self, N):
@@ -1089,7 +1109,12 @@ class TestDeviationProductMutant:
         assert {r.subject.split(": ")[1][:7] for r in failed} == {
             "delta_2", "delta_3"}
         assert len(failed) == 4
-        assert all(r.detail != "0 failures" for r in failed)
+        # each names its first failing pair and that pair's leading terms
+        for r in failed:
+            count, first = r.detail.split("; first: a = ")
+            assert count.endswith(" failures") and count != "0 failures"
+            assert ", b = " in first and ": discrepancy: (" in first
+        assert all(r.detail == "0 failures" for r in rows if r.passed)
 
     def test_unperturbed_coproduct_passes_the_rows(self):
         P = builtin("borel2", 4, 4).quea

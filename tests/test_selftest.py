@@ -59,7 +59,9 @@ def test_inclusion_exclusion_rejects_a_non_counital_coproduct():
                                random.Random(DEFAULT_SEED + 1))
     assert [(r.subject, r.detail) for r in _failed(rows)] == [
         ("borel2: Delta_E == sum of deviations over subsets (112 instances)",
-         "35 failures")]
+         "35 failures; first: a = (-1)*[(0, 0)] + (-h^2)*[(1, 0)] "
+         "+ (2/3*h^2)*[(1, 2)], n = 2, E = (1, 2): "
+         "discrepancy: (2*h^2)*[(1, 2) (x) (0, 0)]")]
 
 
 def test_limit_valuations_reject_a_coproduct_with_a_constant_term():
