@@ -11,7 +11,8 @@ about the input, not an internal error.
 Membership in the subalgebra cut out by "the n-th deviation map lands in
 h^n times the n-th tensor power" is checked for n up to the h-order;
 beyond that the condition is invisible at truncation, so positive
-verdicts are explicitly "up to truncation".
+verdicts are explicitly "up to truncation".  Each valuation is read at the
+smallest h-window that shows it (hopf.delta_valuation).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (InputError, MixedPresentations, NotAHopfMap, NotDivisible,
 from .freealg import Monomial, TensorElement
 from .hopf import (POLY, SERIES, Presentation, _diff_note, _expand_into,
                    _mono_label, _word_fold, coproduct, counit, delta_n,
-                   multiply, normal_form)
+                   delta_valuation, multiply, normal_form)
 from .report import HopfReport
 from .series import HSeries, div_h
 
@@ -100,14 +101,16 @@ def prime_membership(a: TensorElement, P: Presentation,
 
     The default n_max is the h-order: beyond it divisibility by h^n is
     vacuous at truncation.  A NotMember verdict carries the smallest
-    failing n; all checked valuations are recorded.
+    failing n; all checked valuations are recorded.  Each valuation is
+    delta_valuation's, the one the full-window delta_n shows, read at the
+    smallest window that shows it.
     """
     if P.model != POLY:
         raise PresentationError("membership is defined on POLY presentations")
     if a.pres != P.name:
         raise MixedPresentations(f"element of {a.pres!r} vs {P.name!r}")
     return certify(a, n_max, P.h_order,
-                   lambda n: delta_n(a, n, P).h_valuation())
+                   lambda n: delta_valuation(a, n, P))
 
 
 # -- the rescaling transforms ---------------------------------------------------

@@ -11,7 +11,9 @@ misses take one rewriting step, nf(m*x_j); a normal form is the product of
 a word's generators.  _extend applies a per-monomial map linearly to one
 slot, optionally in a demand-driven h-window.  Coproducts and antipodes are
 (anti-)multiplicative folds of products; iterated coproducts and the
-deviation maps delta_E / delta_n are linear extensions.
+deviation maps delta_E / delta_n are linear extensions, and
+delta_valuation reads the valuation of delta_n at the narrowest window
+that shows it.
 
 Models:
   POLY    enveloping-algebra flavour, ordered monomials of any degree;
@@ -27,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (FuelExceeded, InputError, MixedPresentations,
                      NotTopologicallyNilpotent, PresentationError)
-from .freealg import Monomial, TensorElement, add_into
+from .freealg import INF, Monomial, TensorElement, add_into
 from .report import HopfReport
 from .series import HSeries, mul
 
@@ -571,15 +573,37 @@ def _delta_monomial(P: Presentation, m: Monomial, n: int, *,
     return out
 
 
-def delta_n(a: TensorElement, n: int, P: Presentation) -> TensorElement:
-    """The n-th deviation map (id - eps)^(x n) o Delta^n.
+def delta_n(a: TensorElement, n: int, P: Presentation, *,
+            w: int | None = None) -> TensorElement:
+    """The n-th deviation map (id - eps)^(x n) o Delta^n, up to h^w
+    (default: the h-order N): the full-window delta_n(a) cut at w,
+    coefficient orders included (see _delta_monomial).
 
     Supported on tuples with no identity slot; delta_0 = Delta^0 is the
-    counit, a rank-0 tensor.
+    counit, a rank-0 tensor, whatever the window.
     """
     if n == 0:
         return iterated_coproduct(a, 0, P)
-    return _extend(a, P, n, _delta_monomial, n, w=P.h_order)
+    return _extend(a, P, n, _delta_monomial, n,
+                   w=P.h_order if w is None else w)
+
+
+def delta_valuation(a: TensorElement, n: int, P: Presentation):
+    """The h-valuation of delta_n(a) as known through h^N, read at the
+    smallest window that shows it: delta_n(a) cut at w = 0, 1, ..., N in
+    turn, stopping at the first whose valuation v is <= w.
+
+    A valuation v <= w is exact in the cut at w, so the answer equals
+    delta_n(a, n, P).h_valuation(); inf when delta_n(a) vanishes
+    through h^N.  When each window costs a constant factor more than the
+    one before, the ladder costs about its last step.  delta_n is called
+    through the module global, where bench/tracer.py wraps it.
+    """
+    for w in range(P.h_order + 1):
+        v = delta_n(a, n, P, w=w).h_valuation()
+        if v <= w:
+            return v
+    return INF
 
 
 def embed_slots(t: TensorElement, slots: Sequence[int], n: int,

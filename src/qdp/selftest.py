@@ -275,7 +275,7 @@ def filtration_kernel(presentations) -> list[CheckRow]:
             lift = P.lift(m)
             for n in range(m.degree, 5):
                 total += 1
-                if delta_n(lift, n + 1, P).h_valuation() < 1:
+                if delta_n(lift, n + 1, P, w=0).h_valuation() < 1:
                     bad.append((m.exponents, n))
         rep.add("filtration-kernel",
                 f"{P.name}: delta_(n+1) of degree<=n monomials vanishes "

@@ -1,6 +1,8 @@
 """Constructors that only the tests use."""
 
+from qdp.bundles import builtin
 from qdp.freealg import TensorElement
+from qdp.hopf import Presentation
 from qdp.series import HSeries
 
 
@@ -21,3 +23,13 @@ def element(pres, terms):
 def from_monomial(pres, m, c):
     """The algebra element c * m."""
     return TensorElement(pres, 1, {(m,): c})
+
+
+def borel2_with(N, D, g, key):
+    """borel2 at (N, D) with the term 1 * key added to Delta(g)."""
+    P = builtin("borel2", N, D).quea
+    cop = dict(P.coproduct_on_gens)
+    cop[g] = cop[g] + TensorElement(P.name, 2, {key: HSeries.one(N)})
+    return Presentation(P.name, P.model, P.generators, N, P.degree_cap,
+                        P.relations, cop, P.counit_on_gens,
+                        P.antipode_on_gens)

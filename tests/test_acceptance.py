@@ -178,7 +178,8 @@ def test_criteria_do_not_depend_on_their_order(payload):
 
 # The criteria that run at the configured orders and whose rows name
 # neither: membership-battery's "failing n" detail lists n up to N by
-# design, and the random batteries and the kernel sweep run at orders of
+# design (test_membership_battery_holds_at_twice_the_order compares the
+# rest), and the random batteries and the kernel sweep run at orders of
 # their own.
 RAISED_ORDER_CRITERIA = ("limit-duality", "roundtrips",
                          "limit-structure-valuations", "pairing-duality",
@@ -194,6 +195,18 @@ def test_rows_do_not_change_at_raised_orders():
     for name in RAISED_ORDER_CRITERIA:
         rows = criteria[name](RunConfig(N, D))
         assert criteria[name](RunConfig(N + 2, D + 2)) == rows, name
+
+
+def test_membership_battery_holds_at_twice_the_order():
+    # every verdict and witness of the battery, at N and at 2N; only the
+    # list of failing n, which runs to N, may grow
+    battery = dict(CRITERIA)["membership-battery"]
+
+    def verdicts(cfg):
+        return [(r.subject, r.passed,
+                 None if r.detail.startswith("failing n") else r.detail)
+                for r in battery(cfg)]
+    assert verdicts(RunConfig(2 * N, D)) == verdicts(RunConfig(N, D))
 
 
 def test_criterion_11_determinism(selftest_outputs):

@@ -256,6 +256,72 @@ def test_lie_bialgebra_reports_pinned(tmp_path, capsys, cmd, source, fmt):
     assert digest[:16] == LIE_REPORT_SHA256[cmd, source, fmt]
 
 
+# Exit code and leading 16 hex digits of the sha256 of the text output of
+# every bundle-taking command on every built-in at N = D = 4, keyed by
+# (command, bundle), with the options below.  vee takes a SERIES
+# presentation and the abelian bundles have no generator x, so those runs
+# are usage errors with no output.
+GRID_OPTIONS = {"member": ["--element", "h*x"],
+                "roundtrip": ["--direction", "prime-vee"]}
+COMMAND_GRID = {
+    ("show", "abelian1"): (0, "c8fb8f45ff1b5c1c"),
+    ("show", "abelian2"): (0, "b5e32b9b134b0b34"),
+    ("show", "abelian3"): (0, "48bfea6dadb77139"),
+    ("show", "borel2"): (0, "c61c8c158657f2f1"),
+    ("show", "heisenberg3"): (0, "d0a1844698464400"),
+    ("check-hopf", "abelian1"): (0, "27872c10585e1bdc"),
+    ("check-hopf", "abelian2"): (0, "f2bfe144fb1513d4"),
+    ("check-hopf", "abelian3"): (0, "b326247ef76e20ea"),
+    ("check-hopf", "borel2"): (0, "6d0623905abc5a5f"),
+    ("check-hopf", "heisenberg3"): (0, "0a18fedffe295a15"),
+    ("diamond", "abelian1"): (0, "05274416087c5d63"),
+    ("diamond", "abelian2"): (0, "05274416087c5d63"),
+    ("diamond", "abelian3"): (0, "ac0210c9dc9a9d8e"),
+    ("diamond", "borel2"): (0, "05274416087c5d63"),
+    ("diamond", "heisenberg3"): (0, "caf21096f449f084"),
+    ("prime", "abelian1"): (0, "2abcb14e77dfd415"),
+    ("prime", "abelian2"): (0, "88711ab014b8ce92"),
+    ("prime", "abelian3"): (0, "72dec5b4040d4895"),
+    ("prime", "borel2"): (0, "053b9c22f28f05ba"),
+    ("prime", "heisenberg3"): (0, "bde1ca50988128b7"),
+    ("vee", "abelian1"): (2, "e3b0c44298fc1c14"),
+    ("vee", "abelian2"): (2, "e3b0c44298fc1c14"),
+    ("vee", "abelian3"): (2, "e3b0c44298fc1c14"),
+    ("vee", "borel2"): (2, "e3b0c44298fc1c14"),
+    ("vee", "heisenberg3"): (2, "e3b0c44298fc1c14"),
+    ("member", "abelian1"): (0, "bb3937c3c5526ff2"),
+    ("member", "abelian2"): (2, "e3b0c44298fc1c14"),
+    ("member", "abelian3"): (2, "e3b0c44298fc1c14"),
+    ("member", "borel2"): (0, "bb3937c3c5526ff2"),
+    ("member", "heisenberg3"): (0, "bb3937c3c5526ff2"),
+    ("limit", "abelian1"): (0, "ce21515df8c6cb18"),
+    ("limit", "abelian2"): (0, "f9584f3e6aa73ed2"),
+    ("limit", "abelian3"): (0, "787078ba1c07a74c"),
+    ("limit", "borel2"): (0, "68fad682bd11d6f9"),
+    ("limit", "heisenberg3"): (0, "e05d2383e703c82b"),
+    ("dual-check", "abelian1"): (0, "edd76181a216ac7b"),
+    ("dual-check", "abelian2"): (0, "8de30d7aecd2f90c"),
+    ("dual-check", "abelian3"): (0, "59dfa88bd7ffb803"),
+    ("dual-check", "borel2"): (0, "f4c357b068f73be3"),
+    ("dual-check", "heisenberg3"): (0, "32796ee5ec37c4b5"),
+    ("roundtrip", "abelian1"): (0, "ec570df978606f50"),
+    ("roundtrip", "abelian2"): (0, "78a0017ecba7e8f9"),
+    ("roundtrip", "abelian3"): (0, "47b52428c056e8c5"),
+    ("roundtrip", "borel2"): (0, "8a5ae1b0407babad"),
+    ("roundtrip", "heisenberg3"): (0, "b9ae90b8128fb620"),
+}
+
+
+@pytest.mark.parametrize("cmd, name", sorted(COMMAND_GRID))
+def test_every_command_on_every_bundle(capsys, cmd, name):
+    code = run([cmd, name, *GRID_OPTIONS.get(cmd, ()), "--h-order", "4",
+                "--degree", "4"])
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest[:16]) == COMMAND_GRID[cmd, name]
+    assert "Traceback" not in err
+
+
 def test_pair_command(tmp_path, capsys):
     prime_path = tmp_path / "prime.json"
     run(["prime", "borel2", "-o", str(prime_path)])

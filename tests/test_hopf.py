@@ -8,7 +8,7 @@ import pytest
 
 import qdp.hopf as hopf
 import qdp.selftest as selftest
-from qdp.bundles import builtin
+from qdp.bundles import BUILTIN_NAMES, builtin
 from qdp.drinfeld import (GaugeMap, prime_membership, prime_presentation,
                           vee_presentation)
 from qdp.errors import (FuelExceeded, NotTopologicallyNilpotent,
@@ -17,12 +17,12 @@ from qdp.exprs import parse_element
 from qdp.freealg import Monomial, TensorElement
 from qdp.hopf import (POLY, SERIES, Presentation, antipode, big_delta_E,
                       check_diamond, check_hopf_axioms, coproduct, counit,
-                      delta_E, delta_n, element_exp, embed_slots,
-                      iterated_coproduct, multiply, normal_form)
+                      delta_E, delta_n, delta_valuation, element_exp,
+                      embed_slots, iterated_coproduct, multiply, normal_form)
 from qdp.selftest import random_elements
 from qdp.series import HSeries, _make
 
-from support import element, from_monomial, series_from_map
+from support import borel2_with, element, from_monomial, series_from_map
 
 
 @pytest.fixture(scope="module")
@@ -693,6 +693,16 @@ def _assert_windowed_deltas(Q, full):
         assert _exact(t) == _exact(full[key].truncate(w))
 
 
+def _assert_ladder_matches(P, elements):
+    """delta_valuation, read on a fresh copy of P, is the valuation of the
+    full-window delta_n, read on another, for every n in 0..N."""
+    Q, R = _fresh(P), _fresh(P)
+    ns = range(P.h_order + 1)
+    for a in elements:
+        assert ([delta_valuation(a, n, Q) for n in ns]
+                == [delta_n(a, n, R).h_valuation() for n in ns]), a
+
+
 def _matches_reference(monkeypatch, make, seed):
     want, want_caches, R = _reference_run(
         monkeypatch, lambda: _structure_maps(make(), seed))
@@ -872,12 +882,13 @@ class TestTruncationAwareProducts:
         for N in (5, 6, 7):
             Q = _fresh(builtin("borel2", N, 8).quea)
             terms[N] = cached_after(Q, "h^3*x*y^2")[1]
-        assert terms == {5: 152, 6: 412, 7: 1068}
-        # y*x*y has coefficient h^0, so it widens the entries it shares
-        assert cached_after(Q, "y*x*y") == (122, 13582, 17534)
+        assert terms == {5: 50, 6: 79, 7: 117}
+        # y*x*y has coefficient h^0, but each of its valuations shows at a
+        # window that h^3*x*y^2 already built: it adds one empty entry
+        assert cached_after(Q, "y*x*y") == (62, 117, 117)
 
     @pytest.mark.parametrize("src, products, terms", [
-        ("y*x*y", 31038, 13582), ("h^3*x*y^2", 2786, 1068)])
+        ("y*x*y", 979, 117), ("h^3*x*y^2", 977, 117)])
     def test_work_budget(self, monkeypatch, src, products, terms):
         # exact work counts of one cold certificate, free of timing noise: a
         # change that forms more coefficient products or caches more
@@ -894,7 +905,7 @@ class TestTruncationAwareProducts:
         assert len(calls) == products
         assert sum(len(t.terms) for t in P._delta_cache.values()) == terms
 
-    @pytest.mark.parametrize("N", [8, 9, 10])
+    @pytest.mark.parametrize("N", [8, 9, 10, 12, 16])
     def test_scaling_member_certificate(self, N):
         P = _fresh(builtin("borel2", N, 8).quea)
         cert = prime_membership(parse_element("h^3*x*y^2", P), P)
@@ -902,11 +913,31 @@ class TestTruncationAwareProducts:
         assert cert.valuations == [math.inf, 3, 3, 3, *range(4, N + 1)]
 
     def test_scaling_nonmember_certificate(self):
-        P = _fresh(builtin("borel2", 8, 8).quea)
+        P = _fresh(builtin("borel2", 16, 8).quea)
         cert = prime_membership(parse_element("y*x*y", P), P)
         assert cert.verdict == "NotMember"
         assert cert.witness == 1
-        assert cert.valuations == [math.inf, 0, 0, 0, 1, 2, 3, 4, 5]
+        assert cert.valuations == [math.inf, 0, 0, 0, *range(1, 14)]
+
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_valuation_ladder_matches_the_full_window(self, name, N):
+        P = builtin(name, N, N).quea
+        _assert_ladder_matches(
+            P, random_elements(P, random.Random(N), 6, max_degree=2))
+
+    @pytest.mark.parametrize("g, key", [
+        ("x", (Monomial.generator(0, 2), Monomial.generator(0, 2))),
+        ("y", (Monomial.generator(1, 2), Monomial.identity(2)))],
+        ids=["non-primitive-x", "non-counital-y"])
+    def test_valuation_ladder_matches_the_full_window_on_mutants(self, g,
+                                                                 key):
+        # a non-primitive x, whose deviations never vanish, and a
+        # non-counital y
+        P = borel2_with(5, 5, g, key)
+        _assert_ladder_matches(
+            P, random_elements(P, random.Random(5), 6, max_degree=2)
+            + [P.gen("x"), P.gen("y")])
 
 
 # -- slot-table tensor kernel ---------------------------------------------------

@@ -7,22 +7,12 @@ import random
 
 import qdp.drinfeld as drinfeld
 from qdp.bundles import builtin
-from qdp.freealg import Monomial, TensorElement
-from qdp.hopf import Presentation
+from qdp.freealg import Monomial
 from qdp.selftest import (DEFAULT_SEED, bundle_invariants, filtration_kernel,
                           inclusion_exclusion, limit_valuations,
                           membership_battery, roundtrips)
-from qdp.series import HSeries
 
-
-def _borel2_with(N, D, g, key):
-    """borel2 at (N, D) with the term 1 * key added to Delta(g)."""
-    P = builtin("borel2", N, D).quea
-    cop = dict(P.coproduct_on_gens)
-    cop[g] = cop[g] + TensorElement(P.name, 2, {key: HSeries.one(N)})
-    return Presentation(P.name, P.model, P.generators, N, P.degree_cap,
-                        P.relations, cop, P.counit_on_gens,
-                        P.antipode_on_gens)
+from support import borel2_with
 
 
 X = Monomial.generator(0, 2)
@@ -37,16 +27,17 @@ def _failed(rows):
 def test_membership_battery_rejects_a_non_primitive_generator():
     # Delta(x) += x (x) x puts x (x) x into delta_2(x), so h*x has
     # valuation 1 < 2 there and is no member; h*y fails through the powers
-    # of x in Delta(y).  N = 4 shows it: at N = 8 this coproduct's
-    # deviations take over a minute
-    failed = _failed(membership_battery(_borel2_with(4, 4, "x", (X, X))))
+    # of x in Delta(y).  Each valuation is read at the smallest window that
+    # shows it, so this coproduct's deviations, which never vanish, cost
+    # little even at N = 8
+    failed = _failed(membership_battery(borel2_with(8, 8, "x", (X, X))))
     assert [(r.subject, r.detail) for r in failed] == [
         ("borel2: h*x", "NotMember"), ("borel2: h*y", "NotMember")]
 
 
 def test_filtration_kernel_rejects_a_non_primitive_generator():
     # delta_2(x) = x (x) x does not vanish mod h, and x has degree 1
-    failed = _failed(filtration_kernel([_borel2_with(2, 8, "x", (X, X))]))
+    failed = _failed(filtration_kernel([borel2_with(2, 8, "x", (X, X))]))
     assert len(failed) == 1
     assert failed[0].subject.startswith("borel2: delta_(n+1)")
     assert failed[0].detail.startswith("failures: [((1, 0), 1)")
@@ -55,7 +46,7 @@ def test_filtration_kernel_rejects_a_non_primitive_generator():
 def test_inclusion_exclusion_rejects_a_non_counital_coproduct():
     # Delta(y) += y (x) 1 breaks (id (x) eps) o Delta = id, so Delta_E and
     # the deviation maps no longer invert each other
-    rows = inclusion_exclusion([_borel2_with(4, 4, "y", (Y, ONE))],
+    rows = inclusion_exclusion([borel2_with(4, 4, "y", (Y, ONE))],
                                random.Random(DEFAULT_SEED + 1))
     assert [(r.subject, r.detail) for r in _failed(rows)] == [
         ("borel2: Delta_E == sum of deviations over subsets (112 instances)",
@@ -67,7 +58,7 @@ def test_inclusion_exclusion_rejects_a_non_counital_coproduct():
 def test_limit_valuations_reject_a_coproduct_with_a_constant_term():
     # prime multiplies the 1 (x) 1 term by h and vee divides it back out,
     # so vee's x is not primitive mod h
-    P = _borel2_with(8, 8, "x", (ONE, ONE))
+    P = borel2_with(8, 8, "x", (ONE, ONE))
     failed = _failed(limit_valuations([P], 8))
     assert "borel2: vee generator x primitive mod h" in [
         r.subject for r in failed]
