@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import ExpressionSyntaxError, UnknownGenerator
 from .freealg import TensorElement
 from .hopf import (POLY, Presentation, _mono_label, counit, element_exp,
-                   multiply, multiply_all)
+                   multiply, normal_form)
 from .series import HSeries
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
@@ -136,12 +136,11 @@ def _parse_factor(t: _Tokens, P: Presentation) -> TensorElement:
             raise UnknownGenerator(
                 f"{val!r} is not a generator of {P.name!r} "
                 f"(generators: {', '.join(P.generators)})")
-        base = P.gen(val)
         k2, v2, _ = t.peek()
         if k2 == "op" and v2 == "^":
             t.next()
-            return multiply_all([base] * _parse_nat(t), P)
-        return base
+            return normal_form((P.gen_index[val],) * _parse_nat(t), P)
+        return P.gen(val)
     raise ExpressionSyntaxError("expected a factor", pos)
 
 

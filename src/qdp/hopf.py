@@ -7,13 +7,14 @@ antipodes on generators, an h-truncation order N and, for degree-capped
 
 Two kernels build every structure map.  multiply (with _expand_into) forms
 products, slot by slot through the slot table of monomial products, whose
-misses take one rewriting step, nf(m*x_j); a normal form is the product of
-a word's generators.  _extend applies a per-monomial map linearly to one
-slot, optionally in a demand-driven h-window.  Coproducts and antipodes are
-(anti-)multiplicative folds of products; iterated coproducts and the
-deviation maps delta_E / delta_n are linear extensions, and
-delta_valuation reads the valuation of delta_n at the narrowest window
-that shows it.
+misses take one rewriting step, itself a product:
+nf(m'x_k * x_j) = m' * (x_j x_k + r_jk) for k > j.  A normal form is the
+product of a word's generators.  _extend applies a per-monomial map
+linearly to one slot, optionally in a demand-driven h-window.  Coproducts
+and antipodes are (anti-)multiplicative folds of products; iterated
+coproducts and the deviation maps delta_E / delta_n are linear
+extensions, and delta_valuation reads the valuation of delta_n at the
+narrowest window that shows it.
 
 Models:
   POLY    enveloping-algebra flavour, ordered monomials of any degree;
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (FuelExceeded, InputError, MixedPresentations,
                      NotTopologicallyNilpotent, PresentationError)
@@ -206,37 +207,35 @@ class Presentation:
 # -- rewriting ----------------------------------------------------------------
 
 
-def _rewrite_at(P: Presentation, word: tuple[int, ...],
-                t: int) -> list[tuple[HSeries, tuple[int, ...]]]:
-    """Apply x_j x_i -> x_i x_j + r_ij at position t (word[t] > word[t+1])."""
-    j, i = word[t], word[t + 1]
-    prefix, suffix = word[:t], word[t + 2:]
-    branches = [(HSeries.one(P.h_order), prefix + (i, j) + suffix)]
-    for (m,), c in P.relations[(i, j)].terms.items():
-        branches.append((c, prefix + m.word() + suffix))
-    return branches
-
-
 def normal_form(word: Sequence[int], P: Presentation) -> TensorElement:
     """Rewrite a word of generator indices onto ordered monomials, truncated
     to the presentation's (N, D); a word longer than D is 0.
 
-    The product of the word's generators, so each letter meets the ordered
-    prefix through one slot-table entry, nf(m*x_j) (see _slot).
+    The product of the word's generators, folded left to right by multiply,
+    so each letter meets the ordered prefix through one slot-table entry,
+    nf(m*x_j) (see _slot).  Words are this function's input only; the
+    engine itself multiplies ordered monomials.
     """
     D = P.degree_cap
     if D is not None and len(word) > D:
         return P.zero()
-    return multiply_all(map(P.gen, word), P)
+    acc = P.unit()
+    for j in word:
+        acc = multiply(acc, P.gen(j), P)
+    return acc
 
 
-def _times_generator(P: Presentation, m: Monomial, j: int) -> TensorElement:
-    """nf(m*x_j) for an ordered monomial m whose last letter x_k has k > j,
-    by m'x_k x_j -> m'x_j x_k + m' r_jk.
+def _rewrite_at(P: Presentation, m: Monomial, j: int) -> TensorElement:
+    """One rewriting step: nf(m*x_j) for an ordered monomial m = m'x_k
+    whose last letter x_k has k > j.  As x_k x_j = x_j x_k + r_jk, it is
+    the product m' * (x_j x_k + r_jk).
 
-    Each branch is below m*x_j in (length, deglex of content, inversions),
-    well-founded for admissible relations, so the recursion ends; entering
-    an (m, j) still in P._nf_building raises FuelExceeded instead.
+    That product is m' * x_j x_k plus m' * u for each monomial u of r_jk.
+    As words, m'x_j x_k has one inversion fewer than m x_j, and m'u is
+    shorter or, for an admissible degree-2 u, of lower deglex content, so
+    each is below m x_j in (length, deglex of content, inversions), a
+    well-founded order for admissible relations, and the recursion ends;
+    entering an (m, j) still in P._nf_building raises FuelExceeded instead.
     """
     # Only _slot calls this, on a slot-table miss, so P._nf_cache is never
     # read here; it is kept for bench/tracer.py's working_set.
@@ -246,27 +245,13 @@ def _times_generator(P: Presentation, m: Monomial, j: int) -> TensorElement:
                            "was still rewriting; it does not terminate")
     P._nf_building.add(key)
     try:
-        out = P._nf_cache[key] = _resolve_at(P, m.word() + (j,), m.degree - 1)
+        k = max(i for i, e in enumerate(m.exponents) if e)
+        rest = Monomial(e - (i == k) for i, e in enumerate(m.exponents))
+        out = P._nf_cache[key] = multiply(
+            P.lift(rest), normal_form((j, k), P) + P.relations[(j, k)], P)
     finally:
         P._nf_building.discard(key)
     return out
-
-
-def _resolve_at(P: Presentation, word: tuple[int, ...],
-                t: int) -> TensorElement:
-    """Rewrite the word once at position t and normal-form every branch."""
-    out = P.zero()
-    for c, w in _rewrite_at(P, word, t):
-        out = out + normal_form(w, P).scaled(c)
-    return out.truncate(P.h_order, P.degree_cap)
-
-
-def multiply_all(factors: Iterable[TensorElement],
-                 P: Presentation) -> TensorElement:
-    acc = P.unit()
-    for f in factors:
-        acc = multiply(acc, f, P)
-    return acc
 
 
 def element_exp(a: TensorElement, P: Presentation) -> TensorElement:
@@ -349,7 +334,7 @@ def _slot(P: Presentation, key: tuple[Monomial, Monomial]):
 
     A product past the degree cap is 0.  When no letter of ma is above the
     first letter x_j of mb, the concatenation is already ordered; when mb
-    is x_j, the product is one rewriting step (_times_generator);
+    is x_j, the product is one rewriting step (_rewrite_at);
     otherwise it is nf(ma*x_j) times the rest of mb, by multiply.
     """
     ma, mb = key
@@ -361,7 +346,7 @@ def _slot(P: Presentation, key: tuple[Monomial, Monomial]):
         e = ma.merged(mb)
     else:
         rest = Monomial(e - (i == j) for i, e in enumerate(mb.exponents))
-        nf = (_times_generator(P, ma, j) if rest.is_identity() else
+        nf = (_rewrite_at(P, ma, j) if rest.is_identity() else
               multiply(multiply(P.lift(ma), P.gen(j), P), P.lift(rest), P))
         e = [(m, None if c.is_exact_one() and c.order >= N else c)
              for (m,), c in nf.terms.items()]
@@ -717,15 +702,17 @@ def check_hopf_axioms(P: Presentation, degree_bound: int) -> HopfReport:
 
 
 def check_diamond(P: Presentation) -> HopfReport:
-    """Confluence of overlapping rewrites: for i < j < k resolve the word
-    x_k x_j x_i both ways and compare.  A mismatch on degree <= 1
-    corrections is exactly a Jacobi defect of the relation constants."""
+    """Confluence of overlapping rewrites (Bergman's diamond lemma): for
+    i < j < k, the two one-step reductions of x_k x_j x_i,
+    nf(x_k x_j) * x_i and x_k * nf(x_j x_i), must have the same product.
+    A mismatch on degree <= 1 corrections is exactly a Jacobi defect of
+    the relation constants."""
     rep = HopfReport()
     for i in range(P.ngens):
         for j in range(i + 1, P.ngens):
             for k in range(j + 1, P.ngens):
-                route_a = _resolve_at(P, (k, j, i), 0)
-                route_b = _resolve_at(P, (k, j, i), 1)
+                route_a = multiply(normal_form((k, j), P), P.gen(i), P)
+                route_b = multiply(P.gen(k), normal_form((j, i), P), P)
                 label = (f"{P.generators[k]}*{P.generators[j]}"
                          f"*{P.generators[i]}")
                 rep.add("diamond", label, route_a == route_b,

@@ -189,12 +189,17 @@ RAISED_ORDER_CRITERIA = ("limit-duality", "roundtrips",
 
 def test_rows_do_not_change_at_raised_orders():
     # an "up to truncation" verdict must not change when N and D are
-    # raised, here by two: every limit table, round trip, pairing value,
-    # oracle cross-check, gauge row and bundle invariant
+    # raised, here doubled: every limit table, round trip, pairing value,
+    # gauge row and bundle invariant.  The oracle cross-check is raised by
+    # four only: on a 2-vCPU host it takes about 1.4 s of CPU at (12, 12),
+    # 4.2 s at (14, 14) and 10.8 s at (16, 16), while the other six take
+    # about 1.2 s together at (16, 16).
     criteria = dict(CRITERIA)
     for name in RAISED_ORDER_CRITERIA:
         rows = criteria[name](RunConfig(N, D))
-        assert criteria[name](RunConfig(N + 2, D + 2)) == rows, name
+        raised = (RunConfig(N + 4, D + 4) if name == "oracle-agreement"
+                  else RunConfig(2 * N, 2 * D))
+        assert criteria[name](raised) == rows, name
 
 
 def test_membership_battery_holds_at_twice_the_order():

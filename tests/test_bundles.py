@@ -20,6 +20,12 @@ def test_names_and_unknown():
         builtin("nope")
 
 
+def test_presentation_repr():
+    # a POLY presentation carries no degree cap
+    assert repr(builtin("borel2", 3, 3).quea) == (
+        "Presentation('borel2', POLY, gens=['x', 'y'], N=3, D=None)")
+
+
 def test_abelian2_tables_are_zero():
     b = builtin("abelian2", 8, 8)
     assert b.lie.to_jsonable()["bracket"] == []

@@ -10,7 +10,7 @@ from qdp.bundles import BUILTIN_NAMES, builtin
 from qdp.errors import InputError
 from qdp.exprs import parse_element
 from qdp.hopf import (antipode, coproduct_monomial, counit, multiply,
-                      multiply_all, normal_form)
+                      normal_form)
 from qdp.pairing import (PairingSeed, _first_letter_split,
                          _ideal_spanning_products, _reliable_order,
                          orthogonal_membership, pair, pairing_axioms_check)
@@ -116,15 +116,23 @@ def _cross_valued_seed() -> PairingSeed:
                         (0, 1): HSeries.one(6)})
 
 
+def _product(factors, R):
+    """The factors multiplied left to right, from the unit."""
+    acc = R.unit()
+    for f in factors:
+        acc = multiply(acc, f, R)
+    return acc
+
+
 class TestOrthogonalMembership:
-    def test_spanning_products_match_multiply_all(self):
+    def test_spanning_products_match_folded_products(self):
         # the products, read off ordered monomials, are the products of
         # each factor combination in combinations_with_replacement order
         R = prime_presentation(builtin("borel2", 6, 6).quea, 3)
         h_unit = R.unit().scaled(HSeries.h_power(1, R.h_order))
         factors = [h_unit, R.gen("x"), R.gen("y")]
         for n in (4, 0, 1, 2, 3):
-            want = [multiply_all([factors[i] for i in combo], R)
+            want = [_product([factors[i] for i in combo], R)
                     for combo in itertools.combinations_with_replacement(
                         range(3), n)
                     if sum(1 for i in combo if i > 0) <= 3]
@@ -137,7 +145,7 @@ class TestOrthogonalMembership:
         factors = ([R.unit().scaled(HSeries.h_power(1, R.h_order))]
                    + [R.gen(g) for g in R.generators])
         for n in (4, 0, 1, 2, 3):
-            want = [multiply_all([factors[i] for i in combo], R)
+            want = [_product([factors[i] for i in combo], R)
                     for combo in itertools.combinations_with_replacement(
                         range(4), n)
                     if sum(1 for i in combo if i > 0) <= 2]

@@ -104,6 +104,15 @@ class TestValuation:
             H({-1: 1, 0: 1})
 
 
+class TestInspection:
+    def test_bool_is_nonzero(self):
+        assert bool(HSeries.zero(3)) is False
+        assert bool(HSeries.one(3)) is True
+
+    def test_repr_names_the_order(self):
+        assert repr(HSeries.h_power(1, 4, -2)) == "HSeries(-2*h; order=4)"
+
+
 class TestPowerSeriesOnly:
     """Every public constructor refuses a nonzero coefficient below h^0."""
 
