@@ -15,7 +15,7 @@ from .classical import (POLY, dual_lie_bialgebra, extract_lie_bialgebra,
                         extract_poisson_structure, validate_lie_bialgebra)
 from .drinfeld import (PRIME_THEN_VEE, VEE_THEN_PRIME, prime_membership,
                        prime_presentation, roundtrip_check, vee_presentation)
-from .errors import InputError, MathematicalFailure, QdpError
+from .errors import InputError, MathematicalFailure
 from .exprs import element_to_expr, parse_element
 from .hopf import SERIES, check_diamond, check_hopf_axioms
 from .manifest import (dump_json, load_json, manifest_text,
@@ -269,7 +269,7 @@ def _cmd_limit(args, cfg) -> int:
 def _cmd_dual_check(args, cfg) -> int:
     b = builtin(args.name, cfg.h_order, cfg.degree_cap)
     rep = HopfReport()
-    rep.extend(bundle_selfcheck(b, degree_bound=2))
+    rep.extend(bundle_selfcheck(b))
     rows, L, LP = limit_duality_rows(b, cfg.degree_cap)
     rep.rows.extend(rows)
     rep.extend(roundtrip_check(b.quea, PRIME_THEN_VEE, cfg.degree_cap))
@@ -299,7 +299,7 @@ def _cmd_pair(args, cfg) -> int:
     value = pair(a, b, seed)
     payload = {
         "tool": "qdp", "command": "pair",
-        "h_order": cfg.h_order, "degree_cap": cfg.degree_cap,
+        "h_order": seed.order, "degree_cap": cfg.degree_cap,
         "left": args.left_elem, "right": args.right_elem,
         "value": value.to_jsonable(),
     }
@@ -366,9 +366,6 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QdpError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

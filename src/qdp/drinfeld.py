@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .errors import (InputError, MixedPresentations, NotAHopfMap, NotDivisible,
                      PresentationError)
 from .freealg import Monomial, TensorElement
-from .hopf import (POLY, SERIES, Presentation, _diff_note, _expand_into,
+from .hopf import (POLY, SERIES, Presentation, _diff_note, _extend,
                    _mono_label, _word_fold, coproduct, counit, delta_n,
                    delta_valuation, multiply, normal_form)
 from .report import HopfReport
@@ -259,12 +259,11 @@ class GaugeMap:
         return _word_fold(P, self._power_cache, m, P.unit, self.images)
 
     def of_tensor(self, t: TensorElement, P: Presentation) -> TensorElement:
-        """The map on every slot of t; an element is the rank-1 case."""
-        acc: dict = {}
-        for key, c in t.terms.items():
-            _expand_into(acc, [self.of_monomial(P, m) for m in key], c,
-                         P.h_order)
-        return TensorElement(P.name, t.rank, acc)
+        """The map on every slot of t, applied by _extend one slot at a
+        time; an element is the rank-1 case."""
+        for s in range(t.rank):
+            t = _extend(t, P, 1, self.of_monomial, slot=s)
+        return t
 
 
 def gauge_preservation_check(P: Presentation, phi: GaugeMap) -> HopfReport:

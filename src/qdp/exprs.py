@@ -37,9 +37,11 @@ class _Tokens:
         while pos < len(src):
             m = _TOKEN.match(src, pos)
             if not m or m.end() == m.start():
-                if src[pos:].strip():
+                rest = src[pos:].lstrip()
+                if rest:
+                    bad = len(src) - len(rest)
                     raise ExpressionSyntaxError(
-                        f"unexpected character {src[pos]!r}", pos)
+                        f"unexpected character {src[bad]!r}", bad)
                 break
             if m.group(1):
                 self.toks.append(("num", m.group(1), m.start(1)))

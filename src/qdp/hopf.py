@@ -11,10 +11,12 @@ misses take one rewriting step, itself a product:
 nf(m'x_k * x_j) = m' * (x_j x_k + r_jk) for k > j.  A normal form is the
 product of a word's generators.  _extend applies a per-monomial map
 linearly to one slot, optionally in a demand-driven h-window.  Coproducts
-and antipodes are (anti-)multiplicative folds of products; iterated
-coproducts and the deviation maps delta_E / delta_n are linear
-extensions, and delta_valuation reads the valuation of delta_n at the
-narrowest window that shows it.
+and antipodes are (anti-)multiplicative folds of products, and _extend
+applies them, the counit and (in drinfeld) a gauge map; an iterated
+coproduct Delta^n is the coproduct applied to slot 0, n - 1 times over.
+The deviation maps delta_E / delta_n are linear extensions too, and
+delta_valuation reads the valuation of delta_n at the narrowest window
+that shows it.
 
 Models:
   POLY    enveloping-algebra flavour, ordered monomials of any degree;
@@ -145,7 +147,6 @@ class Presentation:
         self._slot_table: dict[tuple[Monomial, Monomial], object] = {}
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._antipode_cache: dict[Monomial, TensorElement] = {}
-        self._iterated_cache: dict[tuple[Monomial, int], TensorElement] = {}
         # (m, n) -> delta_n(m) at the widest window built so far, and that
         # window; see _delta_monomial
         self._delta_cache: dict[tuple[Monomial, int], TensorElement] = {}
@@ -360,8 +361,9 @@ def _slot(P: Presentation, key: tuple[Monomial, Monomial]):
 def _expand_into(acc: dict, slots: Sequence, coeff: HSeries,
                  h_order: int) -> None:
     """Merge coeff * (e_1 (x) ... (x) e_k) into monomial-tuple terms of acc,
-    each cut at h_order; a slot is a rank-1 TensorElement, a Monomial or a
-    _slot list.
+    each cut at h_order.  Each slot is a nonzero P._slot_table entry, a
+    Monomial or a _slot list of (m, c) terms, and coeff is already cut at
+    h_order, as multiply's mul(ca, cb, N) is.
 
     HSeries holds no negative power of h, so every valuation is >= 0 and a
     partial product's part above h_order never reaches a term at or below
@@ -370,17 +372,15 @@ def _expand_into(acc: dict, slots: Sequence, coeff: HSeries,
     stands for a 1 that the caller vouches leaves each partial product
     unchanged: no product."""
     keys = [()]
-    coeffs = [coeff.truncate(h_order)]
+    coeffs = [coeff]
     for e in slots:
         if type(e) is Monomial:
             keys = [key + (e,) for key in keys]
             continue
-        terms = e if type(e) is list else [
-            (m, c) for (m,), c in e.terms.items()]
         nkeys, ncoeffs = [], []
         for key, c in zip(keys, coeffs):
             vc = c.v_min
-            for m, cm in terms:
+            for m, cm in e:
                 if cm is None:
                     nkeys.append(key + (m,))
                     ncoeffs.append(c)
@@ -469,7 +469,8 @@ def _extend(t: TensorElement, P: Presentation, rank: int, image, *args,
 
 
 def coproduct(a: TensorElement, P: Presentation) -> TensorElement:
-    """Multiplicative extension of the generator coproducts."""
+    """Multiplicative extension of the generator coproducts; on a tensor of
+    higher rank it acts on slot 0."""
     return _extend(a, P, 2, coproduct_monomial)
 
 
@@ -494,36 +495,27 @@ def antipode(a: TensorElement, P: Presentation) -> TensorElement:
 # -- iterated coproducts and deviation maps ----------------------------------------
 
 
-def _iterated_monomial(P: Presentation, m: Monomial, n: int) -> TensorElement:
-    """Delta^n on a monomial: the coproduct on slot 0 of Delta^(n-1).
-
-    Delta^0 is the counit, a rank-0 tensor; Delta^1 is the identity.
-    """
-    key = (m, n)
-    cached = P._iterated_cache.get(key)
-    if cached is not None:
-        return cached
-    if n == 0:
-        out = TensorElement(P.name, 0, {(): HSeries.one(P.h_order)}
-                            if m.is_identity() else {})
-    elif n == 1:
-        out = P.lift(m).truncate(P.h_order, P.degree_cap)
-    else:
-        out = _extend(_iterated_monomial(P, m, n - 1), P, 2,
-                      coproduct_monomial)
-    P._iterated_cache[key] = out
-    return out
+def _counit_monomial(P: Presentation, m: Monomial) -> TensorElement:
+    """epsilon(m), a rank-0 tensor: 1 on the identity, 0 elsewhere."""
+    return TensorElement(P.name, 0, {(): HSeries.one(P.h_order)}
+                         if m.is_identity() else {})
 
 
 def iterated_coproduct(a: TensorElement, n: int,
                        P: Presentation) -> TensorElement:
-    """Delta^n; Delta^0 is the counit, a rank-0 (scalar) tensor."""
-    return _extend(a, P, n, _iterated_monomial, n)
+    """Delta^n: Delta^0 is the counit, a rank-0 (scalar) tensor, Delta^1 the
+    identity, and Delta^n the coproduct on slot 0 of Delta^(n-1)."""
+    if n == 0:
+        return _extend(a, P, 0, _counit_monomial)
+    t = a.truncate(P.h_order, P.degree_cap)
+    for _ in range(n - 1):
+        t = coproduct(t, P)
+    return t
 
 
 def _delta_monomial(P: Presentation, m: Monomial, n: int, *,
-                    w: int | None = None) -> TensorElement:
-    """delta_n on a monomial up to h^w (default: the h-order N), via
+                    w: int) -> TensorElement:
+    """delta_n on a monomial up to h^w, via
     delta_n = (delta_{n-1} (x) (id - eps)) o Delta: _extend of delta_{n-1}
     over slot 0 of Delta(m), the terms with the identity in slot 1 dropped.
 
@@ -539,8 +531,6 @@ def _delta_monomial(P: Presentation, m: Monomial, n: int, *,
     in P._delta_windows).  A narrower request reuses that entry uncut,
     since every consumer cuts at its own window; a wider one replaces it.
     """
-    if w is None:
-        w = P.h_order
     key = (m, n)
     cached = P._delta_cache.get(key)
     if cached is not None and P._delta_windows[key] >= w:
@@ -666,9 +656,8 @@ def check_hopf_axioms(P: Presentation, degree_bound: int) -> HopfReport:
                 _diff_note(left, right))
 
         ident = iterated_coproduct(elem, 1, P)
-        # Delta^0 is the counit, a rank-0 map
-        lcu = _extend(cop, P, 0, _iterated_monomial, 0, slot=0)
-        rcu = _extend(cop, P, 0, _iterated_monomial, 0, slot=1)
+        lcu = _extend(cop, P, 0, _counit_monomial, slot=0)
+        rcu = _extend(cop, P, 0, _counit_monomial, slot=1)
         rep.add("counit-left", label, lcu == ident, _diff_note(lcu, ident))
         rep.add("counit-right", label, rcu == ident, _diff_note(rcu, ident))
 

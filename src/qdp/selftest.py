@@ -390,7 +390,7 @@ def gauge_preservation(P: Presentation, B: Presentation) -> list[CheckRow]:
 def bundle_invariants(bundles) -> list[CheckRow]:
     rep = HopfReport()
     for b in bundles:
-        rep.extend(bundle_selfcheck(b, degree_bound=2))
+        rep.extend(bundle_selfcheck(b))
     return rep.rows
 
 

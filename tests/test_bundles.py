@@ -43,7 +43,7 @@ def test_borel2_coproduct_compatibility_note():
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_bundle_selfcheck(name):
-    rep = bundle_selfcheck(builtin(name, 8, 8), degree_bound=2)
+    rep = bundle_selfcheck(builtin(name, 8, 8))
     assert rep.passed, rep.failures()
 
 

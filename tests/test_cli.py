@@ -102,6 +102,41 @@ def test_selftest_below_h_order_2_is_usage_error(capsys):
     assert "delta_2" in err and "Traceback" not in err
 
 
+def test_selftest_text_report(capsys):
+    # the default format: a header, one line per JSON row in the same
+    # order, and the verdict
+    argv = ["selftest", "--h-order", "4", "--degree", "4"]
+    assert run([*argv, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[selftest] N=4 D=4 seed=20240"
+    assert lines[1:-1] == [f"  ok  {r['check']}: {r['subject']}"
+                           for r in rows]
+    assert lines[-1] == "result: PASS"
+
+
+def test_prime_warns_below_the_degree_cap(capsys):
+    assert run(["prime", "borel2", "--h-order", "3", "--degree", "5"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: h-order 3 < degree cap 5; high-degree data is not "
+        "certified\n")
+
+
+def test_member_pairing_route_needs_a_builtin(capsys):
+    assert run(["member", str(MANIFEST_DIR / "borel2.json"), "--via",
+                "pairing", "--element", "x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the pairing route needs a built-in bundle with a canonical "
+        "seed\n")
+
+
+def test_mathematical_failure_exits_1(capsys):
+    assert run(["member", "borel2", "--element", "exp(x)"]) == 1
+    assert capsys.readouterr().err == (
+        "mathematical failure: element exp needs h-valuation >= 1, got 0\n")
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def boom(args, cfg):
         raise RuntimeError("boom")
@@ -336,6 +371,30 @@ def test_pair_command(tmp_path, capsys):
                 "--seed-file", str(seed_path),
                 "--left-elem", "h*x", "--right-elem", "x"]) == 0
     assert "= h" in capsys.readouterr().out
+
+
+def test_pair_header_states_the_pairing_order(tmp_path, capsys):
+    # the two manifests are at h-orders 5 and 7; the value is known to the
+    # smaller one, and the header states the order the pairing ran at
+    left, right = tmp_path / "l5.json", tmp_path / "r7.json"
+    assert run(["show", "borel2", "--manifest", "--h-order", "5"]) == 0
+    left.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert run(["prime", "borel2", "--h-order", "7", "--degree", "4",
+                "-o", str(right)]) == 0
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(json.dumps({
+        "left": "borel2", "right": "borel2_prime",
+        "values": [{"lgen": "x", "rgen": "x", "value": "1"},
+                   {"lgen": "y", "rgen": "y", "value": "1"}]}),
+        encoding="utf-8")
+    capsys.readouterr()
+    assert run(["pair", str(left), str(right), "--seed-file", str(seed_path),
+                "--left-elem", "x", "--right-elem", "x",
+                "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "tool": "qdp", "command": "pair", "h_order": 5, "degree_cap": 4,
+        "left": "x", "right": "x",
+        "value": {"v_min": 0, "order": 5, "coeffs": ["1"]}}
 
 
 def _borel2_seed(tmp_path, capsys, seed) -> list[str]:

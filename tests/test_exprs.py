@@ -40,6 +40,16 @@ class TestParseElement:
             parse_element("x + * y", borel2)
         assert exc.value.position == 4
 
+    @pytest.mark.parametrize("src, position", [("x $ y", 2), ("x$", 1)])
+    def test_unexpected_character_skips_whitespace(self, borel2, src,
+                                                   position):
+        # the error names the bad character, not the space before it
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_element(src, borel2)
+        assert str(exc.value) == (
+            f"unexpected character '$' (at position {position})")
+        assert exc.value.position == position
+
     def test_exp_of_h_times_generator(self, borel2):
         got = parse_element("exp(h*x)", borel2)
         want = element_exp(

@@ -20,7 +20,7 @@ from qdp.hopf import (POLY, SERIES, Presentation, antipode, big_delta_E,
                       delta_E, delta_n, delta_valuation, element_exp,
                       embed_slots, iterated_coproduct, multiply, normal_form)
 from qdp.selftest import random_elements
-from qdp.series import HSeries, _make
+from qdp.series import HSeries, _make, mul
 
 from support import borel2_with, element, from_monomial, series_from_map
 
@@ -727,8 +727,7 @@ def _structure_maps(P, seed):
         out.append(iterated_coproduct(a, 3, P))
         out.extend(delta_n(a, n, P) for n in (1, 2, 3))
     caches = [{k: _exact(v) for k, v in cache.items()}
-              for cache in (P._coproduct_cache, P._antipode_cache,
-                            P._iterated_cache)]
+              for cache in (P._coproduct_cache, P._antipode_cache)]
     return [_exact(v) for v in out], caches, P
 
 
@@ -767,12 +766,22 @@ def _matches_reference(monkeypatch, make, seed):
         monkeypatch, lambda: _structure_maps(make(), seed))
     got, got_caches, Q = _structure_maps(make(), seed)
     assert got == want
-    # the engine also caches the coproduct of every prefix it folds through
+    # The engine caches the coproduct of every prefix it folds through, and
+    # the reference also holds the coproducts its unpruned deltas ask for:
+    # the caches agree where both hold a key, the engine's own keys are the
+    # fold from the unit, and the engine builds the reference's own keys
+    # as the reference did.
     (got_cop, *got_rest), (want_cop, *want_rest) = got_caches, want_caches
-    assert got_cop.keys() >= want_cop.keys()
-    assert {m: got_cop[m] for m in want_cop} == want_cop
+    shared = got_cop.keys() & want_cop.keys()
+    assert shared
+    assert {m: got_cop[m] for m in shared} == {m: want_cop[m] for m in shared}
+    F = make()
+    for m in got_cop.keys() - shared:
+        assert got_cop[m] == _exact(ref_coproduct_monomial(F, m)), m
     assert got_rest == want_rest
     _assert_windowed_deltas(Q, R._delta_cache)
+    for m in want_cop.keys() - shared:
+        assert _exact(hopf.coproduct_monomial(Q, m)) == want_cop[m], m
 
 
 class TestTruncationAwareProducts:
@@ -834,7 +843,7 @@ class TestTruncationAwareProducts:
         x = Monomial.generator(0, 1)
         one = HSeries.one(one_order)
         acc = {}
-        hopf._expand_into(acc, [from_monomial("p", x, one)], coeff, 8)
+        hopf._expand_into(acc, [[(x, one)]], coeff, 8)
         # the full convolution, canonicalised by _make, not HSeries.__mul__
         order = min(coeff.order + one.v_min, one.order + coeff.v_min)
         conv = [0] * (len(coeff.coeffs) + len(one.coeffs) - 1)
@@ -869,14 +878,17 @@ class TestTruncationAwareProducts:
                 for kb, cb in t.terms.items():
                     if ca.v_min + cb.v_min > N:
                         continue
-                    slots = [_nf(P, ma, mb) for ma, mb in zip(ka, kb)]
-                    if all(e.terms for e in slots):
-                        hopf._expand_into(acc, slots, ca * cb, N)
+                    slots = [[(m, c) for (m,), c
+                              in _nf(P, ma, mb).terms.items()]
+                             for ma, mb in zip(ka, kb)]
+                    if all(slots):
+                        hopf._expand_into(acc, slots, mul(ca, cb, N), N)
             want = TensorElement(P.name, 2, acc)
             assert _exact(hopf.multiply(s, t, P)) == _exact(want)
 
     def test_gauge_of_tensor_matches_reference(self):
-        # GaugeMap.of_tensor expands through _expand_into as well
+        # GaugeMap.of_tensor applies _extend once per slot; the reference
+        # expands all slots of a key at once and truncates the sum
         P = _fresh(builtin("borel2", 5, 5).quea)
         h = HSeries.h_power(1, 5)
         phi = GaugeMap.make(P, {"x": P.gen("x") + P.gen("y").scaled(h),
