@@ -118,7 +118,7 @@ def _canonical_seed(quea: Presentation, degree_cap: int) -> PairingSeed:
 
 
 @lru_cache(maxsize=None)
-def builtin(name: str, h_order: int = 8, degree_cap: int = 8) -> ExampleBundle:
+def builtin(name: str, h_order: int, degree_cap: int) -> ExampleBundle:
     """Return a built-in bundle, constructed at the given truncation."""
     N, D = h_order, degree_cap
     if name in ("abelian1", "abelian2", "abelian3"):

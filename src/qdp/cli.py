@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .bundles import BUILTIN_NAMES, builtin, bundle_selfcheck
 from .classical import (POLY, dual_lie_bialgebra, extract_lie_bialgebra,
@@ -24,8 +25,7 @@ from .manifest import (dump_json, load_json, manifest_text,
 # pairing_axioms_check is not called here; bench/tracer.py wraps this binding
 from .pairing import orthogonal_membership, pair, pairing_axioms_check
 from .report import HopfReport, render_json
-from .selftest import (DEFAULT_SEED, RunConfig, limit_duality_rows,
-                       run_selftest)
+from .selftest import RunConfig, limit_duality_rows, run_selftest
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -34,88 +34,90 @@ EXIT_INTERNAL = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--h-order", type=int, default=None, metavar="N",
-                        help="series truncation order (default 8)")
-    common.add_argument("--degree", type=int, default=None, metavar="D",
+    # Each command takes the flags it reads, each under one spelling.
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--h-order", type=int, metavar="N",
+                        help="series truncation order "
+                             f"(default {RunConfig.h_order})")
+    window.add_argument("--degree", type=int, dest="degree_cap",
+                        metavar="D",
                         help="total-degree cap for degree-capped "
-                             "presentations (default 8)")
-    common.add_argument("--format", choices=("text", "json"), default="text",
+                             f"presentations (default {RunConfig.degree_cap})")
+    report = argparse.ArgumentParser(add_help=False, parents=[window])
+    report.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    seeded = argparse.ArgumentParser(add_help=False, parents=[report])
+    seeded.add_argument("--seed", type=int,
                         help="seed for the deterministic random batteries")
 
     ap = argparse.ArgumentParser(
-        prog="qdp",
+        prog="qdp", allow_abbrev=False,
         description="Exact-arithmetic checks for deformation Hopf algebras")
     sub = ap.add_subparsers(dest="cmd", metavar="command")
 
-    sub.add_parser("list", parents=[common], help="list built-in bundles")
+    def command(name, hlp, *parents):
+        return sub.add_parser(name, help=hlp, parents=parents,
+                              allow_abbrev=False)
 
-    p = sub.add_parser("show", parents=[common],
-                       help="describe a built-in bundle")
+    command("list", "list built-in bundles")
+
+    p = command("show", "describe a built-in bundle", window)
     p.add_argument("name")
     p.add_argument("--manifest", action="store_true",
                    help="emit the presentation manifest JSON")
 
-    p = sub.add_parser("check-hopf", parents=[common],
-                       help="verify the Hopf axioms")
+    p = command("check-hopf", "verify the Hopf axioms", report)
     p.add_argument("source", help="built-in name or manifest path")
     p.add_argument("--bound", type=int, default=3,
                    help="monomial degree bound (default 3)")
 
-    p = sub.add_parser("diamond", parents=[common],
-                       help="verify rewriting confluence")
+    p = command("diamond", "verify rewriting confluence", report)
     p.add_argument("source", help="built-in name or manifest path")
 
     for cmd, hlp in (("prime", "rescale generators by h"),
                      ("vee", "rescale generators by 1/h")):
-        p = sub.add_parser(cmd, parents=[common], help=hlp)
+        p = command(cmd, hlp, window)
         p.add_argument("source")
         p.add_argument("-o", "--output", metavar="OUT.json",
                        help="write the transformed manifest here")
 
-    p = sub.add_parser("member", parents=[common],
-                       help="membership in the h-rescaling subalgebra")
+    p = command("member", "membership in the h-rescaling subalgebra", report)
     p.add_argument("source")
     p.add_argument("--element", required=True, metavar="EXPR")
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=int)
     p.add_argument("--via", choices=("delta", "pairing", "both"),
                    default="delta")
 
-    p = sub.add_parser("limit", parents=[common],
-                       help="extract and validate the classical structure")
+    p = command("limit", "extract and validate the classical structure",
+                report)
     p.add_argument("source")
 
-    p = sub.add_parser("dual-check", parents=[common],
-                       help="full duality instance check on a built-in")
+    p = command("dual-check", "full duality instance check on a built-in",
+                report)
     p.add_argument("name")
 
-    p = sub.add_parser("roundtrip", parents=[common],
-                       help="apply both rescaling functors and compare")
+    p = command("roundtrip", "apply both rescaling functors and compare",
+                report)
     p.add_argument("source")
     p.add_argument("--direction", choices=("prime-vee", "vee-prime"),
                    required=True)
 
-    p = sub.add_parser("pair", parents=[common],
-                       help="evaluate a seeded pairing")
+    p = command("pair", "evaluate a seeded pairing", report)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--seed-file", required=True, metavar="SEED.json")
     p.add_argument("--left-elem", required=True, metavar="EXPR")
     p.add_argument("--right-elem", required=True, metavar="EXPR")
 
-    sub.add_parser("selftest", parents=[common],
-                   help="run the whole verification battery")
+    command("selftest", "run the whole verification battery", seeded)
     return ap
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(
-        h_order=args.h_order if args.h_order is not None else 8,
-        degree_cap=args.degree if args.degree is not None else 8,
-        seed=args.seed,
-        output_format=args.format)
+    """RunConfig's defaults, overridden by the flags given."""
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
+                        if given.get(f.name) is not None})
 
 
 def _load_presentation(source: str, args, cfg: RunConfig):
@@ -130,7 +132,8 @@ def _load_presentation(source: str, args, cfg: RunConfig):
     P = presentation_from_manifest(load_json(source))
     fixed = [("h_order", "--h-order", args.h_order, P.h_order)]
     if P.model == SERIES:
-        fixed.append(("degree_cap", "--degree", args.degree, P.degree_cap))
+        fixed.append(("degree_cap", "--degree", args.degree_cap,
+                      P.degree_cap))
     for field, flag, given, value in fixed:
         if given is not None and given != value:
             raise InputError(f"{flag} {given} differs from the manifest "
@@ -139,23 +142,21 @@ def _load_presentation(source: str, args, cfg: RunConfig):
     return P
 
 
-def _emit_report(rep: HopfReport, cfg: RunConfig, command: str,
-                 extra: dict | None = None) -> int:
+def _emit_report(rep: HopfReport, args, cfg: RunConfig, extra: dict) -> int:
     payload = {
         "tool": "qdp",
-        "command": command,
+        "command": args.cmd,
         "h_order": cfg.h_order,
         "degree_cap": cfg.degree_cap,
         "seed": cfg.seed,
+        **extra,
+        "checks": rep.to_jsonable(),
+        "passed": rep.passed,
     }
-    if extra:
-        payload.update(extra)
-    payload["checks"] = rep.to_jsonable()
-    payload["passed"] = rep.passed
-    if cfg.output_format == "json":
+    if args.format == "json":
         sys.stdout.write(render_json(payload))
     else:
-        print(f"[{command}] N={cfg.h_order} D={cfg.degree_cap}")
+        print(f"[{args.cmd}] N={cfg.h_order} D={cfg.degree_cap}")
         print(rep)
         print("result:", "PASS" if rep.passed else "FAIL")
     return EXIT_OK if rep.passed else EXIT_MATH
@@ -195,14 +196,14 @@ def _cmd_show(args, cfg) -> int:
 def _cmd_check_hopf(args, cfg) -> int:
     P = _load_presentation(args.source, args, cfg)
     rep = check_hopf_axioms(P, args.bound)
-    return _emit_report(rep, cfg, "check-hopf", {"presentation": P.name,
-                                                 "bound": args.bound})
+    return _emit_report(rep, args, cfg, {"presentation": P.name,
+                                         "bound": args.bound})
 
 
 def _cmd_diamond(args, cfg) -> int:
     P = _load_presentation(args.source, args, cfg)
     rep = check_diamond(P)
-    return _emit_report(rep, cfg, "diamond", {"presentation": P.name})
+    return _emit_report(rep, args, cfg, {"presentation": P.name})
 
 
 def _cmd_transform(args, cfg) -> int:
@@ -248,7 +249,7 @@ def _cmd_member(args, cfg) -> int:
         rep.add("routes-agree", args.element,
                 certs["delta"].is_member == certs["pairing"].is_member)
     extra = {"certificates": {k: c.to_jsonable() for k, c in certs.items()}}
-    return _emit_report(rep, cfg, "member", extra)
+    return _emit_report(rep, args, cfg, extra)
 
 
 def _cmd_limit(args, cfg) -> int:
@@ -261,9 +262,9 @@ def _cmd_limit(args, cfg) -> int:
     extra = {"structure": L.to_jsonable()}
     if P.model == POLY:
         extra["dual"] = dual_lie_bialgebra(L).to_jsonable()
-    if cfg.output_format == "text":
+    if args.format == "text":
         print(f"classical structure: {L!r}")
-    return _emit_report(rep, cfg, "limit", extra)
+    return _emit_report(rep, args, cfg, extra)
 
 
 def _cmd_dual_check(args, cfg) -> int:
@@ -276,7 +277,7 @@ def _cmd_dual_check(args, cfg) -> int:
     extra = {"bundle": args.name,
              "lie": L.to_jsonable(),
              "dual": LP.to_jsonable()}
-    return _emit_report(rep, cfg, "dual-check", extra)
+    return _emit_report(rep, args, cfg, extra)
 
 
 def _cmd_roundtrip(args, cfg) -> int:
@@ -285,9 +286,8 @@ def _cmd_roundtrip(args, cfg) -> int:
                  else VEE_THEN_PRIME)
     cap = cfg.degree_cap if direction == PRIME_THEN_VEE else None
     rep = roundtrip_check(P, direction, cap)
-    return _emit_report(rep, cfg, "roundtrip",
-                        {"presentation": P.name,
-                         "direction": args.direction})
+    return _emit_report(rep, args, cfg, {"presentation": P.name,
+                                         "direction": args.direction})
 
 
 def _cmd_pair(args, cfg) -> int:
@@ -303,7 +303,7 @@ def _cmd_pair(args, cfg) -> int:
         "left": args.left_elem, "right": args.right_elem,
         "value": value.to_jsonable(),
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         sys.stdout.write(render_json(payload))
     else:
         print(f"<{args.left_elem}, {args.right_elem}> = {value}")
@@ -312,7 +312,7 @@ def _cmd_pair(args, cfg) -> int:
 
 def _cmd_selftest(args, cfg) -> int:
     payload = run_selftest(cfg)
-    if cfg.output_format == "json":
+    if args.format == "json":
         sys.stdout.write(render_json(payload))
     else:
         rep = HopfReport()

@@ -148,20 +148,18 @@ def _rescaled_presentation(P: Presentation, s: int, name: str, model: str,
                         relations, coproducts, counits, antipodes)
 
 
-def prime_presentation(P: Presentation,
-                       degree_cap: int | None = None) -> Presentation:
+def prime_presentation(P: Presentation, degree_cap: int) -> Presentation:
     """Presentation on the rescaled generators h * x_i.
 
     Relation terms pick up h^(2 - deg), coproduct tensor terms
     h^(1 - deg), antipode terms h^(1 - deg); each required division by h
     is performed exactly and NotDivisible reports the offending term.
-    Output is a SERIES presentation with the given degree cap (default:
-    the h-order).
+    Output is a SERIES presentation with the given degree cap.
     """
     if P.model != POLY:
         raise PresentationError("prime transform expects a POLY presentation")
-    cap = degree_cap if degree_cap is not None else P.h_order
-    return _rescaled_presentation(P, +1, f"{P.name}_prime", SERIES, cap)
+    return _rescaled_presentation(P, +1, f"{P.name}_prime", SERIES,
+                                  degree_cap)
 
 
 def vee_presentation(P: Presentation) -> Presentation:
@@ -182,14 +180,12 @@ def vee_presentation(P: Presentation) -> Presentation:
 
 def compare_presentations(A: Presentation, B: Presentation, h_order: int,
                           degree_cap: int | None) -> HopfReport:
-    """Generator-by-generator comparison of all structure data, after
-    truncating both sides to the common (h_order, degree_cap) window."""
+    """Generator-by-generator comparison of the relations, coproducts and
+    antipodes, after truncating both sides to the common (h_order,
+    degree_cap) window.  A round trip keeps the model and the generator
+    list, and every generator counit is zero, so none of these is
+    compared."""
     rep = HopfReport()
-    rep.add("model", f"{A.model} vs {B.model}", A.model == B.model)
-    rep.add("generators", f"{A.generators} vs {B.generators}",
-            A.generators == B.generators)
-    if A.generators != B.generators:
-        return rep
 
     def same(check, subject, a, b):
         # b's terms read under A's name, so that _diff_note can subtract
@@ -203,9 +199,6 @@ def compare_presentations(A: Presentation, B: Presentation, h_order: int,
              A.relations[(i, j)], B.relations[(i, j)])
     for g in A.generators:
         same("coproduct", g, A.coproduct_on_gens[g], B.coproduct_on_gens[g])
-        rep.add("counit", g,
-                A.counit_on_gens[g].truncate(h_order)
-                == B.counit_on_gens[g].truncate(h_order))
         same("antipode", g, A.antipode_on_gens[g], B.antipode_on_gens[g])
     return rep
 
@@ -213,9 +206,10 @@ def compare_presentations(A: Presentation, B: Presentation, h_order: int,
 def roundtrip_check(P: Presentation, direction: str,
                     degree_cap: int | None = None) -> HopfReport:
     """Apply both transforms in the given order and compare against P,
-    exactly, inside the truncation window the pipeline preserves."""
+    exactly, inside the truncation window the pipeline preserves: at
+    degree_cap if the prime transform comes first, else at P's own cap."""
     if direction == PRIME_THEN_VEE:
-        cap = degree_cap if degree_cap is not None else P.h_order
+        cap = degree_cap
         back = vee_presentation(prime_presentation(P, cap))
     elif direction == VEE_THEN_PRIME:
         cap = P.degree_cap

@@ -46,7 +46,7 @@ class PresentationError(InputError):
 class NotAHopfMap(MathematicalFailure):
     """A gauge map fails to be a Hopf algebra morphism."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
 

@@ -1,9 +1,9 @@
 """Sparse tensors over a presented algebra; an element is a rank-1 tensor.
 
 A Monomial is an exponent vector over the generator list: it stands for the
-ordered product x1^e1 * ... * xn^en.  Commutation is never implicit; only
-the rewriting engine (qdp.hopf.normal_form) may produce Monomials, so every
-tensor slot is implicitly in normal form.
+ordered product x1^e1 * ... * xn^en.  Commutation is never implicit: only
+the product kernel (qdp.hopf.multiply, through its slot table) multiplies
+Monomials, so every tensor slot is implicitly in normal form.
 """
 
 from __future__ import annotations

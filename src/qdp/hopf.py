@@ -440,24 +440,22 @@ def _extend(t: TensorElement, P: Presentation, rank: int, image, *args,
 
     Every image is already truncated to P (h-order and degree cap), so the
     result is built in one pass, pruned as the Presentation docstring
-    states, each product cut at h^N.  With a window w, the result is cut
-    at h^w instead, and image takes a window too: each distinct monomial
-    m of the slot is asked once, image(P, m, *args, w=w - v), where v is
-    the least valuation of its coefficients, and not at all when w - v < 0;
-    its terms above that window land above h^w.
+    states, each product cut at h^N, or at h^w with a window w.  Each
+    distinct monomial m of the slot is asked once, and not at all when
+    cut - v < 0, where v is the least valuation of its coefficients; with
+    a window, as image(P, m, *args, w=w - v), whose terms above that
+    window land above h^w.
     """
     _check_owner(P, t)
     cut = P.h_order if w is None else w
-    if w is not None:
-        need: dict[Monomial, int] = {}
-        for key, c in t.terms.items():
-            need[key[slot]] = max(need.get(key[slot], -1), w - c.v_min)
-        images = {m: image(P, m, *args, w=wm)
-                  for m, wm in need.items() if wm >= 0}
+    need: dict[Monomial, int] = {}
+    for key, c in t.terms.items():
+        need[key[slot]] = max(need.get(key[slot], -1), cut - c.v_min)
+    images = {m: image(P, m, *args) if w is None else image(P, m, *args, w=wm)
+              for m, wm in need.items() if wm >= 0}
     acc: dict = {}
     for key, c in t.terms.items():
-        m = key[slot]
-        img = image(P, m, *args) if w is None else images.get(m)
+        img = images.get(key[slot])
         if img is None:
             continue
         vc = c.v_min

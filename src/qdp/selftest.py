@@ -44,10 +44,10 @@ DEFAULT_SEED = 20240
 
 @dataclass
 class RunConfig:
+    """The selftest's inputs; the CLI's (N, D) defaults are these."""
     h_order: int = 8
     degree_cap: int = 8
     seed: int = DEFAULT_SEED
-    output_format: str = "text"
 
 
 def random_elements(P: Presentation, rng: random.Random, count: int,

@@ -17,7 +17,7 @@ def test_names_and_unknown():
     assert set(BUILTIN_NAMES) == {"abelian1", "abelian2", "abelian3",
                                   "borel2", "heisenberg3"}
     with pytest.raises(UnknownExample):
-        builtin("nope")
+        builtin("nope", 8, 8)
 
 
 def test_presentation_repr():

@@ -178,7 +178,13 @@ def test_manifest_structure_maps_are_never_dropped(tmp_path, capsys, table):
      "unknown keys ['relation']"),
     (lambda data: data.update(degree_cap=3),
      "a POLY manifest has no degree cap, got 3"),
-], ids=["misspelled-key", "poly-degree-cap"])
+    (lambda data: data.update(model="FOO"), "unknown model 'FOO'"),
+    (lambda data: data.update(model="SERIES"),
+     "SERIES model needs a degree cap"),
+    (lambda data: data.update(generators=["x", "x"]),
+     "generator names must be distinct"),
+], ids=["misspelled-key", "poly-degree-cap", "unknown-model",
+        "series-without-cap", "duplicate-generators"])
 def test_manifest_data_is_never_dropped(tmp_path, capsys, mangle, message):
     # "relation" for "relations" loaded the abelian algebra, and a POLY
     # manifest's degree cap was ignored; both exited 0
@@ -189,6 +195,114 @@ def test_manifest_data_is_never_dropped(tmp_path, capsys, mangle, message):
     assert run(["check-hopf", str(path), "--bound", "1"]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("term, message", [
+    (2, "(Delta - Delta_op)(y) has a nonzero h^0 part"),
+    (3, "cobracket of y hits a degree (2,1) tensor term"),
+], ids=["cocommutative-mod-h", "cobracket-in-wedge"])
+def test_limit_of_a_non_lie_deformation_exits_1(tmp_path, capsys, term,
+                                                message):
+    # Delta(y)'s terms x (x) y at h^1 and x^2 (x) y at h^2, each moved one
+    # power of h down
+    data = _borel2_manifest()
+    data["coproduct"]["y"][term]["coeff"]["v_min"] -= 1
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["limit", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"mathematical failure: {message}\n")
+
+
+def test_bare_numeric_coefficient_is_a_constant(tmp_path, capsys):
+    data = _borel2_manifest()
+    data["coproduct"]["x"][0]["coeff"] = 1
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["limit", str(path)]) == 0
+    bare = capsys.readouterr()
+    assert run(["limit", str(MANIFEST_DIR / "borel2.json")]) == 0
+    assert bare == capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "no such file: "), ('{"name": ', "not valid JSON: "),
+], ids=["missing", "invalid"])
+def test_unreadable_manifest_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert run(["limit", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}{path}")
+
+
+@pytest.mark.parametrize("element, message", [
+    ("x^y", "expected a natural number exponent (at position 2)"),
+    ("1/x", "expected a denominator (at position 2)"),
+    ("exp x", "expected '(' (at position 4)"),
+    ("(x", "expected ')' (at position 2)"),
+])
+def test_malformed_expression_is_usage_error(capsys, element, message):
+    assert run(["member", "borel2", "--element", element]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_trailing_space_in_an_expression_parses(capsys):
+    certs = []
+    for element in ("x ", "x"):
+        assert run(["member", "borel2", "--element", element,
+                    "--format", "json"]) == 1
+        certs.append(json.loads(capsys.readouterr().out)["certificates"])
+    assert certs[0] == certs[1]
+
+
+# The common flags each command reads; a command takes no other.
+FLAGS_READ = {
+    "list": (),
+    "show": ("--h-order", "--degree"),
+    "prime": ("--h-order", "--degree"),
+    "vee": ("--h-order", "--degree"),
+    "selftest": ("--h-order", "--degree", "--format", "--seed"),
+    **{cmd: ("--h-order", "--degree", "--format")
+       for cmd in ("check-hopf", "diamond", "member", "limit", "dual-check",
+                   "roundtrip", "pair")},
+}
+FLAG_VALUES = {"--h-order": "4", "--degree": "4", "--format": "json",
+               "--seed": "5"}
+COMMAND_ARGS = {
+    "show": ["borel2"], "check-hopf": ["borel2"], "diamond": ["borel2"],
+    "prime": ["borel2"], "vee": ["borel2"], "limit": ["borel2"],
+    "dual-check": ["borel2"], "member": ["borel2", "--element", "h*x"],
+    "roundtrip": ["borel2", "--direction", "prime-vee"],
+    "pair": ["borel2", "borel2", "--seed-file", "seed.json",
+             "--left-elem", "x", "--right-elem", "x"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(FLAGS_READ))
+def test_each_command_takes_only_the_flags_it_reads(capsys, cmd):
+    # every command took all four flags, and 17 of those 48 were read by
+    # nothing: `qdp list --format json` printed text and exited 0
+    argv = [cmd, *COMMAND_ARGS.get(cmd, ())]
+    flags = [[f, FLAG_VALUES[f]] for f in FLAGS_READ[cmd]]
+    cli._build_parser().parse_args(argv + sum(flags, []))
+    for flag, value in FLAG_VALUES.items():
+        if flag not in FLAGS_READ[cmd]:
+            assert run([*argv, flag, value]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-hopf", "borel2", "--b", "1"],
+    ["check-hopf", "borel2", "--deg", "3"],
+    ["pair", *COMMAND_ARGS["pair"], "--seed", "5"],
+], ids=["bound", "degree", "seed-file"])
+def test_flags_take_one_spelling(capsys, argv):
+    # --b 1 --deg 3 ran check-hopf with bound 1 at D=3
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {argv[-2]}" in err
 
 
 def test_diamond_takes_no_bound(capsys):
@@ -271,11 +385,11 @@ LIE_REPORT_SHA256 = {
     ("limit", "heisenberg3", "text"): "b888c729071645db",
     ("limit", "heisenberg3'", "json"): "d128888a9dd4a78c",
     ("limit", "heisenberg3'", "text"): "4c35c89cee716df1",
-    ("dual-check", "abelian1", "json"): "b4436e36578578ed",
-    ("dual-check", "abelian2", "json"): "1fb76af42fe529ff",
-    ("dual-check", "abelian3", "json"): "0d40721c42376da5",
-    ("dual-check", "borel2", "json"): "a5362809476f5eb9",
-    ("dual-check", "heisenberg3", "json"): "ed24ca165737aef6",
+    ("dual-check", "abelian1", "json"): "3e9f5709b81ec41c",
+    ("dual-check", "abelian2", "json"): "4ef2d1e93d678ca7",
+    ("dual-check", "abelian3", "json"): "356843f38e204687",
+    ("dual-check", "borel2", "json"): "ddad3567a1ab9136",
+    ("dual-check", "heisenberg3", "json"): "3167bd193458c3ce",
 }
 
 
@@ -334,16 +448,16 @@ COMMAND_GRID = {
     ("limit", "abelian3"): (0, "787078ba1c07a74c"),
     ("limit", "borel2"): (0, "68fad682bd11d6f9"),
     ("limit", "heisenberg3"): (0, "e05d2383e703c82b"),
-    ("dual-check", "abelian1"): (0, "edd76181a216ac7b"),
-    ("dual-check", "abelian2"): (0, "8de30d7aecd2f90c"),
-    ("dual-check", "abelian3"): (0, "59dfa88bd7ffb803"),
-    ("dual-check", "borel2"): (0, "f4c357b068f73be3"),
-    ("dual-check", "heisenberg3"): (0, "32796ee5ec37c4b5"),
-    ("roundtrip", "abelian1"): (0, "ec570df978606f50"),
-    ("roundtrip", "abelian2"): (0, "78a0017ecba7e8f9"),
-    ("roundtrip", "abelian3"): (0, "47b52428c056e8c5"),
-    ("roundtrip", "borel2"): (0, "8a5ae1b0407babad"),
-    ("roundtrip", "heisenberg3"): (0, "b9ae90b8128fb620"),
+    ("dual-check", "abelian1"): (0, "e5cf6fa29b4d4e48"),
+    ("dual-check", "abelian2"): (0, "27f58807cc64dbb3"),
+    ("dual-check", "abelian3"): (0, "a56999437d084e78"),
+    ("dual-check", "borel2"): (0, "114e74bc8b0377e2"),
+    ("dual-check", "heisenberg3"): (0, "878eb62dda3a2e55"),
+    ("roundtrip", "abelian1"): (0, "4a6a66e02ad94ac1"),
+    ("roundtrip", "abelian2"): (0, "95d7a553791bfa2a"),
+    ("roundtrip", "abelian3"): (0, "8d84022cbc0f18de"),
+    ("roundtrip", "borel2"): (0, "024fd91e56afe0a5"),
+    ("roundtrip", "heisenberg3"): (0, "b1ca30b5c1bee01c"),
 }
 
 
@@ -425,8 +539,10 @@ def _seed_values(*values) -> dict:
     ({"left": "borel2", "right": "borel2_prime",
       "valuse": [{"lgen": "x", "rgen": "x", "value": "1"}]},
      "unknown keys ['valuse']"),
+    (_seed_values({"lgen": "x", "rgen": "q", "value": "1"}),
+     "seed references unknown right generator 'q'"),
 ], ids=["no-rgen", "list-item", "top-level-list", "duplicate", "laurent",
-        "misspelled-key"])
+        "misspelled-key", "unknown-rgen"])
 def test_malformed_seed_is_usage_error(tmp_path, capsys, seed, message):
     # the first three were internal errors (exit 3); the duplicate kept the
     # later value and the h^-1 value paired x^3 with x^3 to 6*h^-3, exit 0;
@@ -585,7 +701,7 @@ def test_every_command_has_a_handler():
     parser = cli._build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(cli._HANDLERS)
+    assert set(sub.choices) == set(cli._HANDLERS) == set(FLAGS_READ)
 
 
 # -- manifest fuzzing ---------------------------------------------------------
