@@ -20,10 +20,10 @@ The examples were chosen so every expected outcome is checkable by hand:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .classical import (LieBialgebra, dual_lie_bialgebra,
                         extract_lie_bialgebra, lie_bialgebra_equal,
@@ -39,8 +39,7 @@ from .series import HSeries
 BUILTIN_NAMES = ("abelian1", "abelian2", "abelian3", "borel2", "heisenberg3")
 
 
-@dataclass(frozen=True)
-class ExampleBundle:
+class ExampleBundle(NamedTuple):
     name: str
     quea: Presentation
     lie: LieBialgebra

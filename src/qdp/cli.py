@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from .bundles import BUILTIN_NAMES, builtin, bundle_selfcheck
 from .classical import (POLY, dual_lie_bialgebra, extract_lie_bialgebra,
@@ -116,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config(args) -> RunConfig:
     """RunConfig's defaults, overridden by the flags given."""
     given = vars(args)
-    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
-                        if given.get(f.name) is not None})
+    return RunConfig(**{name: given[name] for name in vars(RunConfig())
+                        if given.get(name) is not None})
 
 
 def _load_presentation(source: str, args, cfg: RunConfig):

@@ -18,7 +18,7 @@ smallest h-window that shows it (hopf.delta_valuation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (InputError, MixedPresentations, NotAHopfMap, NotDivisible,
                      PresentationError)
@@ -36,8 +36,7 @@ PRIME_THEN_VEE = "PrimeThenVee"
 VEE_THEN_PRIME = "VeeThenPrime"
 
 
-@dataclass
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     element: str
     n_checked: list[int]
     valuations: list  # int or math.inf, aligned with n_checked
@@ -222,12 +221,12 @@ def roundtrip_check(P: Presentation, direction: str,
 # -- gauge maps ----------------------------------------------------------------------
 
 
-@dataclass
 class GaugeMap:
     """Generator images of the form x_i + h * (correction)."""
 
-    images: dict
-    _power_cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, images: dict):
+        self.images = images
+        self._power_cache = {}
 
     @classmethod
     def make(cls, P: Presentation, images: dict) -> "GaugeMap":

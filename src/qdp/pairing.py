@@ -20,8 +20,8 @@ seed carries no verdict of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import InputError, MixedPresentations, PresentationError
 from .freealg import Monomial, TensorElement
@@ -35,8 +35,7 @@ import itertools
 import math
 
 
-@dataclass(frozen=True)
-class PairingSeed:
+class PairingSeed(NamedTuple):
     """Generator-pair values inducing a candidate Hopf pairing."""
 
     left: Presentation

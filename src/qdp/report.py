@@ -8,12 +8,10 @@ which fixes the row order of a report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
-@dataclass
-class CheckRow:
+class CheckRow(NamedTuple):
     check: str
     subject: str
     passed: bool
@@ -31,9 +29,9 @@ class CheckRow:
         return f"{self.check}: {self.subject}{tail}"
 
 
-@dataclass
 class HopfReport:
-    rows: list[CheckRow] = field(default_factory=list)
+    def __init__(self):
+        self.rows: list[CheckRow] = []
 
     @property
     def passed(self) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -42,12 +41,15 @@ from .series import HSeries
 DEFAULT_SEED = 20240
 
 
-@dataclass
 class RunConfig:
     """The selftest's inputs; the CLI's (N, D) defaults are these."""
-    h_order: int = 8
-    degree_cap: int = 8
-    seed: int = DEFAULT_SEED
+    h_order = 8
+    degree_cap = 8
+    seed = DEFAULT_SEED
+
+    def __init__(self, h_order: int = h_order, degree_cap: int = degree_cap,
+                 seed: int = seed):
+        self.h_order, self.degree_cap, self.seed = h_order, degree_cap, seed
 
 
 def random_elements(P: Presentation, rng: random.Random, count: int,

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -98,7 +97,7 @@ def test_wrong_expected_dual_fails_one_limit_duality_row():
     # bialgebra as the expected dual must fail exactly the row that reads
     # the record, and the four rows computed from the presentation pass
     b = builtin("heisenberg3", 6, 6)
-    mutant = dataclasses.replace(b, expected_dual=b.lie)
+    mutant = b._replace(expected_dual=b.lie)
     rows, _, _ = limit_duality_rows(mutant, 6)
     assert len(rows) == 5
     assert [r.subject for r in rows if not r.passed] == [

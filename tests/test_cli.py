@@ -4,6 +4,9 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -309,6 +312,20 @@ def test_diamond_takes_no_bound(capsys):
     # diamond never read --bound, so --bound -5 printed PASS with exit 0
     assert run(["diamond", "borel2", "--bound", "-5"]) == 2
     assert "PASS" not in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, several ms of
+    # every cold qdp process; the records are NamedTuples or plain classes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys, qdp.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_check_hopf_json_schema(capsys):

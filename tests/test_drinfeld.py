@@ -15,6 +15,7 @@ from qdp.errors import (NotAHopfMap, NotDivisible, PresentationError)
 from qdp.exprs import parse_element
 from qdp.freealg import Monomial, TensorElement
 from qdp.hopf import POLY, SERIES, Presentation, multiply
+from qdp.report import CheckRow
 from qdp.series import HSeries
 
 from support import from_monomial
@@ -221,6 +222,18 @@ class TestCertificateSerialization:
         assert data["witness"] == 1
         assert data["n_checked"] == [0, 1, 2, 3]
         assert data["valuations"][0] is None  # +inf encodes as null
+
+    def test_records_compare_by_content(self, borel2):
+        # tests compare certificates and rows by value, not by identity
+        fresh = builtin("borel2", 7, 7).quea
+        y = prime_membership(borel2.gen("y"), borel2, n_max=3)
+        assert y == prime_membership(fresh.gen("y"), fresh, n_max=3)
+        assert y != prime_membership(borel2.gen("x"), borel2, n_max=3)
+        assert y != prime_membership(borel2.gen("y"), borel2, n_max=2)
+        row = CheckRow("coproduct", "y", False, "leading term y")
+        assert row == CheckRow("coproduct", "y", False, "leading term y")
+        assert row != CheckRow("coproduct", "y", False, "leading term x")
+        assert row != CheckRow("coproduct", "y", True, "leading term y")
 
 
 def _member_delta_catalogue() -> list[str]:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -101,9 +100,9 @@ class TestAxioms:
 
     def test_shared_bundle_and_seed_are_frozen(self, borel2_bundle):
         # builtin() shares its bundles, so no check may leave state on them
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             borel2_bundle.pairing_seed.values = {}
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             borel2_bundle.pairing_seed = None
 
 
@@ -189,7 +188,7 @@ def test_oracle_refuses_a_seed_only_a_narrower_check_passes():
     real = builtin("borel2", 8, 8).pairing_seed
     values = dict(real.values)
     values[(0, 0)] = values[(0, 0)] + HSeries.h_power(6, 8)
-    bent = dataclasses.replace(real, values=values)
+    bent = real._replace(values=values)
     abelian1 = builtin("abelian1", 8, 8).pairing_seed
     with pytest.raises(InputError, match="not a Hopf pairing"):
         oracle_agreement(bent, random.Random(DEFAULT_SEED + 2))
@@ -203,7 +202,7 @@ def test_pairing_duality_rejects_a_rescaled_seed():
     # abelian1), so the compatibility suite passes, but <x^m, y^n/n!> is
     # 2^m delta_mn: only the duality row can tell the seed is wrong
     real = builtin("abelian1", 8, 8).pairing_seed
-    doubled = dataclasses.replace(real, values={(0, 0): HSeries.const(2, 8)})
+    doubled = real._replace(values={(0, 0): HSeries.const(2, 8)})
     duality, *axioms = pairing_duality(
         [doubled, builtin("borel2", 8, 8).pairing_seed])
     assert not duality.passed
@@ -228,7 +227,7 @@ def test_oracle_agreement_rejects_a_seed_that_pairs_nothing():
     # the oracle's own check passes, but it is degenerate and the pairing
     # route calls elements members that the deviation route refuses
     real = builtin("borel2", 8, 8).pairing_seed
-    rows = oracle_agreement(dataclasses.replace(real, values={}),
+    rows = oracle_agreement(real._replace(values={}),
                             random.Random(DEFAULT_SEED + 2))
     failed = [r for r in rows if not r.passed]
     assert len(rows) == 33 and len(failed) == 16
