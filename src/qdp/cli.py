@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .bundles import BUILTIN_NAMES, builtin, bundle_selfcheck
 from .classical import (POLY, dual_lie_bialgebra, extract_lie_bialgebra,
@@ -18,9 +19,8 @@ from .drinfeld import (PRIME_THEN_VEE, VEE_THEN_PRIME, prime_membership,
 from .errors import InputError, MathematicalFailure
 from .exprs import element_to_expr, parse_element
 from .hopf import SERIES, check_diamond, check_hopf_axioms
-from .manifest import (dump_json, load_json, manifest_text,
-                       presentation_from_manifest, presentation_to_manifest,
-                       seed_from_manifest)
+from .manifest import (load_json, presentation_from_manifest,
+                       presentation_to_manifest, seed_from_manifest)
 # pairing_axioms_check is not called here; bench/tracer.py wraps this binding
 from .pairing import orthogonal_membership, pair, pairing_axioms_check
 from .report import HopfReport, render_json
@@ -173,7 +173,7 @@ def _cmd_list(args, cfg) -> int:
 def _cmd_show(args, cfg) -> int:
     b = builtin(args.name, cfg.h_order, cfg.degree_cap)
     if args.manifest:
-        sys.stdout.write(manifest_text(presentation_to_manifest(b.quea)))
+        sys.stdout.write(render_json(presentation_to_manifest(b.quea)))
         return EXIT_OK
     P = b.quea
     print(f"{b.name}: {P.model} presentation, N={P.h_order}, "
@@ -215,12 +215,12 @@ def _cmd_transform(args, cfg) -> int:
         print(f"warning: h-order {cfg.h_order} < degree cap "
               f"{cfg.degree_cap}; high-degree data is not certified",
               file=sys.stderr)
-    manifest = presentation_to_manifest(out)
+    text = render_json(presentation_to_manifest(out))
     if args.output:
-        dump_json(manifest, args.output)
+        Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output}")
     else:
-        sys.stdout.write(manifest_text(manifest))
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -1,21 +1,27 @@
 """JSON manifests for presentations, elements, tensors and pairing seeds.
 
 Series values in a manifest may be given either in the explicit window
-form {"v_min", "order", "coeffs"} or as a generator-free expression
-string such as "exp(3*h)" or "1/2", expanded at load time at the
-manifest's h-order.
+form {"v_min", "order", "coeffs"}, whose entries are integral numbers or
+rational strings such as "-3/2" and are 0 past the series' own order, or
+as a generator-free expression string such as "exp(3*h)" or "1/2",
+expanded at load time at the manifest's h-order.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError
+from .exprs import parse_scalar
 from .freealg import Monomial, TensorElement, add_into
 from .hopf import POLY, Presentation
 from .pairing import PairingSeed
 from .series import HSeries
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _exact_int(value, what: str) -> int:
@@ -36,15 +42,22 @@ def _no_unknown_keys(data: dict, known: tuple[str, ...], what: str):
 
 def series_from_jsonable(data, order: int) -> HSeries:
     if isinstance(data, str):
-        from .exprs import parse_scalar
         return parse_scalar(data, order)
     if isinstance(data, (int, float)):
         return HSeries.const(_exact_int(data, "a numeric coefficient"), order)
     try:
-        for key in ("v_min", "order"):
-            _exact_int(data[key], f"series {key}")
-        return HSeries.from_jsonable(data)
-    except (KeyError, TypeError, ValueError) as exc:
+        _no_unknown_keys(data, ("v_min", "order", "coeffs"), "a series")
+        v_min, top = (_exact_int(data[key], f"series {key}")
+                      for key in ("v_min", "order"))
+        if type(data["coeffs"]) is not list:
+            raise TypeError("coeffs is not a list")
+        coeffs = [Fraction(c) if isinstance(c, str) and _RATIONAL.fullmatch(c)
+                  else _exact_int(c, "a numeric coefficient")
+                  for c in data["coeffs"]]
+        if any(c and v_min + i > top for i, c in enumerate(coeffs)):
+            raise ValueError(f"a nonzero coefficient lies past order {top}")
+        return HSeries(v_min, top, coeffs)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad series value {data!r}: {exc}") from exc
 
 
@@ -178,13 +191,3 @@ def load_json(path: str | Path) -> dict:
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {path}: {exc}") from exc
-
-
-def dump_json(data: dict, path: str | Path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-
-
-def manifest_text(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"

@@ -1,14 +1,35 @@
-"""Check rows, reports, and the task runner.
+"""Check rows, reports, the one comparison, the task runner, JSON text.
 
 Reports list every check performed, passes included, so a green run is as
-auditable as a red one.  Tasks run one after another in the order given,
-which fixes the row order of a report.
+auditable as a red one.  Every verdict that sets two computed values side
+by side is decided by discrepancy.  Tasks run one after another in the
+order given, which fixes the row order of a report.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Callable, NamedTuple, Sequence
+
+from .freealg import TensorElement
+
+
+def discrepancy(got, want, *cut) -> str:
+    """"" when got and want agree, both first cut by truncate(*cut) when a
+    cut is given; else "discrepancy: " and got - want, a tensor's shown by
+    its leading three terms in deglex order, since a failing axiom can
+    differ in thousands of terms."""
+    if cut:
+        got, want = got.truncate(*cut), want.truncate(*cut)
+    if got == want:
+        return ""
+    diff = got - want
+    if not isinstance(diff, TensorElement):
+        return f"discrepancy: {diff}"
+    terms = diff.sorted_terms()
+    lead = TensorElement(diff.pres, diff.rank, dict(terms[:3]))
+    more = f" (+{len(terms) - 3} more terms)" if len(terms) > 3 else ""
+    return f"discrepancy: {lead!r}{more}"
 
 
 class CheckRow(NamedTuple):
@@ -40,6 +61,11 @@ class HopfReport:
     def add(self, check: str, subject: str, passed: bool, detail: str = ""):
         self.rows.append(CheckRow(check, subject, bool(passed), detail))
 
+    def compare(self, check: str, subject: str, got, want, *cut):
+        """The row that passes iff discrepancy(got, want, *cut) is ""."""
+        note = discrepancy(got, want, *cut)
+        self.rows.append(CheckRow(check, subject, not note, note))
+
     def extend(self, other: "HopfReport"):
         self.rows.extend(other.rows)
 
@@ -68,5 +94,5 @@ def run_tasks(tasks: Sequence[tuple[str, Callable[[], list[CheckRow]]]]
     return rows
 
 
-def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+def render_json(data: dict) -> str:
+    return json.dumps(data, indent=2) + "\n"

@@ -13,8 +13,8 @@ through sums, valuation-adjusted minimum through products) so precision
 loss is always explicit.
 
 The deformations live over k[[h]]: the public constructors (HSeries(...),
-from_jsonable, h_power, const and shift) raise ValueError on a nonzero
-coefficient below h^0.  _make, mul and hsum stay unchecked, since
+h_power, const and shift) raise ValueError on a nonzero coefficient below
+h^0.  _make, mul and hsum stay unchecked, since
 non-negative inputs cannot produce one.
 
 Equality compares stored content only: two series that agree
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import NotDivisible
 
@@ -288,11 +288,6 @@ class HSeries:
             "order": self.order,
             "coeffs": [str(Fraction(c, den)) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping) -> "HSeries":
-        return cls(int(data["v_min"]), int(data["order"]),
-                   [Fraction(c) for c in data["coeffs"]])
 
 
 def mul(a: HSeries, b: HSeries, cut=INF) -> HSeries:

@@ -27,6 +27,8 @@ from qdp.cli import run
 from qdp.drinfeld import (PRIME_THEN_VEE, VEE_THEN_PRIME, prime_membership,
                           prime_presentation, roundtrip_check,
                           vee_presentation)
+from qdp.freealg import Monomial
+from qdp.hopf import coproduct
 from qdp.selftest import CRITERIA, RunConfig
 from qdp.series import HSeries
 
@@ -220,6 +222,20 @@ def test_criterion_11_determinism(selftest_outputs):
     print(f"ACCEPTANCE 11 deterministic reports: "
           f"{'PASS' if ok else 'FAIL'} ({len(out_in)} bytes)")
     assert ok
+
+
+def test_criterion_11_fails_on_a_planted_cache_entry(selftest_outputs):
+    # the mutant of test 11: one wrong entry in a cache of a shared bundle,
+    # twice the coproduct of x*y in heisenberg3, fails its bundle-hopf-axioms
+    # row, so this process's report differs from the fresh process's
+    P = builtin("heisenberg3", N, D).quea
+    xy = Monomial((1, 1, 0))
+    try:
+        P._coproduct_cache[xy] = coproduct(P.lift(xy), P).scaled(2)
+        code, out_in = _run_cli(["selftest", "--format", "json"])
+    finally:
+        builtin.cache_clear()
+    assert code == 1 and out_in != selftest_outputs[1]
 
 
 def test_report_bytes_pinned(selftest_outputs):

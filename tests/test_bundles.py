@@ -5,8 +5,8 @@ import pytest
 from qdp.bundles import BUILTIN_NAMES, builtin, bundle_selfcheck
 from qdp.classical import extract_lie_bialgebra, lie_bialgebra_equal
 from qdp.errors import UnknownExample
-from qdp.manifest import (manifest_text, presentation_from_manifest,
-                          presentation_to_manifest)
+from qdp.manifest import presentation_from_manifest, presentation_to_manifest
+from qdp.report import render_json
 from qdp.selftest import limit_duality_rows
 
 MANIFEST_DIR = Path(__file__).resolve().parents[1] / "src/qdp/manifests"
@@ -68,7 +68,7 @@ def test_manifest_roundtrip(name):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_shipped_manifest_is_current(name):
     P = builtin(name, 8, 8).quea
-    want = manifest_text(presentation_to_manifest(P))
+    want = render_json(presentation_to_manifest(P))
     shipped = (MANIFEST_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert shipped == want
 

@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qdp import cli
 from qdp.bundles import builtin
 from qdp.cli import run
+from qdp.errors import InputError
+from qdp.manifest import presentation_from_manifest, seed_from_manifest
 from qdp.selftest import limit_duality_rows
 
 MANIFEST_DIR = Path(__file__).resolve().parents[1] / "src/qdp/manifests"
@@ -186,8 +188,10 @@ def test_manifest_structure_maps_are_never_dropped(tmp_path, capsys, table):
      "SERIES model needs a degree cap"),
     (lambda data: data.update(generators=["x", "x"]),
      "generator names must be distinct"),
+    (lambda data: data["relations"][0]["r"][0]["coeff"].update(den=2),
+     "a series has unknown keys ['den']"),
 ], ids=["misspelled-key", "poly-degree-cap", "unknown-model",
-        "series-without-cap", "duplicate-generators"])
+        "series-without-cap", "duplicate-generators", "series-key"])
 def test_manifest_data_is_never_dropped(tmp_path, capsys, mangle, message):
     # "relation" for "relations" loaded the abelian algebra, and a POLY
     # manifest's degree cap was ignored; both exited 0
@@ -852,3 +856,83 @@ def test_fuzzed_manifests_keep_the_exit_contract(fuzz_dir, data):
     _exit_contract(["pair", str(mpath), str(fuzz_dir / "prime.json"),
                     "--seed-file", str(spath), "--left-elem", "x*y",
                     "--right-elem", "x*y"])
+
+
+@pytest.mark.parametrize("coeffs, order, message", [
+    (["1/0"], 8, "['1/0']}: Fraction(1, 0)"),
+    ([0.1], 8, "must be an integer, got 0.1"),
+    ([True], 8, "must be an integer, got True"),
+    (["-1"], -5, "a nonzero coefficient lies past order -5"),
+    (["-1", 0, 0, "2"], 2, "a nonzero coefficient lies past order 2"),
+    ("-1", 8, "coeffs is not a list"),
+], ids=["zero-denominator", "float", "boolean", "order-below-entry",
+        "entry-past-order", "string-coeffs"])
+def test_manifest_coefficient_entries_are_read_exactly(tmp_path, capsys,
+                                                       coeffs, order,
+                                                       message):
+    # "1/0" exited 3; 0.1 was read as 3602879701896397/36028797018963968
+    # and true as 1; an entry past the series' order was dropped, so with
+    # "order": -5 on borel2's relation check-hopf passed the abelian algebra
+    data = _borel2_manifest()
+    data["relations"][0]["r"][0]["coeff"] = {"v_min": 0, "order": order,
+                                             "coeffs": coeffs}
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["check-hopf", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("coeffs", [[-1], [-1.0], ["-1"], ["-2/2"]])
+def test_manifest_coefficient_entries_integral_or_rational(tmp_path, coeffs):
+    data = _borel2_manifest()
+    data["relations"][0]["r"][0]["coeff"]["coeffs"] = coeffs
+    P = presentation_from_manifest(data)
+    assert P.relations == builtin("borel2", 8, 8).quea.relations
+
+
+# The strings a coefficient reader can trip on, then a JSON value of every
+# type
+_TRICKY = st.sampled_from(["1/0", "-3/2", "0.5", "1e400", "nan", "inf", " 2 ",
+                           "x", ""])
+_JSON_VALUE = st.one_of(
+    _TRICKY, st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
+    st.floats(), st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["v_min", "order", "coeffs"]),
+                    st.integers(-2, 2), max_size=2))
+
+
+@st.composite
+def _window_series(draw):
+    series = {"v_min": draw(_JSON_VALUE), "order": draw(_JSON_VALUE),
+              "coeffs": draw(st.one_of(st.lists(_JSON_VALUE, max_size=4),
+                                       _JSON_VALUE))}
+    if draw(st.booleans()):     # well-typed integers, mostly
+        series["v_min"] = draw(st.integers(-3, 12))
+        series["order"] = draw(st.integers(-3, 12))
+    return series
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(where=st.sampled_from(["relation", "coproduct", "counit", "antipode",
+                              "seed"]),
+       series=_window_series())
+def test_window_series_values_keep_the_exit_contract(where, series):
+    # each reader returns a value or raises InputError (exit 2), never
+    # another exception (exit 3)
+    data, seed = _borel2_manifest(), copy.deepcopy(_SEED)
+    if where == "relation":
+        data["relations"][0]["r"][0]["coeff"] = series
+    elif where == "coproduct":
+        data["coproduct"]["y"][1]["coeff"] = series
+    elif where == "counit":
+        data["counit"]["x"] = series
+    elif where == "antipode":
+        data["antipode"]["y"][0]["coeff"] = series
+    else:
+        seed["values"][0]["value"] = series
+    right = builtin("borel2", 8, 8).pairing_seed.right
+    with contextlib.suppress(InputError):
+        left = presentation_from_manifest(data)
+        seed_from_manifest(seed, left, right)

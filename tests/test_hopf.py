@@ -19,6 +19,7 @@ from qdp.hopf import (POLY, SERIES, Presentation, antipode, big_delta_E,
                       check_diamond, check_hopf_axioms, coproduct, counit,
                       delta_E, delta_n, delta_valuation, element_exp,
                       embed_slots, iterated_coproduct, multiply, normal_form)
+from qdp.report import discrepancy
 from qdp.selftest import random_elements
 from qdp.series import HSeries, _make, mul
 
@@ -478,7 +479,7 @@ class TestDiamond:
             assert row.subject == "*".join(
                 P.generators[g] for g in (k, j, i))
             assert row.passed == (want_a == want_b)
-            assert row.detail == hopf._diff_note(want_a, want_b)
+            assert row.detail == discrepancy(want_a, want_b)
         assert {r.subject: r.detail for r in rep.failures()} == failing
 
     def test_heisenberg_confluent(self, heis):
