@@ -2,13 +2,14 @@
 
 Reports list every check performed, passes included, so a green run is as
 auditable as a red one.  Every verdict that sets two computed values side
-by side is decided by discrepancy.  Tasks run one after another in the
-order given, which fixes the row order of a report.
+by side is decided by discrepancy.  Tasks run one after another, and
+fork_map keeps item order at any CPU count, so the row order is fixed.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Callable, NamedTuple, Sequence
 
 from .freealg import TensorElement
@@ -92,6 +93,61 @@ def run_tasks(tasks: Sequence[tuple[str, Callable[[], list[CheckRow]]]]
     for _, fn in tasks:
         rows.extend(fn())
     return rows
+
+
+def fork_map(fn: Callable, items: Sequence) -> list:
+    """[fn(x) for x in items]: the caller and a worker forked per further CPU
+    take indices off a pipe filled first; workers pickle their results back
+    and end in os._exit.  All are reaped before this returns or raises the
+    lowest failing index's exception.  No other thread may be running."""
+    import pickle
+    parent, workers = os.getpid(), []
+
+    def drain():
+        # (index, raised, result) per index taken while the caller lives
+        while parent in (os.getpid(), os.getppid()) and (
+                index := os.read(queue, 4)):
+            i = int.from_bytes(index, "big")
+            try:
+                yield i, False, fn(items[i])
+            except Exception as exc:
+                yield i, True, exc
+                os.read(queue, 4 * len(items))  # every later index is moot
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    queue, feed = os.pipe()
+    os.set_blocking(feed, False)
+    written = os.write(feed, b"".join(i.to_bytes(4, "big")
+                                      for i in range(len(items))))
+    os.close(feed)
+    try:
+        if written < 4 * len(items):
+            raise ValueError(f"{len(items)} items overflow the work queue")
+        for _ in range(cpus - 1 if hasattr(os, "fork") else 0):
+            out, into = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(into, "wb") as fh:
+                        pickle.dump(list(drain()), fh)
+                finally:
+                    os._exit(0)
+            os.close(into)
+            workers.append((pid, out))
+        done = list(drain())
+        for pid, out in workers:
+            with open(out, "rb", closefd=False) as fh:
+                done.extend(pickle.load(fh))
+    finally:
+        os.close(queue)
+        for pid, out in workers:
+            os.close(out)
+            os.waitpid(pid, 0)
+    done.sort()  # by index, unique per entry
+    for _, raised, value in done:
+        if raised:
+            raise value
+    return [value for _, _, value in done]
 
 
 def render_json(data: dict) -> str:

@@ -32,10 +32,11 @@ from .errors import InputError, NotAHopfMap
 from .exprs import parse_element
 from .freealg import TensorElement, add_into
 from .hopf import (Presentation, big_delta_E, coproduct, delta_E, delta_n,
-                   multiply, normal_form)
+                   embed_slots, multiply, normal_form)
 from .pairing import (PairingSeed, orthogonal_membership, pair,
                       pairing_axioms_check)
-from .report import CheckRow, HopfReport, discrepancy, run_tasks
+from .report import (CheckRow, HopfReport, discrepancy, fork_map,
+                     run_tasks)
 from .series import HSeries
 
 DEFAULT_SEED = 20240
@@ -152,14 +153,6 @@ def _covering_pairs(phi: tuple[int, ...]):
         yield lam, y
 
 
-def _tensor_sum(parts, P: Presentation, rank: int) -> TensorElement:
-    acc: dict = {}
-    for sign, t in parts:
-        for key, c in t.terms.items():
-            add_into(acc, key, c if sign > 0 else -c)
-    return TensorElement(P.name, rank, acc)
-
-
 def _pair_batteries(presentations, rng: random.Random):
     """Fifty random pairs (a, b) on each presentation, drawn in order."""
     return [(P, list(zip(random_elements(P, rng, 50, max_terms=2),
@@ -179,39 +172,47 @@ def _failures(bad: list) -> str:
     return f"{len(bad)} failures" + (f"; first: {bad[0]}" if bad else "")
 
 
+def _expansion_failures(unit) -> list:
+    """One pair's failing instances (none or one) of each expansion row, in
+    row order; each delta_k(a), delta_k(b) is embedded in every k-subset."""
+    P, a, b = unit
+    ab, ba = multiply(a, b, P), multiply(b, a, P)
+    da, db = ([delta_n(e, k, P) for k in range(4)] for e in (a, b))
+    out = []
+    for n in (1, 2, 3):
+        phi = tuple(range(1, n + 1))
+        ea, eb = ({s: embed_slots(d[len(s)], s, n, P) for k in range(n + 1)
+                   for s in itertools.combinations(phi, k)} for d in (da, db))
+        sums = {}, {}  # the right sides of the product and commutator rows
+        for lam, y in _covering_pairs(phi):
+            prod = multiply(ea[lam], eb[y], P)
+            parts = [(0, prod, 1)]
+            if set(lam) & set(y):
+                parts += [(1, prod, 1), (1, multiply(eb[y], ea[lam], P), -1)]
+            for j, t, sign in parts:
+                for key, c in t.terms.items():
+                    add_into(sums[j], key, c if sign > 0 else -c)
+        for j, got in enumerate((delta_n(ab, n, P), delta_n(ab - ba, n, P))):
+            out.append([])
+            _tally(out[-1], got, TensorElement(P.name, n, sums[j]), a=a, b=b)
+    return out
+
+
 def product_expansion(batteries) -> list[CheckRow]:
     """For each (P, pairs) battery and n = 1, 2, 3, the rows checking
     delta_n(ab) = sum over lam | y = {1..n} of delta_lam(a) delta_y(b), and
-    delta_n(ab - ba)."""
+    delta_n(ab - ba); fork_map runs the pairs."""
+    found = iter(fork_map(_expansion_failures, [
+        (P, a, b) for P, pairs in batteries for a, b in pairs]))
     rep = HopfReport()
-    for (P, pairs), n in itertools.product(batteries, (1, 2, 3)):
-        phi = tuple(range(1, n + 1))
-        subsets = [s for k in range(n + 1)
-                   for s in itertools.combinations(phi, k)]
-        bad_prod, bad_comm = [], []
-        for a, b in pairs:
-            ab = multiply(a, b, P)
-            ba = multiply(b, a, P)
-            da = {s: delta_E(a, s, n, P) for s in subsets}
-            db = {s: delta_E(b, s, n, P) for s in subsets}
-            want_parts = []
-            comm_parts = []
-            for lam, y in _covering_pairs(phi):
-                prod = multiply(da[lam], db[y], P)
-                want_parts.append((1, prod))
-                if set(lam) & set(y):
-                    comm_parts.append((1, prod))
-                    comm_parts.append((-1, multiply(db[y], da[lam], P)))
-            _tally(bad_prod, delta_n(ab, n, P),
-                   _tensor_sum(want_parts, P, n), a=a, b=b)
-            _tally(bad_comm, delta_n(ab - ba, n, P),
-                   _tensor_sum(comm_parts, P, n), a=a, b=b)
-        rep.add("deviation-of-product",
-                f"{P.name}: delta_{n}(a*b) expansion on {len(pairs)} pairs",
-                not bad_prod, _failures(bad_prod))
-        rep.add("deviation-of-commutator",
-                f"{P.name}: delta_{n}(ab-ba) expansion on {len(pairs)} pairs",
-                not bad_comm, _failures(bad_comm))
+    for P, pairs in batteries:
+        units = [next(found) for _ in pairs]
+        for r, (n, (check, expr)) in enumerate(itertools.product(
+                (1, 2, 3), (("deviation-of-product", "a*b"),
+                            ("deviation-of-commutator", "ab-ba")))):
+            bad = [f for u in units for f in u[r]]
+            rep.add(check, f"{P.name}: delta_{n}({expr}) expansion on "
+                    f"{len(pairs)} pairs", not bad, _failures(bad))
     return rep.rows
 
 

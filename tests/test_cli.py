@@ -320,13 +320,15 @@ def test_diamond_takes_no_bound(capsys):
 
 def test_cli_import_loads_no_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize, several ms of
-    # every cold qdp process; the records are NamedTuples or plain classes
+    # every cold qdp process; the records are NamedTuples or plain classes.
+    # fork_map imports pickle when first called, and needs no pool module
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     probe = ("import sys, qdp.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'pickle', "
+             "'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, text=True,
                          capture_output=True, check=True).stdout
     assert out.strip() == "[]"
