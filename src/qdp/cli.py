@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("roundtrip", "apply both rescaling functors and compare",
                 report)
     p.add_argument("source")
-    p.add_argument("--direction", choices=("prime-vee", "vee-prime"),
+    p.add_argument("--direction", choices=(PRIME_THEN_VEE, VEE_THEN_PRIME),
                    required=True)
 
     p = command("pair", "evaluate a seeded pairing", report)
@@ -281,10 +281,7 @@ def _cmd_dual_check(args, cfg) -> int:
 
 def _cmd_roundtrip(args, cfg) -> int:
     P = _load_presentation(args.source, args, cfg)
-    direction = (PRIME_THEN_VEE if args.direction == "prime-vee"
-                 else VEE_THEN_PRIME)
-    cap = cfg.degree_cap if direction == PRIME_THEN_VEE else None
-    rep = roundtrip_check(P, direction, cap)
+    rep = roundtrip_check(P, args.direction, cfg.degree_cap)
     return _emit_report(rep, args, cfg, {"presentation": P.name,
                                          "direction": args.direction})
 

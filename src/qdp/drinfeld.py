@@ -32,8 +32,8 @@ from .series import HSeries, div_h
 MEMBER = "MemberUpToTruncation"
 NOT_MEMBER = "NotMember"
 
-PRIME_THEN_VEE = "PrimeThenVee"
-VEE_THEN_PRIME = "VeeThenPrime"
+PRIME_THEN_VEE = "prime-vee"
+VEE_THEN_PRIME = "vee-prime"
 
 
 class MembershipCertificate(NamedTuple):

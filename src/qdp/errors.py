@@ -12,9 +12,6 @@ from __future__ import annotations
 class QdpError(Exception):
     """Base class for all engine errors."""
 
-    def __reduce__(self):  # not through __init__, whose arguments differ
-        return type(self).__new__, (type(self), *self.args), self.__dict__
-
 
 class MathematicalFailure(QdpError):
     """A check with mathematical content failed; carries a finding."""

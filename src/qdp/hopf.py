@@ -14,9 +14,8 @@ linearly to one slot, optionally in a demand-driven h-window.  Coproducts
 and antipodes are (anti-)multiplicative folds of products, and _extend
 applies them, the counit and (in drinfeld) a gauge map; an iterated
 coproduct Delta^n is the coproduct applied to slot 0, n - 1 times over.
-The deviation maps delta_E / delta_n are linear extensions too, and
-delta_valuation reads the valuation of delta_n at the narrowest window
-that shows it.
+The deviation maps delta_n are linear extensions too, and delta_valuation
+reads the valuation of delta_n at the narrowest window that shows it.
 
 Models:
   POLY    enveloping-algebra flavour, ordered monomials of any degree;
@@ -594,33 +593,6 @@ def embed_slots(t: TensorElement, slots: Sequence[int], n: int,
             padded[pos - 1] = m
         add_into(out, tuple(padded), c)
     return TensorElement(P.name, n, out)
-
-
-def _subset(E: Sequence[int], n: int) -> list[int]:
-    E = sorted(set(E))
-    if any(not 1 <= i <= n for i in E):
-        raise ValueError(f"E={E} is not a subset of 1..{n}")
-    return E
-
-
-def big_delta_E(a: TensorElement, E: Sequence[int], n: int,
-                P: Presentation) -> TensorElement:
-    """Delta_E = j_E o Delta^{|E|} as a rank-n tensor."""
-    E = _subset(E, n)
-    return embed_slots(iterated_coproduct(a, len(E), P), E, n, P)
-
-
-def delta_E(a: TensorElement, E: Sequence[int], n: int,
-            P: Presentation) -> TensorElement:
-    """delta_E = j_E o delta_{|E|} as a rank-n tensor.
-
-    Built from delta_n, not from Delta_E, so the inversion formula
-    Delta_E = sum over psi <= E of delta_psi compares the deviation maps
-    against the iterated coproducts; it holds exactly when the coproduct
-    is counital.
-    """
-    E = _subset(E, n)
-    return embed_slots(delta_n(a, len(E), P), E, n, P)
 
 
 # -- axiom checking -----------------------------------------------------------------

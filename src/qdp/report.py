@@ -97,22 +97,25 @@ def run_tasks(tasks: Sequence[tuple[str, Callable[[], list[CheckRow]]]]
 
 def fork_map(fn: Callable, items: Sequence) -> list:
     """[fn(x) for x in items]: the caller and a worker forked per further CPU
-    take indices off a pipe filled first; workers pickle their results back
-    and end in os._exit.  All are reaped before this returns or raises the
-    lowest failing index's exception.  No other thread may be running."""
+    take indices off a pipe filled first; workers pickle back the results
+    they finished and end in os._exit.  A process stops at its first failing
+    item.  Once all are reaped, the caller runs each index left undone, so
+    the lowest failing one raises here.  No other thread may be running."""
     import pickle
     parent, workers = os.getpid(), []
 
-    def drain():
-        # (index, raised, result) per index taken while the caller lives
+    def drain() -> dict:
+        # {index: result} per index taken while the caller lives
+        done = {}
         while parent in (os.getpid(), os.getppid()) and (
                 index := os.read(queue, 4)):
             i = int.from_bytes(index, "big")
             try:
-                yield i, False, fn(items[i])
-            except Exception as exc:
-                yield i, True, exc
+                done[i] = fn(items[i])
+            except Exception:
                 os.read(queue, 4 * len(items))  # every later index is moot
+                break
+        return done
 
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -129,25 +132,21 @@ def fork_map(fn: Callable, items: Sequence) -> list:
             if (pid := os.fork()) == 0:
                 try:
                     with open(into, "wb") as fh:
-                        pickle.dump(list(drain()), fh)
+                        pickle.dump(drain(), fh)
                 finally:
                     os._exit(0)
             os.close(into)
             workers.append((pid, out))
-        done = list(drain())
+        done = drain()
         for pid, out in workers:
             with open(out, "rb", closefd=False) as fh:
-                done.extend(pickle.load(fh))
+                done.update(pickle.load(fh))
     finally:
         os.close(queue)
         for pid, out in workers:
             os.close(out)
             os.waitpid(pid, 0)
-    done.sort()  # by index, unique per entry
-    for _, raised, value in done:
-        if raised:
-            raise value
-    return [value for _, _, value in done]
+    return [done[i] if i in done else fn(items[i]) for i in range(len(items))]
 
 
 def render_json(data: dict) -> str:

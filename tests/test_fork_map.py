@@ -30,38 +30,14 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _category(exc) -> int:
-    # the CLI's exit code for an error that reaches it
-    if isinstance(exc, errors.MathematicalFailure):
-        return 1
-    return 2 if isinstance(exc, errors.InputError) else 3
-
-
-def _error_classes():
-    return [c for c in vars(errors).values()
-            if isinstance(c, type) and issubclass(c, errors.QdpError)]
-
-
-@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
-def test_every_qdp_error_survives_a_pickle_round_trip(cls):
-    # a worker pickles the exception of a failing item for the caller
-    if cls is errors.NotAHopfMap:
-        exc = cls("not a morphism", HopfReport())
-    elif cls is errors.ExpressionSyntaxError:
-        exc = cls("unexpected ')'", 4)
-    else:
-        exc = cls("a finding")
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is cls
-    assert str(back) == str(exc)
-    assert _category(back) == _category(exc)
-    assert vars(back).keys() == vars(exc).keys()
+def _at_cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(k)), raising=False)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_results_come_in_item_order(monkeypatch, k):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(k)), raising=False)
+    _at_cpus(monkeypatch, k)
     assert fork_map(lambda x: x * x, range(40)) == [x * x for x in range(40)]
     assert fork_map(lambda x: x, []) == []
 
@@ -77,8 +53,7 @@ def _fails_at_3_and_7(x):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_the_lowest_failing_item_raises(monkeypatch, k):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(k)), raising=False)
+    _at_cpus(monkeypatch, k)
     with pytest.raises(errors.InputError, match="item 3"):
         fork_map(_fails_at_3_and_7, range(12))
 
@@ -90,8 +65,7 @@ def _default_batteries():
 
 
 def _rows_at(monkeypatch, k, make_rows):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(k)), raising=False)
+    _at_cpus(monkeypatch, k)
     return [r.to_jsonable() for r in make_rows()]
 
 
@@ -119,20 +93,34 @@ def test_failing_mutant_rows_do_not_depend_on_cpu_count(monkeypatch):
     assert rows[1] == rows[0] and rows[2] == rows[0]
 
 
-def _raise_in_a_worker(exc, marker: Path):
-    caller, slept = os.getpid(), []
+def _raise_in_a_worker(exc, marker: Path, count=10):
+    """fork_map over range(count) with item 9 raising exc.  Each process
+    that raises appends its pid to marker; the caller's first item first
+    waits up to 5 s for a worker to do so, if there is one."""
+    caller, waited = os.getpid(), []
 
     def unit(x):
-        if os.getpid() == caller and not slept:
-            slept.append(True)
-            time.sleep(0.2)  # the workers meet the failing item first
+        if os.getpid() == caller and not waited:
+            waited.append(True)
+            deadline = time.monotonic() + (
+                5 if len(os.sched_getaffinity(0)) > 1 else 0)
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
         time.sleep(0.005)
         if x == 9:
-            marker.write_text(str(os.getpid()))
+            with marker.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
             raise exc
         return x
 
-    return fork_map(unit, range(10))
+    return fork_map(unit, range(count))
+
+
+def _raisers(marker: Path) -> list:
+    """The pids marker names, in the order they raised; marker is removed."""
+    pids = [int(p) for p in marker.read_text().split()]
+    marker.unlink()
+    return pids
 
 
 @pytest.mark.parametrize("exc, code, line", [
@@ -147,12 +135,57 @@ def test_a_worker_error_exits_as_at_one_cpu(monkeypatch, capsys, tmp_path,
     monkeypatch.setattr(selftest, "CRITERIA",
                         [("boom", lambda cfg: _raise_in_a_worker(exc, marker))])
     for k in (1, 2, 3):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(k)), raising=False)
+        _at_cpus(monkeypatch, k)
         assert run(["selftest"]) == code
         out, err = capsys.readouterr()
         assert (out, err) == ("", line + "\n")
-        assert (int(marker.read_text()) == os.getpid()) == (k == 1)
+        # the failing item runs again in the caller, which raises it
+        pids = _raisers(marker)
+        assert len(pids) == 2 and pids[-1] == os.getpid()
+        assert (pids[0] == os.getpid()) == (k == 1)
+
+
+def _error_classes():
+    return [c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.QdpError)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_every_qdp_error_raises_from_a_worker_as_at_one_cpu(monkeypatch,
+                                                            tmp_path, cls):
+    # no error crosses a process: the caller raises the item's own error
+    if cls is errors.NotAHopfMap:
+        exc = cls("not a morphism", HopfReport())
+    elif cls is errors.ExpressionSyntaxError:
+        exc = cls("unexpected ')'", 4)
+    else:
+        exc = cls("a finding")
+    marker = tmp_path / "raised-in"
+    _at_cpus(monkeypatch, 2)
+    with pytest.raises(cls) as info:
+        _raise_in_a_worker(exc, marker)
+    assert info.value is exc
+    assert _raisers(marker)[0] != os.getpid()
+
+
+class _Unpicklable(ValueError):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: message
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_an_unpicklable_error_raises_as_at_one_cpu(monkeypatch, tmp_path, k):
+    # it cannot cross a pipe, so the caller must raise it itself
+    marker = tmp_path / "raised-in"
+    exc = _Unpicklable("item 9")
+    with pytest.raises(AttributeError, match="Can't pickle"):
+        pickle.dumps(exc)
+    _at_cpus(monkeypatch, k)
+    with pytest.raises(_Unpicklable, match="item 9") as info:
+        _raise_in_a_worker(exc, marker, count=12)
+    assert info.value is exc
+    assert (_raisers(marker)[0] == os.getpid()) == (k == 1)
 
 
 def _no_child_left():

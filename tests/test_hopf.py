@@ -15,10 +15,10 @@ from qdp.errors import (FuelExceeded, NotTopologicallyNilpotent,
                         PresentationError)
 from qdp.exprs import parse_element
 from qdp.freealg import Monomial, TensorElement
-from qdp.hopf import (POLY, SERIES, Presentation, antipode, big_delta_E,
-                      check_diamond, check_hopf_axioms, coproduct, counit,
-                      delta_E, delta_n, delta_valuation, element_exp,
-                      embed_slots, iterated_coproduct, multiply, normal_form)
+from qdp.hopf import (POLY, SERIES, Presentation, antipode, check_diamond,
+                      check_hopf_axioms, coproduct, counit, delta_n,
+                      delta_valuation, element_exp, embed_slots,
+                      iterated_coproduct, multiply, normal_form)
 from qdp.report import discrepancy
 from qdp.selftest import random_elements
 from qdp.series import HSeries, _make, mul
@@ -294,12 +294,13 @@ class TestIteratedCoproduct:
 class TestDeltaFamily:
     def test_delta_empty(self, borel2):
         a = borel2.unit(3) + borel2.gen("x")
-        t = delta_E(a, (), 1, borel2)
+        t = embed_slots(delta_n(a, 0, borel2), (), 1, borel2)
         assert t.terms == {(Monomial.identity(2),): HSeries.const(3, 8)}
 
     def test_delta_one_is_id_minus_counit(self, abelian2):
         x = abelian2.gen("x1")
-        assert delta_E(x, (1,), 1, abelian2) == delta_n(x, 1, abelian2)
+        assert embed_slots(delta_n(x, 1, abelian2), (1,), 1,
+                           abelian2) == delta_n(x, 1, abelian2)
         a = abelian2.unit(7) + x
         t = delta_n(a, 1, abelian2)
         assert t.terms == {(Monomial((1, 0)),): HSeries.one(8)}
@@ -350,15 +351,16 @@ class TestDeltaFamily:
     def test_inclusion_exclusion_inversion(self, borel2):
         rng = random.Random(13)
         for a in random_elements(borel2, rng, 4, max_degree=2):
+            big = [iterated_coproduct(a, k, borel2) for k in range(4)]
+            dev = [delta_n(a, k, borel2) for k in range(4)]
             for n in (1, 2, 3):
-                for k in range(n + 1):
-                    for E in itertools.combinations(range(1, n + 1), k):
-                        total = TensorElement.zero(borel2.name, n)
-                        for t in range(len(E) + 1):
-                            for psi in itertools.combinations(E, t):
-                                total = total + delta_E(a, psi, n, borel2)
-                        assert big_delta_E(a, E, n, borel2) == total
-
+                parts = selftest._embedded(dev, n, borel2)
+                for E, got in selftest._embedded(big, n, borel2).items():
+                    total = TensorElement.zero(borel2.name, n)
+                    for t in range(len(E) + 1):
+                        for psi in itertools.combinations(E, t):
+                            total = total + parts[psi]
+                    assert got == total
 
     def test_inclusion_exclusion_detects_non_counital_coproduct(self):
         # Delta(y) = 2*y (x) 1 + exp(hx) (x) y: (id (x) eps) o Delta != id,
@@ -372,10 +374,12 @@ class TestDeltaFamily:
                           "y": P.coproduct_on_gens["y"] + extra},
                          P.counit_on_gens, P.antipode_on_gens)
         y = Q.gen("y")
+        parts = selftest._embedded([delta_n(y, k, Q) for k in range(3)], 2, Q)
         total = TensorElement.zero(Q.name, 2)
         for psi in ((), (1,), (2,), (1, 2)):
-            total = total + delta_E(y, psi, 2, Q)
-        assert big_delta_E(y, (1, 2), 2, Q) != total
+            total = total + parts[psi]
+        assert embed_slots(iterated_coproduct(y, 2, Q), (1, 2), 2,
+                           Q) != total
 
 
 class TestAxiomChecks:
@@ -1092,10 +1096,8 @@ def _deviation_products(P, seed, shift=None):
     for n in (1, 2, 3):
         phi = tuple(range(1, n + 1))
         for a, b in pairs:
-            da = {s: delta_E(a, s, n, P) for k in range(n + 1)
-                  for s in itertools.combinations(phi, k)}
-            db = {s: delta_E(b, s, n, P) for k in range(n + 1)
-                  for s in itertools.combinations(phi, k)}
+            da, db = (selftest._embedded(
+                [delta_n(e, k, P) for k in range(n + 1)], n, P) for e in (a, b))
             for lam, y in selftest._covering_pairs(phi):
                 out.append((da[lam], db[y]))
                 out.append((db[y], da[lam]))

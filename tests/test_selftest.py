@@ -3,13 +3,15 @@ with a single change.  The criterion must fail, in a row that names what
 is wrong."""
 
 import random
+from collections import Counter
 
 import qdp.drinfeld as drinfeld
-from qdp.bundles import builtin
+import qdp.selftest as selftest
+from qdp.bundles import BUILTIN_NAMES, builtin
 from qdp.freealg import Monomial
-from qdp.selftest import (DEFAULT_SEED, bundle_invariants, filtration_kernel,
-                          inclusion_exclusion, limit_valuations,
-                          membership_battery, roundtrips)
+from qdp.selftest import (BATTERY_ORDER, DEFAULT_SEED, bundle_invariants,
+                          filtration_kernel, inclusion_exclusion,
+                          limit_valuations, membership_battery, roundtrips)
 
 from support import borel2_with
 
@@ -52,6 +54,24 @@ def test_inclusion_exclusion_rejects_a_non_counital_coproduct():
          "35 failures; first: a = (-1)*[(0, 0)] + (-h^2)*[(1, 0)] "
          "+ (2/3*h^2)*[(1, 2)], n = 2, E = (1, 2): "
          "discrepancy: (2*h^2)*[(1, 2) (x) (0, 0)]")]
+
+
+def test_inclusion_exclusion_builds_each_map_once_per_element(monkeypatch):
+    # Delta^k(a) and delta_k(a), k <= 3, are each asked for once and
+    # embedded in every subset E of every n <= 3
+    asked = Counter()
+    for name in ("iterated_coproduct", "delta_n"):
+        def counted(a, k, P, *, _name=name, _map=getattr(selftest, name)):
+            asked[_name, k] += 1
+            return _map(a, k, P)
+        monkeypatch.setattr(selftest, name, counted)
+    rows = inclusion_exclusion(
+        [builtin(name, BATTERY_ORDER, BATTERY_ORDER).quea
+         for name in BUILTIN_NAMES], random.Random(DEFAULT_SEED + 1))
+    assert all(r.passed for r in rows)
+    elements = 8 * len(BUILTIN_NAMES)
+    assert asked == {(name, k): elements for k in range(4)
+                     for name in ("iterated_coproduct", "delta_n")}
 
 
 def test_limit_valuations_reject_a_coproduct_with_a_constant_term():
